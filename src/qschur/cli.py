@@ -12,6 +12,7 @@ import os
 import sys
 
 from .compositions import (
+    enumerate_compositions,
     format_composition,
     parse_composition,
     parse_weak_composition,
@@ -22,7 +23,6 @@ from .macdonald import (
     hall_littlewood_qsym,
     macdonald_integral_form,
     macdonald_j_fundamental,
-    ns_hall_littlewood,
 )
 from .pieri import pieri_col, pieri_row, product_qschur
 from .polynomial import XPoly
@@ -34,7 +34,6 @@ from .qsym import (
     express_in_qschur,
     transition_matrix,
 )
-from .compositions import enumerate_compositions
 from .verify import run_suite
 
 DEFAULT_MAX_CELLS = 8
@@ -45,9 +44,16 @@ class DomainError(ValueError):
     pass
 
 
+def _as_int(label: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise DomainError(f"{label} must be an integer, got {value!r}") from None
+
+
 def _max_cells() -> int:
     value = os.environ.get("QSCHUR_MAX_CELLS")
-    return int(value) if value else DEFAULT_MAX_CELLS
+    return _as_int("QSCHUR_MAX_CELLS", value) if value else DEFAULT_MAX_CELLS
 
 
 def _check_guard(cells: int, nvars: int, force: bool):
@@ -93,9 +99,9 @@ def _specialized(p: XPoly, spec: str | None) -> XPoly:
         name, _, value = piece.partition("=")
         name = name.strip()
         if name == "q":
-            q = int(value)
+            q = _as_int("--spec q", value)
         elif name == "t":
-            t = int(value)
+            t = _as_int("--spec t", value)
         else:
             raise DomainError(f"unknown parameter {name!r} in --spec")
     return p.specialize(q=q, t=t)
@@ -182,13 +188,19 @@ def cmd_j_fund(args):
 
 
 def cmd_verify(args):
-    fails = run_suite(args.suite, args.max_size)
-    if fails:
+    rc = 0
+    for name, cases, fails in run_suite(args.suite, args.max_size):
         for msg in fails:
-            print(msg, file=sys.stderr)
-        return 1
-    print(f"suite {args.suite}: all checks passed")
-    return 0
+            print(f"[{name}] {msg}", file=sys.stderr)
+        if fails:
+            print(f"suite {name}: {len(fails)} failures in {cases} cases", file=sys.stderr)
+            rc = 1
+        elif not cases:
+            print(f"suite {name}: checked 0 cases", file=sys.stderr)
+            rc = 1
+        else:
+            print(f"suite {name}: all checks passed ({cases} cases)")
+    return rc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,12 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_product)
 
-    for name in ("atom", "atoms"):
-        p = sub.add_parser(name, help="Demazure atom of a weak shape")
-        p.add_argument("--shape", required=True)
-        p.add_argument("--vars", type=int)
-        p.add_argument("--force", action="store_true")
-        p.set_defaults(func=cmd_atom)
+    p = sub.add_parser("atom", help="Demazure atom of a weak shape")
+    p.add_argument("--shape", required=True)
+    p.add_argument("--vars", type=int)
+    p.add_argument("--force", action="store_true")
+    p.set_defaults(func=cmd_atom)
 
     p = sub.add_parser("e-poly", help="integral form over a chosen basement")
     p.add_argument("--shape", required=True)

@@ -101,7 +101,8 @@ def composition_of(s: Iterable[int], n: int) -> Composition:
     for e in elems:
         parts.append(e - prev)
         prev = e
-    parts.append(n - prev)
+    if n:
+        parts.append(n - prev)
     return Composition(parts)
 
 
@@ -169,6 +170,35 @@ def enumerate_compositions(n: int) -> list[Composition]:
     return comps
 
 
+def enumerate_partitions(n: int) -> list[Partition]:
+    """All partitions of n, lexicographically decreasing."""
+    out: list[Partition] = []
+
+    def rec(rest: int, largest: int, cur: list[int]):
+        if rest == 0:
+            out.append(Partition(cur))
+            return
+        for p in range(min(rest, largest), 0, -1):
+            cur.append(p)
+            rec(rest - p, p, cur)
+            cur.pop()
+
+    rec(n, n, [])
+    return out
+
+
+def enumerate_weak_compositions(total: int, parts: int) -> list[WeakComposition]:
+    """All weak compositions of ``total`` with exactly ``parts`` parts,
+    lexicographically increasing."""
+    if parts == 0:
+        return [WeakComposition()] if total == 0 else []
+    return [
+        WeakComposition((p,) + tuple(rest))
+        for p in range(total + 1)
+        for rest in enumerate_weak_compositions(total - p, parts - 1)
+    ]
+
+
 def compositions_of_partition(l: Iterable[int]) -> list[Composition]:
     """All distinct rearrangements of the parts of ``l``."""
     l = tuple(p for p in l if p != 0)
@@ -193,34 +223,27 @@ def expand_to_weak(a: Iterable[int], n: int) -> list[WeakComposition]:
     return out
 
 
-def parse_composition(text: str) -> Composition:
-    """Parse ``"(1,2,3)"`` or ``"1,2,3"`` (empty composition: ``"()"``)."""
+def _parse_parts(text: str, kind: str) -> list[int]:
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     body = body.strip().rstrip(",")
     if not body:
-        return Composition()
+        return []
     try:
-        parts = [int(tok) for tok in body.split(",")]
+        return [int(tok) for tok in body.split(",")]
     except ValueError:
-        raise ValueError(f"malformed composition: {text!r}") from None
-    return Composition(parts)
+        raise ValueError(f"malformed {kind}: {text!r}") from None
+
+
+def parse_composition(text: str) -> Composition:
+    """Parse ``"(1,2,3)"`` or ``"1,2,3"`` (empty composition: ``"()"``)."""
+    return Composition(_parse_parts(text, "composition"))
 
 
 def parse_weak_composition(text: str) -> WeakComposition:
     """Like :func:`parse_composition` but zero parts are allowed."""
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    body = body.strip().rstrip(",")
-    if not body:
-        return WeakComposition()
-    try:
-        parts = [int(tok) for tok in body.split(",")]
-    except ValueError:
-        raise ValueError(f"malformed weak composition: {text!r}") from None
-    return WeakComposition(parts)
+    return WeakComposition(_parse_parts(text, "weak composition"))
 
 
 def format_composition(a: Iterable[int]) -> str:

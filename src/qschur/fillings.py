@@ -15,7 +15,6 @@ with general basements, and their specializations).
 """
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
 from .compositions import WeakComposition

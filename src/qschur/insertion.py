@@ -7,14 +7,13 @@ cells an insertion touches, and the test suite asserts them directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .compositions import Composition
 from .tableaux import (
     CompositionTableau,
     ReverseTableau,
     comt_to_ssaf,
-    is_comt,
     ssaf_to_rt,
 )
 

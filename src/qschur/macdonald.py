@@ -12,34 +12,28 @@ symmetric integral form of the sorted shape.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from typing import Iterable
 
 from .compositions import (
     Composition,
     Partition,
     WeakComposition,
-    collapse,
     compositions_of_partition,
     composition_of,
     expand_to_weak,
-    to_partition,
 )
 from .fillings import (
     AugmentedFilling,
     arm,
     attack_pairs,
     coinv,
-    descent_cells,
     enumerate_fillings,
     is_inversion_triple,
-    is_ssaf_filling,
     leg,
     maj,
     triples,
 )
 from .polynomial import QtPoly, XPoly
-from .qsym import QSymExpr, qsym_to_poly
+from .qsym import QSymExpr, m_to_f, xpoly_to_monomial
 
 
 def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = None) -> XPoly:
@@ -113,8 +107,6 @@ def hall_littlewood_qsym_m(a, n: int | None = None) -> QSymExpr:
     the quasisymmetry check performed during extraction is itself a
     nontrivial structural property of these sums.
     """
-    from .qsym import xpoly_to_monomial
-
     a = Composition(a)
     if n is None:
         n = max(a.size, len(a))
@@ -319,8 +311,6 @@ def macdonald_j_fundamental(mu) -> QSymExpr:
     Z[q,t]; evaluating the result in ``size`` variables agrees with the
     constant-basement weighted filling sum.
     """
-    from .qsym import m_to_f
-
     total: dict[Composition, QtPoly] = {}
     for _, _, expr in j_fundamental_classes(mu):
         for comp, c in expr.terms.items():
@@ -328,15 +318,3 @@ def macdonald_j_fundamental(mu) -> QSymExpr:
             total[comp] = prev + c if prev is not None else c
     return m_to_f(QSymExpr("M", total))
 
-
-# -- fixture ----------------------------------------------------------------
-
-# Printed comparison values for the alternative one-parameter family
-# defined through difference operators (kept only as a fixture; the
-# parameter is read as t).  Indexed by composition, coefficients in t.
-HIVERT_G13_PRINTED = {
-    (1, 3): QtPoly.one(),
-    (1, 2, 1): QtPoly.one() - QtPoly.t(2),
-    (1, 1, 2): QtPoly.one() - QtPoly.t(2),
-    (1, 1, 1, 1): QtPoly.one() - QtPoly.const(2) * QtPoly.t(2) + QtPoly.t(4),
-}

@@ -10,7 +10,6 @@ legitimate result of removing the last cell.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 from .compositions import (
@@ -19,7 +18,6 @@ from .compositions import (
     compositions_of_partition,
     to_partition,
 )
-from .polynomial import XPoly
 from .qsym import (
     QSymExpr,
     express_in_qschur,
@@ -118,12 +116,7 @@ def vertical_strips_over(lam, n: int) -> list[Partition]:
 
 def strip_column_set(mu, lam) -> frozenset[int]:
     """Columns (1-based) occupied by the cells of mu/lam."""
-    mu, lam = Partition(mu), Partition(lam)
-    padded = tuple(lam) + (0,) * (len(mu) - len(lam))
-    cols = []
-    for m, l in zip(mu, padded):
-        cols.extend(range(l + 1, m + 1))
-    return frozenset(cols)
+    return frozenset(strip_column_multiset(mu, lam))
 
 
 def strip_column_multiset(mu, lam) -> tuple[int, ...]:

@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .compositions import (
     Composition,
     Partition,
     WeakComposition,
-    collapse,
+    composition_of,
     compositions_of_partition,
     enumerate_compositions,
+    enumerate_partitions,
     expand_to_weak,
     format_composition,
     refinements,
     reversal,
-    to_partition,
     triangle_key,
 )
 from .polynomial import QtPoly, XPoly
@@ -257,8 +257,6 @@ def qschur_in_fundamental(a) -> QSymExpr:
     n = a.size
     counts: dict[Composition, int] = {}
     for t in enumerate_standard_comts(a):
-        from .compositions import composition_of
-
         b = composition_of(comt_descents(t), n)
         counts[b] = counts.get(b, 0) + 1
     return QSymExpr("F", counts)
@@ -305,7 +303,7 @@ def schur_in_monomial_oracle(l) -> QSymExpr:
     l = Partition(l)
     n = l.size
     kostka: dict[Partition, int] = {}
-    for mu in _partitions_of(n):
+    for mu in enumerate_partitions(n):
         target = tuple(reversal(mu))
         count = 0
         for t in enumerate_reverse_tableaux(l, len(mu)):
@@ -318,22 +316,6 @@ def schur_in_monomial_oracle(l) -> QSymExpr:
         for b in compositions_of_partition(mu):
             terms[b] = k
     return QSymExpr("M", terms)
-
-
-def _partitions_of(n: int) -> list[Partition]:
-    out: list[Partition] = []
-
-    def rec(rest: int, mx: int, cur: list[int]):
-        if rest == 0:
-            out.append(Partition(cur))
-            return
-        for p in range(min(rest, mx), 0, -1):
-            cur.append(p)
-            rec(rest - p, p, cur)
-            cur.pop()
-
-    rec(n, n, [])
-    return out
 
 
 # -- transition matrices ----------------------------------------------------

@@ -9,7 +9,6 @@ identity basement by deleting the basement and the empty rows.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator
 
 from .compositions import (

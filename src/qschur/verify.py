@@ -1,36 +1,39 @@
 """Named property suites with bounded exhaustive checks.
 
-Each suite function returns a list of failure descriptions (empty means
-the suite passed) so the command line can print minimal
-counterexamples and exit accordingly.  The same suites back the test
-suite.
+This module is the one definition of every exhaustive property check:
+the command line runs the suites at their default bounds and the test
+suite runs them at its own.  Each suite takes its bounds as keyword
+arguments and returns ``(cases_checked, failures)``: the number of
+objects it checked and a list of failure descriptions (empty means
+the suite passed).  A suite that checked no case proves nothing, so
+callers treat zero cases as a failure.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable
 
 from .compositions import (
-    Composition,
     composition_of,
     compositions_of_partition,
     enumerate_compositions,
+    enumerate_partitions,
+    enumerate_weak_compositions,
     expand_to_weak,
     subset_of,
-    to_partition,
     triangle_cmp,
 )
-from .fillings import AugmentedFilling, enumerate_fillings, is_ssaf_filling
+from .fillings import enumerate_fillings, is_ssaf_filling
 from .insertion import (
     augmented_row_uniqueness_check,
     commutation_check,
     row_bumping_check,
-    schensted_insert,
     skyline_insert,
     skyline_uninsert,
 )
 from .pieri import pieri_col, pieri_row, product_qschur, rem
-from .polynomial import QtPoly, XPoly
+from .polynomial import QtPoly
 from .qsym import (
     demazure_atom,
     equals_fundamental_shape,
@@ -60,67 +63,51 @@ from .tableaux import (
     enumerate_ssafs,
     enumerate_standard_reverse_tableaux,
     is_comt,
-    is_reversetableau,
     is_ssaf,
     rt_to_ssaf,
     ssaf_to_comt,
     ssaf_to_rt,
 )
 
-
-def _partitions_upto(m: int):
-    out = []
-
-    def rec(rest, mx, cur):
-        if rest == 0:
-            out.append(tuple(cur))
-            return
-        for p in range(min(rest, mx), 0, -1):
-            cur.append(p)
-            rec(rest - p, p, cur)
-            cur.pop()
-
-    for k in range(1, m + 1):
-        rec(k, k, [])
-    return out
+SuiteResult = tuple[int, list[str]]
 
 
-def _weak_comps(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for p in range(total + 1):
-        for rest in _weak_comps(total - p, parts - 1):
-            yield (p,) + rest
-
-
-def suite_core(max_size: int = 6) -> list[str]:
-    fails = []
+def suite_core(max_size: int = 6) -> SuiteResult:
+    """Composition counts, the subset encoding, the triangle order
+    (antisymmetric, total and transitive) and weak expansions."""
+    cases, fails = 0, []
     for n in range(0, max_size + 1):
         comps = enumerate_compositions(n)
+        cases += len(comps)
         if len(comps) != (1 if n == 0 else 2 ** (n - 1)):
             fails.append(f"composition count wrong for n={n}")
         for b in comps:
-            if n and composition_of(subset_of(b, n), n) != b:
+            if composition_of(subset_of(b, n), n) != b:
                 fails.append(f"subset round trip fails for {tuple(b)}")
         for a, b in itertools.combinations(comps, 2):
             if triangle_cmp(a, b) != -triangle_cmp(b, a) or triangle_cmp(a, b) == 0:
                 fails.append(f"triangle order not antisymmetric on {a},{b}")
+        for a, b, c in itertools.permutations(comps, 3):
+            if triangle_cmp(a, b) > 0 and triangle_cmp(b, c) > 0 and triangle_cmp(a, c) <= 0:
+                fails.append(f"triangle order not transitive on {a},{b},{c}")
         for a in comps:
             for nn in range(len(a), max_size + 2):
-                import math
-
                 if len(expand_to_weak(a, nn)) != math.comb(nn, len(a)):
                     fails.append(f"weak expansion count wrong for {tuple(a)},{nn}")
-    return fails
+    return cases, fails
 
 
-def suite_tableaux(max_size: int = 5) -> list[str]:
-    fails = []
+def suite_tableaux(max_size: int = 5, max_entry: int | None = None) -> SuiteResult:
+    """Composition tableaux of size <= max_size with entries <= max_entry
+    (default max_size + 1) against their fillings and reverse tableaux,
+    and the column refill of standard reverse tableaux."""
+    if max_entry is None:
+        max_entry = max_size + 1
+    cases, fails = 0, []
     for n in range(1, max_size + 1):
         for a in enumerate_compositions(n):
-            for t in enumerate_comts(a, max_size + 1):
+            for t in enumerate_comts(a, max_entry):
+                cases += 1
                 if not is_comt(t):
                     fails.append(f"enumerated non-tableau {t.rows}")
                     continue
@@ -131,33 +118,48 @@ def suite_tableaux(max_size: int = 5) -> list[str]:
                     fails.append(f"round trip broken for {t.rows}")
                 if tuple(f.weight()) != tuple(t.weight()):
                     fails.append(f"weight not preserved for {t.rows}")
+                if rt_to_ssaf(ssaf_to_rt(f), n=len(f.shape)).rows != f.rows:
+                    fails.append(f"reverse tableau round trip broken for {t.rows}")
                 for i, row in enumerate(f.rows, start=1):
                     if row and row[0] != i:
                         fails.append(f"first column of row {i} is {row[0]} in {f.rows}")
-    for lam in _partitions_upto(max_size):
-        for t in enumerate_standard_reverse_tableaux(lam):
-            f = rt_to_ssaf(t)
-            back = ssaf_to_rt(f)
-            if back != t:
-                fails.append(f"column refill round trip broken for {t.rows}")
-            for k in range(max(lam)):
-                col_t = sorted(row[k] for row in t.rows if len(row) > k)
-                col_f = sorted(r[k] for r in f.rows if len(r) > k)
-                if col_t != col_f:
-                    fails.append(f"column multiset changed for {t.rows}")
-    return fails
+                for col in itertools.zip_longest(*f.rows):
+                    values = [v for v in col if v is not None]
+                    if len(values) != len(set(values)):
+                        fails.append(f"repeated entry in a column of {f.rows}")
+    for k in range(1, max_size + 1):
+        for lam in enumerate_partitions(k):
+            for t in enumerate_standard_reverse_tableaux(lam):
+                cases += 1
+                f = rt_to_ssaf(t)
+                if ssaf_to_rt(f) != t:
+                    fails.append(f"column refill round trip broken for {t.rows}")
+                for j in range(max(lam)):
+                    col_t = sorted(row[j] for row in t.rows if len(row) > j)
+                    col_f = sorted(r[j] for r in f.rows if len(r) > j)
+                    if col_t != col_f:
+                        fails.append(f"column multiset changed for {t.rows}")
+    return cases, fails
 
 
-def suite_insertion(max_size: int = 5) -> list[str]:
-    fails = []
+def suite_insertion(max_size: int = 5, max_entry: int | None = None) -> SuiteResult:
+    """Skyline insertion into composition tableaux, and row bumping in
+    reverse tableaux, with tableau entries <= max_entry (default
+    max_size) and inserted letters <= max_size + 1."""
+    if max_entry is None:
+        max_entry = max_size
+    cases, fails = 0, []
     kmax = max_size + 1
     for n in range(1, max_size + 1):
         for a in enumerate_compositions(n):
-            for t in enumerate_comts(a, max_size):
+            for t in enumerate_comts(a, max_entry):
                 for k in range(1, kmax + 1):
+                    cases += 1
                     res = skyline_insert(t, k)
                     if not is_comt(res.result):
                         fails.append(f"insertion broke {t.rows} <- {k}")
+                    if res.result.size != t.size + 1:
+                        fails.append(f"insertion did not add one cell to {t.rows} <- {k}")
                     if not commutation_check(t, k):
                         fails.append(f"commutation fails for {t.rows} <- {k}")
                     if not augmented_row_uniqueness_check(t, k):
@@ -170,29 +172,36 @@ def suite_insertion(max_size: int = 5) -> list[str]:
                         continue
                     if s != t or kk != k:
                         fails.append(f"uninsert mismatch for {t.rows} <- {k}")
-    for lam in _partitions_upto(min(max_size, 5)):
-        for t in enumerate_reverse_tableaux(lam, max_size):
-            for x in range(1, kmax + 1):
-                for xp in range(1, kmax + 1):
-                    if not row_bumping_check(t, x, xp):
-                        fails.append(f"row bumping fails on {t.rows}, {x}, {xp}")
-    return fails
+    for m in range(1, min(max_size, 5) + 1):
+        for lam in enumerate_partitions(m):
+            for t in enumerate_reverse_tableaux(lam, max_entry):
+                for x in range(1, kmax + 1):
+                    for xp in range(1, kmax + 1):
+                        cases += 1
+                        if not row_bumping_check(t, x, xp):
+                            fails.append(f"row bumping fails on {t.rows}, {x}, {xp}")
+    return cases, fails
 
 
-def suite_bases(max_size: int = 6) -> list[str]:
-    fails = []
-    for n in range(1, max_size + 1):
-        for a in enumerate_compositions(n):
-            if f_to_m(qschur_in_fundamental(a)) != qschur_in_monomial(a):
-                fails.append(f"monomial/fundamental expansions disagree at {tuple(a)}")
-            s_is_m = qschur_in_monomial(a) == qsym_unit("M", a)
-            if s_is_m != equals_monomial_shape(a):
-                fails.append(f"monomial coincidence misclassified at {tuple(a)}")
-            s_is_f = qschur_in_fundamental(a) == qsym_unit("F", a)
-            if s_is_f != equals_fundamental_shape(a):
-                fails.append(f"fundamental coincidence misclassified at {tuple(a)}")
+def suite_bases(max_size: int = 6) -> SuiteResult:
+    """The M and F expansions agree, the M/F coincidence shapes are
+    classified exactly, the transition matrices are unitriangular, the
+    rearrangement sums match the reverse-tableau Schur oracle and the
+    abstract expansions evaluate to the polynomials."""
+    cases, fails = 0, []
+    for n in range(0, max_size + 1):
         comps = enumerate_compositions(n)
+        for a in comps:
+            cases += 1
+            in_m, in_f = qschur_in_monomial(a), qschur_in_fundamental(a)
+            if f_to_m(in_f) != in_m:
+                fails.append(f"monomial/fundamental expansions disagree at {tuple(a)}")
+            if (in_m == qsym_unit("M", a)) != equals_monomial_shape(a):
+                fails.append(f"monomial coincidence misclassified at {tuple(a)}")
+            if (in_f == qsym_unit("F", a)) != equals_fundamental_shape(a):
+                fails.append(f"fundamental coincidence misclassified at {tuple(a)}")
         for basis in ("M", "F"):
+            cases += 1
             mat = transition_matrix(basis, n)
             for i in range(len(comps)):
                 if mat[i][i] != 1:
@@ -202,27 +211,33 @@ def suite_bases(max_size: int = 6) -> list[str]:
                         fails.append(
                             f"matrix not triangular at {tuple(comps[i])},{tuple(comps[j])}"
                         )
-    for lam in _partitions_upto(min(max_size, 6)):
-        total = None
-        for a in compositions_of_partition(lam):
-            e = qschur_in_monomial(a)
-            total = e if total is None else total + e
-        if total != schur_in_monomial_oracle(lam):
-            fails.append(f"oracle mismatch for shape {lam}")
+    for m in range(1, min(max_size, 6) + 1):
+        for lam in enumerate_partitions(m):
+            cases += 1
+            total = None
+            for a in compositions_of_partition(lam):
+                e = qschur_in_monomial(a)
+                total = e if total is None else total + e
+            if total != schur_in_monomial_oracle(lam):
+                fails.append(f"oracle mismatch for shape {tuple(lam)}")
     for n in range(1, min(max_size, 5) + 1):
         for a in enumerate_compositions(n):
+            cases += 1
             direct = qschur_polynomial(a, 5)
             via_m = qsym_to_poly(qschur_in_monomial(a), 5)
             if direct != via_m:
                 fails.append(f"polynomial/abstract disagreement at {tuple(a)}")
-    return fails
+    return cases, fails
 
 
-def suite_pieri(max_size: int = 5, max_strip: int = 3) -> list[str]:
-    fails = []
+def suite_pieri(max_size: int = 5, max_strip: int = 3) -> SuiteResult:
+    """The row and column rules equal brute-force products, with every
+    coefficient 1, and rem removes exactly one cell."""
+    cases, fails = 0, []
     for m in range(0, max_size + 1):
         for a in enumerate_compositions(m):
             for n in range(1, max_strip + 1):
+                cases += 1
                 row = pieri_row(a, n)
                 if row != product_qschur((n,), a):
                     fails.append(f"row rule disagrees with product at {tuple(a)},{n}")
@@ -237,19 +252,33 @@ def suite_pieri(max_size: int = 5, max_strip: int = 3) -> list[str]:
                 if r is not None:
                     if r.size != a.size - 1:
                         fails.append(f"rem changed size oddly on {tuple(a)},{s}")
-    return fails
+    return cases, fails
 
 
-def suite_macdonald(max_cells: int = 4, max_vars: int = 4) -> list[str]:
-    fails = []
+def suite_macdonald(max_cells: int = 4, max_vars: int = 4) -> SuiteResult:
+    """Specializations of the integral forms: identity basement at
+    q = t = 0 is the Demazure atom, q = 0 is the descentless form (whose
+    t = 0 value is the atom again), the constant basement at q = t = 0 is
+    the Schur polynomial; and the descentless fillings that are valid
+    are exactly the enumerated ones."""
+    cases, fails = 0, []
     for n in range(1, max_vars + 1):
         for total in range(1, max_cells + 1):
-            for g in _weak_comps(total, n):
+            for g in enumerate_weak_compositions(total, n):
+                cases += 1
+                atom = demazure_atom(g, n)
                 E = macdonald_integral_form(g, "id", n)
-                if E.specialize(q=0, t=0) != demazure_atom(g, n):
+                if E.specialize(q=0, t=0) != atom:
                     fails.append(f"identity basement specialization fails at {g}")
-                if ns_hall_littlewood(g, n) != E.specialize(q=0):
+                ns = ns_hall_littlewood(g, n)
+                if ns != E.specialize(q=0):
                     fails.append(f"descentless form disagrees at {g}")
+                if ns.specialize(t=0) != atom:
+                    fails.append(f"descentless form at t=0 is not the atom at {g}")
+                lam = sorted((p for p in g if p), reverse=True)
+                J = macdonald_integral_form(g, "const", n)
+                if J.specialize(q=0, t=0) != qsym_to_poly(schur_in_monomial_oracle(lam), n):
+                    fails.append(f"constant basement specialization fails at {g}")
                 ssafs = {f.rows for f in enumerate_ssafs(g)}
                 described = {
                     f.rows
@@ -258,32 +287,60 @@ def suite_macdonald(max_cells: int = 4, max_vars: int = 4) -> list[str]:
                 }
                 if ssafs != described:
                     fails.append(f"filling sets disagree at {g}")
-    return fails
+    return cases, fails
 
 
-def suite_hall_littlewood(max_size: int = 4, max_vars: int = 3) -> list[str]:
-    fails = []
-    for lam in _partitions_upto(max_size):
-        for n in range(1, max_vars + 1):
-            if hall_littlewood_p(lam, n) != hall_littlewood_p_oracle(lam, n):
-                fails.append(f"oracle mismatch at {lam}, n={n}")
+def suite_hall_littlewood(max_size: int = 4, max_vars: int = 3) -> SuiteResult:
+    """Hall-Littlewood polynomials against the symmetrization oracle."""
+    cases, fails = 0, []
+    for m in range(1, max_size + 1):
+        for lam in enumerate_partitions(m):
+            for n in range(1, max_vars + 1):
+                cases += 1
+                if hall_littlewood_p(lam, n) != hall_littlewood_p_oracle(lam, n):
+                    fails.append(f"oracle mismatch at {tuple(lam)}, n={n}")
+    return cases, fails
+
+
+def suite_hl_chain(max_size: int = 4) -> SuiteResult:
+    """The quasisymmetric Hall-Littlewood form is the quasisymmetric
+    Schur polynomial at t = 0 and the monomial one at t = 1, and the
+    Hall-Littlewood polynomials in up to max_size variables are
+    symmetric."""
+    cases, fails = 0, []
     for m in range(1, max_size + 1):
         for a in enumerate_compositions(m):
+            cases += 1
             n = m + 1
             L = hall_littlewood_qsym(a, n)
             if L.specialize(t=0) != qschur_polynomial(a, n):
                 fails.append(f"t=0 specialization fails at {tuple(a)}")
             if L.specialize(t=1) != monomial_qsym_poly(a, n):
                 fails.append(f"t=1 specialization fails at {tuple(a)}")
-    for lam in _partitions_upto(min(max_size, 3)):
-        m = sum(lam)
-        J = macdonald_integral_form(lam, "const", m)
-        if qsym_to_poly(macdonald_j_fundamental(lam), m) != J:
-            fails.append(f"fundamental expansion disagrees at {lam}")
-    return fails
+        for lam in enumerate_partitions(m):
+            for n in range(1, max_size + 1):
+                cases += 1
+                p = hall_littlewood_p(lam, n)
+                for i in range(1, n):
+                    if p.swap_variables(i, i + 1) != p:
+                        fails.append(f"not symmetric in x{i},x{i + 1} at {tuple(lam)}, n={n}")
+    return cases, fails
 
 
-SUITES: dict[str, Callable[..., list[str]]] = {
+def suite_j_fundamental(max_size: int = 3) -> SuiteResult:
+    """The fundamental expansion of the symmetric integral form evaluates
+    to the constant-basement filling sum."""
+    cases, fails = 0, []
+    for m in range(1, max_size + 1):
+        for lam in enumerate_partitions(m):
+            cases += 1
+            J = macdonald_integral_form(lam, "const", m)
+            if qsym_to_poly(macdonald_j_fundamental(lam), m) != J:
+                fails.append(f"fundamental expansion disagrees at {tuple(lam)}")
+    return cases, fails
+
+
+SUITES: dict[str, Callable[..., SuiteResult]] = {
     "core": suite_core,
     "tableaux": suite_tableaux,
     "insertion": suite_insertion,
@@ -291,16 +348,17 @@ SUITES: dict[str, Callable[..., list[str]]] = {
     "pieri": suite_pieri,
     "macdonald": suite_macdonald,
     "hall-littlewood": suite_hall_littlewood,
+    "hl-chain": suite_hl_chain,
+    "j-fundamental": suite_j_fundamental,
 }
 
 
-def run_suite(name: str, max_size: int | None = None) -> list[str]:
-    if name == "all":
-        fails = []
-        for key, fn in SUITES.items():
-            fails.extend(f"[{key}] {msg}" for msg in (fn() if max_size is None else fn(max_size)))
-        return fails
-    if name not in SUITES:
+def run_suite(name: str, max_size: int | None = None) -> list[tuple[str, int, list[str]]]:
+    """Run one suite, or every suite for ``"all"``, at the default bounds
+    or with the first bound set to ``max_size``.  Returns
+    ``(suite, cases_checked, failures)`` per suite run."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    fn = SUITES[name]
-    return fn() if max_size is None else fn(max_size)
+    names = list(SUITES) if name == "all" else [name]
+    args = () if max_size is None else (max_size,)
+    return [(key, *SUITES[key](*args)) for key in names]

@@ -7,46 +7,30 @@ budgets are asserted with wide margins.
 import itertools
 import time
 
-from qschur.compositions import (
-    Composition,
-    composition_of,
-    compositions_of_partition,
-    enumerate_compositions,
-)
+import pytest
+
+from qschur.compositions import enumerate_compositions, enumerate_partitions
 from qschur.fillings import (
     AugmentedFilling,
     arm,
-    is_ssaf_filling,
+    is_inversion_triple,
     leg,
     triples,
 )
 from qschur.insertion import (
-    augmented_row_uniqueness_check,
     canonical_descent_tableau,
-    commutation_check,
-    row_bumping_check,
     schensted_insert,
     skyline_insert,
-    skyline_uninsert,
 )
-from qschur.macdonald import (
-    hall_littlewood_p,
-    hall_littlewood_p_oracle,
-    hall_littlewood_qsym,
-    hall_littlewood_qsym_m,
-    macdonald_integral_form,
-    macdonald_j_fundamental,
-)
-from qschur.pieri import col_op, pieri_col, pieri_row, product_qschur, rem, row_op
+from qschur.macdonald import hall_littlewood_qsym_m
+from qschur.pieri import col_op, product_qschur, rem, row_op
 from qschur.polynomial import QtPoly, XPoly
 from qschur.qsym import (
     QSymExpr,
     demazure_atom,
-    monomial_qsym_poly,
     qschur_in_fundamental,
     qschur_in_monomial,
     qschur_polynomial,
-    qsym_to_poly,
     qsym_unit,
     transition_matrix,
 )
@@ -54,15 +38,7 @@ from qschur.tableaux import (
     CompositionTableau,
     ReverseTableau,
     comt_descents,
-    comt_to_ssaf,
-    enumerate_comts,
-    enumerate_reverse_tableaux,
-    is_comt,
-    is_ssaf,
     rt_to_comt,
-    rt_to_ssaf,
-    ssaf_to_comt,
-    ssaf_to_rt,
 )
 
 
@@ -70,33 +46,6 @@ def _report(number: int, label: str, started: float, budget: float):
     elapsed = time.time() - started
     print(f"ACCEPTANCE {number:2d} ({label}): PASS in {elapsed:.2f}s (budget {budget:.0f}s)")
     assert elapsed < budget
-
-
-def _partitions_upto(m):
-    out = []
-
-    def rec(rest, mx, cur):
-        if rest == 0:
-            out.append(tuple(cur))
-            return
-        for p in range(min(rest, mx), 0, -1):
-            cur.append(p)
-            rec(rest - p, p, cur)
-            cur.pop()
-
-    for k in range(1, m + 1):
-        rec(k, k, [])
-    return out
-
-
-def _weak_comps(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for p in range(total + 1):
-        for rest in _weak_comps(total - p, parts - 1):
-            yield (p,) + rest
 
 
 def test_criterion_01_worked_examples():
@@ -171,13 +120,9 @@ def test_criterion_02_transition_matrices():
     _report(2, "n=4 fundamental transition matrix", started, 1.0)
 
 
-def test_criterion_03_pieri_oracle_equivalence():
+def test_criterion_03_pieri_oracle_equivalence(check_suite):
     started = time.time()
-    for m in range(0, 6):
-        for a in enumerate_compositions(m):
-            for n in (1, 2, 3):
-                assert pieri_row(a, n) == product_qschur((n,), a), (tuple(a), n)
-                assert pieri_col(a, n) == product_qschur((1,) * n, a), (tuple(a), n)
+    check_suite("pieri", max_size=5, max_strip=3)
     _report(3, "row/column rules equal brute-force products", started, 60.0)
 
 
@@ -206,40 +151,16 @@ def test_criterion_04_signed_square():
     _report(4, "signed 14-term square", started, 5.0)
 
 
-def test_criterion_05_basis_coincidence():
+def test_criterion_05_basis_coincidence(check_suite):
     started = time.time()
-    from qschur.qsym import equals_fundamental_shape, equals_monomial_shape
-
-    for n in range(1, 8):
-        for a in enumerate_compositions(n):
-            assert (qschur_in_monomial(a) == qsym_unit("M", a)) == equals_monomial_shape(a)
-            assert (qschur_in_fundamental(a) == qsym_unit("F", a)) == equals_fundamental_shape(a)
+    check_suite("bases", max_size=7)
     _report(5, "monomial/fundamental coincidence shapes, n<=7", started, 30.0)
 
 
-def test_criterion_06_bijection_commutation_suite():
+def test_criterion_06_bijection_commutation_suite(check_suite):
     started = time.time()
-    for n in range(1, 6):
-        for a in enumerate_compositions(n):
-            for t in enumerate_comts(a, 6):
-                f = comt_to_ssaf(t)
-                assert is_ssaf(f)
-                assert ssaf_to_comt(f) == t
-                assert tuple(f.weight()) == tuple(t.weight())
-                rt = ssaf_to_rt(f)
-                assert rt_to_ssaf(rt, n=len(f.shape)).rows == f.rows
-                for k in range(1, 7):
-                    assert commutation_check(t, k)
-                    assert augmented_row_uniqueness_check(t, k)
-                    res = skyline_insert(t, k)
-                    assert is_comt(res.result)
-                    length = len(res.result.rows[res.augmented_row])
-                    assert skyline_uninsert(res.result, length) == (t, k)
-    for lam in _partitions_upto(5):
-        for t in enumerate_reverse_tableaux(lam, 6):
-            for x in range(1, 7):
-                for xp in range(1, 7):
-                    assert row_bumping_check(t, x, xp)
+    check_suite("tableaux", max_size=6, max_entry=6)
+    check_suite("insertion", max_size=5, max_entry=6)
     _report(6, "bijection and commutation suite, <=5 cells", started, 120.0)
 
 
@@ -253,50 +174,21 @@ def test_criterion_07_armleg_tables():
     _report(7, "arm/leg tables for (1,0,3,2,3)", started, 1.0)
 
 
-def test_criterion_08_specialization_chain():
+def test_criterion_08_specialization_chain(check_suite):
     started = time.time()
-    for m in range(1, 5):
-        for a in enumerate_compositions(m):
-            n = m + 1
-            L = hall_littlewood_qsym(a, n)
-            assert L.specialize(t=0) == qschur_polynomial(a, n)
-            assert L.specialize(t=1) == monomial_qsym_poly(a, n)
-    for lam in _partitions_upto(4):
-        for n in range(len(lam), 5):
-            p = hall_littlewood_p(lam, n)
-            for i in range(1, n):
-                assert p.swap_variables(i, i + 1) == p
+    check_suite("hl-chain", max_size=4)
     _report(8, "Hall-Littlewood specialization chain", started, 60.0)
 
 
-def test_criterion_09_hall_littlewood_oracle():
+def test_criterion_09_hall_littlewood_oracle(check_suite):
     started = time.time()
-    for lam in _partitions_upto(4):
-        for n in range(1, 4):
-            assert hall_littlewood_p(lam, n) == hall_littlewood_p_oracle(lam, n)
+    check_suite("hall-littlewood", max_size=4, max_vars=3)
     _report(9, "symmetrization oracle for Hall-Littlewood", started, 60.0)
 
 
-def test_criterion_10_master_specializations():
+def test_criterion_10_master_specializations(check_suite):
     started = time.time()
-
-    def schur_poly(lam, n):
-        out = XPoly.zero(n)
-        for t in enumerate_reverse_tableaux(lam, n):
-            w = tuple(t.weight())
-            out += XPoly.monomial(n, w + (0,) * (n - len(w)))
-        return out
-
-    for n in range(1, 5):
-        for total in range(1, 5):
-            for g in _weak_comps(total, n):
-                assert macdonald_integral_form(g, "id", n).specialize(
-                    q=0, t=0
-                ) == demazure_atom(g, n)
-                lam = tuple(sorted((p for p in g if p), reverse=True))
-                assert macdonald_integral_form(g, "const", n).specialize(
-                    q=0, t=0
-                ) == schur_poly(lam, n)
+    check_suite("macdonald", max_cells=4, max_vars=4)
     _report(10, "master-formula specializations", started, 60.0)
 
 
@@ -308,8 +200,6 @@ def _printed_factor_product(mu, rows):
     is larger, nondes = leg+1 when the left neighbour is not smaller."""
     m = sum(mu)
     f = AugmentedFilling(mu, rows, rule="const", nvars=m)
-    from qschur.fillings import is_inversion_triple
-
     inv, coinv = {}, {}
     for a, b, c in triples(mu):
         named = sorted((f.entry(*s), s) for s in (a, b, c))
@@ -331,25 +221,22 @@ def _printed_factor_product(mu, rows):
     return prod
 
 
-def test_criterion_11_fundamental_expansion_crosscheck():
+def test_criterion_11_fundamental_expansion_crosscheck(check_suite):
     started = time.time()
-    for lam in _partitions_upto(3):
-        m = sum(lam)
-        truth = macdonald_integral_form(lam, "const", m)
-        assert qsym_to_poly(macdonald_j_fundamental(lam), m) == truth
+    check_suite("j-fundamental", max_size=4)
     # vanishing: permutations placing an entry right of its own column
     # index contribute a zero factor product
-    for lam in _partitions_upto(4):
-        m = sum(lam)
-        cells = [(i, k) for i, g in enumerate(lam, start=1) for k in range(1, g + 1)]
-        for values in itertools.permutations(range(1, m + 1)):
-            f = dict(zip(cells, values))
-            rows = tuple(
-                tuple(f[(i, k)] for k in range(1, g + 1))
-                for i, g in enumerate(lam, start=1)
-            )
-            if any(k > f[(i, k)] for (i, k) in cells):
-                assert _printed_factor_product(lam, rows) == QtPoly.zero()
+    for m in range(1, 5):
+        for lam in enumerate_partitions(m):
+            cells = [(i, k) for i, g in enumerate(lam, start=1) for k in range(1, g + 1)]
+            for values in itertools.permutations(range(1, m + 1)):
+                f = dict(zip(cells, values))
+                rows = tuple(
+                    tuple(f[(i, k)] for k in range(1, g + 1))
+                    for i, g in enumerate(lam, start=1)
+                )
+                if any(k > f[(i, k)] for (i, k) in cells):
+                    assert _printed_factor_product(lam, rows) == QtPoly.zero()
     _report(11, "fundamental expansion cross-check and vanishing", started, 60.0)
 
 
@@ -386,3 +273,9 @@ def test_criterion_12_deformation_display():
     )
     assert got != misread
     _report(12, "one-parameter deformation display pinned", started, 5.0)
+
+
+# suites that no criterion above runs, at their default bounds
+@pytest.mark.parametrize("name", ["core"])
+def test_suite_without_criterion(check_suite, name):
+    check_suite(name)

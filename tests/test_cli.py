@@ -18,9 +18,10 @@ def test_expand_fundamental(capsys):
 
 
 def test_expand_empty(capsys):
-    rc, out, _ = run_cli(capsys, "expand", "--basis", "M", "()")
-    assert rc == 0
-    assert out.strip() == "1"
+    for basis in ("M", "F"):
+        rc, out, _ = run_cli(capsys, "expand", "--basis", basis, "()")
+        assert rc == 0
+        assert out.strip() == "1"
 
 
 def test_expand_json(capsys):
@@ -41,6 +42,11 @@ def test_matrix(capsys):
     rc, out, _ = run_cli(capsys, "--json", "matrix", "--basis", "F", "--n", "3")
     data = json.loads(out)
     assert data["matrix"] == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    rc, out, _ = run_cli(capsys, "--json", "matrix", "--basis", "F", "--n", "0")
+    assert rc == 0
+    data = json.loads(out)
+    assert data["order"] == [[]]
+    assert data["matrix"] == [[1]]
 
 
 def test_matrix_text_deterministic(capsys):
@@ -80,6 +86,14 @@ def test_in_s(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "in-s", str(path))
     assert rc == 0
     assert out.strip() == "S(1,3) - S(2,2) + S(1,2,1)"
+    terms = [
+        {"composition": [], "coeff": [[0, 0, 2]]},
+        {"composition": [1, 3], "coeff": [[0, 0, 1]]},
+    ]
+    path.write_text(json.dumps({"basis": "M", "terms": terms}))
+    rc, out, _ = run_cli(capsys, "in-s", str(path))
+    assert rc == 0
+    assert out.strip() == "2 + S(1,3) - S(2,2) - S(1,1,2) + S(1,1,1,1)"
 
 
 def test_guard(capsys, monkeypatch):
@@ -89,24 +103,39 @@ def test_guard(capsys, monkeypatch):
     monkeypatch.setenv("QSCHUR_MAX_CELLS", "30")
     rc, out, _ = run_cli(capsys, "e-poly", "--shape", "(2,1)", "--vars", "2")
     assert rc == 0
+    monkeypatch.setenv("QSCHUR_MAX_CELLS", "abc")
+    rc, _, err = run_cli(capsys, "atom", "--shape", "(1,0,2)")
+    assert rc == 1
+    assert "QSCHUR_MAX_CELLS must be an integer, got 'abc'" in err
 
 
 def test_domain_error(capsys):
     rc, _, err = run_cli(capsys, "expand", "--basis", "F", "(1,x)")
     assert rc == 1
     assert "error" in err
+    rc, _, err = run_cli(capsys, "hl-p", "--shape", "(1,1)", "--vars", "2", "--spec", "q=x")
+    assert rc == 1
+    assert "--spec q must be an integer, got 'x'" in err
 
 
 def test_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--basis", "Q", "(1)"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["atoms", "--shape", "(1,0,2)"])
+    assert exc.value.code == 2
 
 
 def test_verify_suite(capsys):
     rc, out, _ = run_cli(capsys, "verify", "core", "--max-size", "4")
     assert rc == 0
-    assert "all checks passed" in out
+    assert out.strip() == "suite core: all checks passed (16 cases)"
+    for suite, size in (("hall-littlewood", "0"), ("core", "-1")):
+        rc, out, err = run_cli(capsys, "verify", suite, "--max-size", size)
+        assert rc == 1
+        assert out == ""
+        assert f"suite {suite}: checked 0 cases" in err
 
 
 def test_verify_unknown_suite(capsys):

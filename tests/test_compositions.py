@@ -12,6 +12,8 @@ from qschur.compositions import (
     composition_of,
     compositions_of_partition,
     enumerate_compositions,
+    enumerate_partitions,
+    enumerate_weak_compositions,
     expand_to_weak,
     format_composition,
     foundation,
@@ -22,7 +24,6 @@ from qschur.compositions import (
     subset_of,
     to_partition,
     triangle_cmp,
-    triangle_key,
 )
 
 
@@ -62,6 +63,7 @@ def test_composition_of():
     assert composition_of({1, 4}, 6) == (1, 3, 2)
     assert composition_of(set(), 5) == (5,)
     assert composition_of({2}, 3) == (2, 1)
+    assert composition_of(frozenset(), 0) == Composition()
     with pytest.raises(ValueError):
         composition_of({5}, 4)
 
@@ -103,19 +105,30 @@ def test_triangle_order_chain():
     assert triangle_cmp((2, 2), (2, 2)) == 0
 
 
-def test_triangle_order_total():
-    for n in range(1, 7):
-        comps = enumerate_compositions(n)
-        for a, b in itertools.combinations(comps, 2):
-            assert triangle_cmp(a, b) == -triangle_cmp(b, a) != 0
-        for a, b, c in itertools.permutations(comps, 3):
-            if triangle_cmp(a, b) > 0 and triangle_cmp(b, c) > 0:
-                assert triangle_cmp(a, c) > 0
-
-
 def test_enumerate_compositions_counts():
     assert enumerate_compositions(0) == [()]
     assert len(enumerate_compositions(5)) == 16
+
+
+def test_enumerate_partitions():
+    assert enumerate_partitions(0) == [()]
+    assert enumerate_partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert [len(enumerate_partitions(n)) for n in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+    for n in range(8):
+        parts = enumerate_partitions(n)
+        assert all(isinstance(p, Partition) and p.size == n for p in parts)
+        assert parts == sorted(set(parts), reverse=True)
+
+
+def test_enumerate_weak_compositions():
+    assert enumerate_weak_compositions(0, 0) == [()]
+    assert enumerate_weak_compositions(1, 0) == []
+    assert enumerate_weak_compositions(2, 2) == [(0, 2), (1, 1), (2, 0)]
+    for total in range(5):
+        for parts in range(1, 5):
+            weak = enumerate_weak_compositions(total, parts)
+            assert len(weak) == len(set(weak)) == math.comb(total + parts - 1, parts - 1)
+            assert all(len(g) == parts and g.size == total for g in weak)
 
 
 def test_expand_to_weak():

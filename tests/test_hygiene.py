@@ -1,0 +1,64 @@
+"""Static checks on the source tree: no dead imports in the library, and
+every property suite is run by some test."""
+import ast
+from pathlib import Path
+
+from qschur.verify import SUITES
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = ROOT / "src" / "qschur"
+TESTS = ROOT / "tests"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # string annotations such as "AugmentedFilling"
+            try:
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+            except SyntaxError:
+                pass
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_library_has_no_unused_imports():
+    # __init__.py imports names only to re-export them
+    modules = sorted(p for p in LIBRARY.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert not unused, unused
+
+
+def _suites_named_in(path: Path) -> set[str]:
+    # suite names passed to check_suite(...) or listed in a parametrize(...)
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if callee in ("check_suite", "parametrize"):
+            for arg in node.args:
+                names.update(
+                    n.value for n in ast.walk(arg)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                )
+    return names
+
+
+def test_every_suite_is_run_by_a_test():
+    named = set().union(*(_suites_named_in(p) for p in TESTS.glob("test_*.py")))
+    assert set(SUITES) <= named, sorted(set(SUITES) - named)

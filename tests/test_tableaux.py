@@ -1,9 +1,11 @@
 import pytest
 
-from qschur.compositions import composition_of, enumerate_compositions, foundation
+from qschur.compositions import collapse, composition_of, enumerate_partitions
 from qschur.fillings import AugmentedFilling
+from qschur.insertion import canonical_descent_tableau
+from qschur.polynomial import XPoly
+from qschur.qsym import fundamental_qsym_poly
 from qschur.tableaux import (
-    comt_to_rt,
     CompositionTableau,
     ReverseTableau,
     SkewShape,
@@ -13,7 +15,6 @@ from qschur.tableaux import (
     enumerate_reverse_tableaux,
     enumerate_ssafs,
     enumerate_standard_comts,
-    enumerate_standard_reverse_tableaux,
     horizontal_strip,
     is_comt,
     is_reversetableau,
@@ -113,8 +114,6 @@ def test_column_refill_example():
 
 
 def test_descent_tableau_image():
-    from qschur.insertion import canonical_descent_tableau
-
     t = canonical_descent_tableau((1, 3, 2))
     f = rt_to_ssaf(t)
     assert ssaf_to_comt(f) == CompositionTableau([[1], [4, 3, 2], [6, 5]])
@@ -159,26 +158,6 @@ def test_standardize():
     assert seen == {((3, 2), (1,)), ((3, 1), (2,))}
 
 
-def test_enumerated_objects_are_valid_and_biject():
-    for n in range(1, 7):
-        for a in enumerate_compositions(n):
-            for t in enumerate_comts(a, 6):
-                assert is_comt(t)
-                f = comt_to_ssaf(t)
-                assert is_ssaf(f)
-                assert ssaf_to_comt(f) == t
-                assert tuple(f.weight()) == tuple(t.weight())
-                for i, row in enumerate(f.rows, start=1):
-                    if row:
-                        assert row[0] == i
-                cols = {}
-                for r in f.rows:
-                    for j, v in enumerate(r):
-                        cols.setdefault(j, []).append(v)
-                for col in cols.values():
-                    assert len(col) == len(set(col))
-
-
 def test_ssaf_enumeration_matches_shape():
     for g in [(1, 0, 2), (0, 2), (2, 0, 1), (0, 0, 3)]:
         for f in enumerate_ssafs(g):
@@ -187,66 +166,50 @@ def test_ssaf_enumeration_matches_shape():
     assert len(list(enumerate_ssafs((1, 0, 2)))) == 2
 
 
-def _partitions_upto(m):
-    out = []
-
-    def rec(rest, mx, cur):
-        if rest == 0:
-            out.append(tuple(cur))
-            return
-        for p in range(min(rest, mx), 0, -1):
-            cur.append(p)
-            rec(rest - p, p, cur)
-            cur.pop()
-
-    for k in range(1, m + 1):
-        rec(k, k, [])
-    return out
-
-
-def test_column_refill_round_trip_exhaustive():
-    for lam in _partitions_upto(6):
-        for t in enumerate_standard_reverse_tableaux(lam):
-            f = rt_to_ssaf(t)
-            assert ssaf_to_rt(f) == t
-            for k in range(max(lam)):
-                col_t = sorted(row[k] for row in t.rows if len(row) > k)
-                col_f = sorted(r[k] for r in f.rows if len(r) > k)
-                assert col_t == col_f
-
-
 def test_standardization_fibers_are_fundamental():
     # the tie-breaking convention of standardize is pinned by the
     # requirement that each fiber's monomial sum is a fundamental
     # quasisymmetric polynomial indexed by the descent composition
-    from qschur.polynomial import XPoly
-    from qschur.qsym import fundamental_qsym_poly
-
     N = 4
-    for lam in _partitions_upto(5):
-        n_cells = sum(lam)
-        classes = {}
-        for t in enumerate_reverse_tableaux(lam, N):
-            s = standardize(t)
-            assert is_reversetableau(s) and s.is_standard()
-            assert standardize(s) == s
-            classes.setdefault(s, []).append(t)
-        for s, members in classes.items():
-            beta = composition_of(rt_descents(s), n_cells)
-            total = XPoly.zero(N)
-            for t in members:
-                w = tuple(t.weight())
-                total += XPoly.monomial(N, w + (0,) * (N - len(w)))
-            assert total == fundamental_qsym_poly(beta, N)
+    for n_cells in range(1, 6):
+        for lam in enumerate_partitions(n_cells):
+            classes = {}
+            for t in enumerate_reverse_tableaux(lam, N):
+                s = standardize(t)
+                assert is_reversetableau(s) and s.is_standard()
+                assert standardize(s) == s
+                classes.setdefault(s, []).append(t)
+            for s, members in classes.items():
+                beta = composition_of(rt_descents(s), n_cells)
+                total = XPoly.zero(N)
+                for t in members:
+                    w = tuple(t.weight())
+                    total += XPoly.monomial(N, w + (0,) * (N - len(w)))
+                assert total == fundamental_qsym_poly(beta, N)
 
 
 def test_standardization_preserves_refilled_shape():
     # a tableau and its standardization land on fillings of the same
     # collapsed shape, which is what makes descent-grouping well defined
-    from qschur.compositions import collapse
+    for m in range(1, 6):
+        for lam in enumerate_partitions(m):
+            for t in enumerate_reverse_tableaux(lam, 5):
+                f1 = rt_to_ssaf(t)
+                f2 = rt_to_ssaf(standardize(t))
+                assert collapse(f1.shape) == collapse(f2.shape)
 
-    for lam in _partitions_upto(5):
-        for t in enumerate_reverse_tableaux(lam, 5):
-            f1 = rt_to_ssaf(t)
-            f2 = rt_to_ssaf(standardize(t))
-            assert collapse(f1.shape) == collapse(f2.shape)
+
+# The exhaustive checks below are made by suite tableaux, which criterion
+# 06 runs at the same bounds; check_suite runs it once per session.
+
+
+def test_enumerated_objects_are_valid_and_biject(check_suite):
+    """Composition tableaux of size <= 6, entries <= 6, are valid and biject
+    with fillings and reverse tableaux, weight, first column and distinct
+    column entries preserved."""
+    check_suite("tableaux", max_size=6, max_entry=6)
+
+
+def test_column_refill_round_trip_exhaustive(check_suite):
+    """Column refill round trips on standard reverse tableaux of shapes <= 6."""
+    check_suite("tableaux", max_size=6, max_entry=6)
