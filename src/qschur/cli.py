@@ -286,6 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verb == "verify" and args.suite == "all" and args.max_size is not None:
+        parser.error("--max-size bounds one suite (a cell count for some, a size for "
+                     "others); name the suite instead of 'all'")
     try:
         rc = args.func(args)
     except (DomainError, ValueError) as exc:

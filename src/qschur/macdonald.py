@@ -35,6 +35,8 @@ from .fillings import (
 from .polynomial import QtPoly, XPoly
 from .qsym import QSymExpr, m_to_f, xpoly_to_monomial
 
+_ONE_MINUS_T = QtPoly({(0, 0): 1, (0, 1): -1})
+
 
 def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = None) -> XPoly:
     """Weighted sum over all non-attacking fillings of the shape.
@@ -52,19 +54,18 @@ def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = Non
     nv = n if nvars is None else int(nvars)
     if basement in ("id", "rev") and nv != n:
         raise ValueError("identity/reversed basements need one variable per row")
-    out = XPoly.zero(nv)
-    for f in enumerate_fillings(shape, rule=basement, nvars=nv):
-        term = QtPoly.q(maj(f)) * QtPoly.t(coinv(f)) if maj(f) or coinv(f) else QtPoly.one()
-        weight = term
+
+    def weight(f) -> QtPoly:
+        w = QtPoly({(maj(f), coinv(f)): 1})
         for s in f.cells():
             if f.entry(*s) == f.entry(s[0], s[1] - 1):
-                weight = weight * (
-                    QtPoly.one() - QtPoly.q(leg(shape, s) + 1) * QtPoly.t(arm(shape, s) + 1)
-                )
+                w = w * QtPoly({(0, 0): 1, (leg(shape, s) + 1, arm(shape, s) + 1): -1})
             else:
-                weight = weight * (QtPoly.one() - QtPoly.t())
-        out += XPoly.monomial(nv, f.exponents(), weight)
-    return out
+                w = w * _ONE_MINUS_T
+        return w
+
+    fillings = enumerate_fillings(shape, rule=basement, nvars=nv)
+    return XPoly(nv, ((f.exponents(), weight(f)) for f in fillings))
 
 
 def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
@@ -79,14 +80,16 @@ def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
     nv = n if nvars is None else int(nvars)
     if nv != n:
         raise ValueError("identity basement needs one variable per row")
-    out = XPoly.zero(nv)
-    for f in enumerate_fillings(shape, rule="id", nvars=nv, descentless=True):
-        weight = QtPoly.t(coinv(f)) if coinv(f) else QtPoly.one()
+
+    def weight(f) -> QtPoly:
+        w = QtPoly({(0, coinv(f)): 1})
         for s in f.cells():
             if f.entry(*s) != f.entry(s[0], s[1] - 1):
-                weight = weight * (QtPoly.one() - QtPoly.t())
-        out += XPoly.monomial(nv, f.exponents(), weight)
-    return out
+                w = w * _ONE_MINUS_T
+        return w
+
+    fillings = enumerate_fillings(shape, rule="id", nvars=nv, descentless=True)
+    return XPoly(nv, ((f.exponents(), weight(f)) for f in fillings))
 
 
 def hall_littlewood_qsym(a, n: int) -> XPoly:
@@ -94,10 +97,9 @@ def hall_littlewood_qsym(a, n: int) -> XPoly:
     a = Composition(a)
     if n < len(a):
         raise ValueError("need at least one variable per part")
-    out = XPoly.zero(n)
-    for g in expand_to_weak(a, n):
-        out += ns_hall_littlewood(g, n)
-    return out
+    return XPoly(n, (
+        term for g in expand_to_weak(a, n) for term in ns_hall_littlewood(g, n).items()
+    ))
 
 
 def hall_littlewood_qsym_m(a, n: int | None = None) -> QSymExpr:
@@ -120,10 +122,9 @@ def hall_littlewood_p(l, n: int) -> XPoly:
     l = Partition(l)
     if n < len(l):
         return XPoly.zero(n)
-    out = XPoly.zero(n)
-    for a in compositions_of_partition(l):
-        out += hall_littlewood_qsym(a, n)
-    return out
+    return XPoly(n, (
+        term for a in compositions_of_partition(l) for term in hall_littlewood_qsym(a, n).items()
+    ))
 
 
 def hall_littlewood_p_oracle(l, n: int) -> XPoly:
@@ -138,15 +139,19 @@ def hall_littlewood_p_oracle(l, n: int) -> XPoly:
     if n < len(l):
         return XPoly.zero(n)
     exps = tuple(l) + (0,) * (n - len(l))
-    num = XPoly.zero(n)
-    for w in itertools.permutations(range(n)):
+
+    def signed_term(w) -> XPoly:
         term = XPoly.monomial(n, _permute(exps, w))
         for i in range(n):
             for j in range(i + 1, n):
                 xi = XPoly.variable(n, w[i] + 1)
                 xj = XPoly.variable(n, w[j] + 1)
                 term = term * (xi - xj * QtPoly.t())
-        num += term * _sign(w)
+        return term * _sign(w)
+
+    num = XPoly(n, (
+        pair for w in itertools.permutations(range(n)) for pair in signed_term(w).items()
+    ))
     vandermonde = XPoly.one(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -249,7 +254,7 @@ def j_fundamental_classes(mu):
         desc_cells = [
             (i, k) for (i, k) in cells if k >= 2 and f[(i, k)] > f[(i, k - 1)]
         ]
-        terms: dict[Composition, QtPoly] = {}
+        terms: list[tuple[Composition, QtPoly]] = []
         for r in range(len(mergeable) + 1):
             for chosen in itertools.combinations(mergeable, r):
                 s_set = set(chosen)
@@ -264,18 +269,13 @@ def j_fundamental_classes(mu):
                     if all(j in s_set for j in range(lo, hi)):
                         equal_cells.add((i, k))
                 majv = sum(leg(mu, s) + 1 for s in desc_cells if s not in equal_cells)
-                w = QtPoly.q(majv) * QtPoly.t(coinv_f)
+                w = QtPoly({(majv, coinv_f): 1})
                 for s in cells:
                     if s in equal_cells:
-                        w = w * (
-                            QtPoly.one()
-                            - QtPoly.q(leg(mu, s) + 1) * QtPoly.t(arm(mu, s) + 1)
-                        )
+                        w = w * QtPoly({(0, 0): 1, (leg(mu, s) + 1, arm(mu, s) + 1): -1})
                     else:
-                        w = w * (QtPoly.one() - QtPoly.t())
-                beta = composition_of(frozenset(range(1, m)) - s_set, m)
-                prev = terms.get(beta)
-                terms[beta] = prev + w if prev is not None else w
+                        w = w * _ONE_MINUS_T
+                terms.append((composition_of(frozenset(range(1, m)) - s_set, m), w))
         word = standard_filling_reading_word(mu, rows)
         yield word, rows, QSymExpr("M", terms)
 
@@ -283,8 +283,9 @@ def j_fundamental_classes(mu):
 def _runs_non_attacking(s_set, m, cell_of, attacks) -> bool:
     # cells of a merged label run share one value, so they must be
     # pairwise non-attacking, not just consecutively
+    # s_set lies in 1..m-1, so the last step (i = m) closes the last run
     run: list[int] = []
-    for i in range(1, m):
+    for i in range(1, m + 1):
         if i in s_set:
             if not run:
                 run = [i, i + 1]
@@ -296,10 +297,6 @@ def _runs_non_attacking(s_set, m, cell_of, attacks) -> bool:
                     if frozenset((cell_of[x], cell_of[y])) in attacks:
                         return False
             run = []
-    if len(run) > 2:
-        for x, y in itertools.combinations(run, 2):
-            if frozenset((cell_of[x], cell_of[y])) in attacks:
-                return False
     return True
 
 
@@ -311,10 +308,6 @@ def macdonald_j_fundamental(mu) -> QSymExpr:
     Z[q,t]; evaluating the result in ``size`` variables agrees with the
     constant-basement weighted filling sum.
     """
-    total: dict[Composition, QtPoly] = {}
-    for _, _, expr in j_fundamental_classes(mu):
-        for comp, c in expr.terms.items():
-            prev = total.get(comp)
-            total[comp] = prev + c if prev is not None else c
-    return m_to_f(QSymExpr("M", total))
+    classes = j_fundamental_classes(mu)
+    return m_to_f(QSymExpr("M", (term for _, _, expr in classes for term in expr.terms.items())))
 

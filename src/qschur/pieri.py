@@ -110,8 +110,10 @@ def vertical_strips_over(lam, n: int) -> list[Partition]:
             rec(i + 1, remaining - add, cur)
             cur.pop()
 
+    # the recursion stops as soon as the strip is placed, so no partition
+    # is reached twice
     rec(0, n, [])
-    return [p for i, p in enumerate(out) if p not in out[:i]]
+    return out
 
 
 def strip_column_set(mu, lam) -> frozenset[int]:

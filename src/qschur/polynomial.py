@@ -4,10 +4,63 @@
 polynomial in x_1..x_n whose coefficients are ``QtPoly`` values.  All
 arithmetic is exact; division is supported only when it is exact and
 raises otherwise.
+
+Terms are checked only by the public constructors ``QtPoly(terms)`` and
+``XPoly(n, terms)``, which take a mapping or ``(key, coefficient)`` pairs
+and sum equal keys; arithmetic builds its results through the private
+``_trusted`` constructors, which sum without checking.
 """
 from __future__ import annotations
 
+from itertools import chain
+from operator import add
 from typing import Iterable, Mapping
+
+
+def _accumulate(pairs) -> dict:
+    """Sum the coefficients of equal keys and drop the zero sums."""
+    acc: dict = {}
+    for k, c in pairs:
+        if k in acc:
+            acc[k] += c
+        else:
+            acc[k] = c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _pairs(terms) -> Iterable:
+    if terms is None:
+        return ()
+    return terms.items() if isinstance(terms, Mapping) else terms
+
+
+def _signed_join(parts: list[str]) -> str:
+    """Join rendered terms with " + ", writing a leading minus as " - "."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def _pow(base, e: int, one):
+    if e < 0:
+        raise ValueError("negative power")
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
+
+
+def _qt_exponents(qe, te) -> tuple[int, int]:
+    qe, te = int(qe), int(te)
+    if qe < 0 or te < 0:
+        raise ValueError(f"negative exponent in q^{qe}*t^{te}")
+    return qe, te
 
 
 class QtPoly:
@@ -15,27 +68,31 @@ class QtPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        clean: dict[tuple[int, int], int] = {}
-        if terms:
-            for (qe, te), c in terms.items():
-                if c:
-                    clean[(int(qe), int(te))] = clean.get((qe, te), 0) + int(c)
-        self._terms = {k: v for k, v in clean.items() if v}
+    def __init__(self, terms: Mapping[tuple[int, int], int] | Iterable | None = None):
+        self._terms = _accumulate(
+            (_qt_exponents(qe, te), int(c)) for (qe, te), c in _pairs(terms)
+        )
+
+    @classmethod
+    def _trusted(cls, pairs) -> "QtPoly":
+        """Sum already valid ``((q_exp, t_exp), int)`` pairs unchecked."""
+        self = object.__new__(cls)
+        self._terms = _accumulate(pairs)
+        return self
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls) -> "QtPoly":
-        return cls()
+        return cls._trusted(())
 
     @classmethod
     def one(cls) -> "QtPoly":
-        return cls({(0, 0): 1})
+        return cls.const(1)
 
     @classmethod
     def const(cls, c: int) -> "QtPoly":
-        return cls({(0, 0): int(c)})
+        return cls._trusted((((0, 0), int(c)),))
 
     @classmethod
     def q(cls, k: int = 1) -> "QtPoly":
@@ -75,15 +132,12 @@ class QtPoly:
 
     def __add__(self, other) -> "QtPoly":
         other = QtPoly.coerce(other)
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return QtPoly(terms)
+        return QtPoly._trusted(chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QtPoly":
-        return QtPoly({k: -c for k, c in self._terms.items()})
+        return QtPoly._trusted((k, -c) for k, c in self._terms.items())
 
     def __sub__(self, other) -> "QtPoly":
         return self + (-QtPoly.coerce(other))
@@ -92,27 +146,19 @@ class QtPoly:
         return QtPoly.coerce(other) + (-self)
 
     def __mul__(self, other) -> "QtPoly":
+        if isinstance(other, int):
+            return QtPoly._trusted((k, c * other) for k, c in self._terms.items())
         other = QtPoly.coerce(other)
-        terms: dict[tuple[int, int], int] = {}
-        for (q1, t1), c1 in self._terms.items():
-            for (q2, t2), c2 in other._terms.items():
-                k = (q1 + q2, t1 + t2)
-                terms[k] = terms.get(k, 0) + c1 * c2
-        return QtPoly(terms)
+        return QtPoly._trusted(
+            ((q1 + q2, t1 + t2), c1 * c2)
+            for (q1, t1), c1 in self._terms.items()
+            for (q2, t2), c2 in other._terms.items()
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "QtPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        out = QtPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _pow(self, e, QtPoly.one())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -128,17 +174,18 @@ class QtPoly:
 
     def specialize(self, q: int | None = None, t: int | None = None) -> "QtPoly":
         """Substitute integer values for q and/or t."""
-        terms: dict[tuple[int, int], int] = {}
-        for (qe, te), c in self._terms.items():
-            if q is not None:
-                c *= q ** qe
-                qe = 0
-            if t is not None:
-                c *= t ** te
-                te = 0
-            k = (qe, te)
-            terms[k] = terms.get(k, 0) + c
-        return QtPoly(terms)
+
+        def specialized():
+            for (qe, te), c in self._terms.items():
+                if q is not None:
+                    c *= q ** qe
+                    qe = 0
+                if t is not None:
+                    c *= t ** te
+                    te = 0
+                yield (qe, te), c
+
+        return QtPoly._trusted(specialized())
 
     def _leading(self) -> tuple[tuple[int, int], int]:
         k = max(self._terms)
@@ -150,7 +197,7 @@ class QtPoly:
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
         rem = self
-        quot: dict[tuple[int, int], int] = {}
+        quot: list[tuple[tuple[int, int], int]] = []
         (dq, dt), dc = other._leading()
         while rem:
             (rq, rt), rc = rem._leading()
@@ -158,26 +205,17 @@ class QtPoly:
                 raise ValueError("polynomial division is not exact")
             k = (rq - dq, rt - dt)
             c = rc // dc
-            quot[k] = quot.get(k, 0) + c
-            rem = rem - QtPoly({k: c}) * other
-        return QtPoly(quot)
+            quot.append((k, c))
+            rem = rem - QtPoly._trusted([(k, c)]) * other
+        return QtPoly._trusted(quot)
 
     # -- rendering -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for (qe, te) in sorted(self._terms, key=lambda k: (k[0] + k[1], k[0], k[1])):
             c = self._terms[(qe, te)]
-            mono = "*".join(
-                s
-                for s in (
-                    _power("q", qe),
-                    _power("t", te),
-                )
-                if s
-            )
+            mono = "*".join(s for s in (_power("q", qe), _power("t", te)) if s)
             if mono:
                 if c == 1:
                     body = mono
@@ -188,10 +226,7 @@ class QtPoly:
             else:
                 body = str(c)
             parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_join(parts)
 
     def __repr__(self) -> str:
         return f"QtPoly({self})"
@@ -210,21 +245,27 @@ class XPoly:
 
     __slots__ = ("n", "_terms")
 
-    def __init__(self, n: int, terms: Mapping[tuple[int, ...], QtPoly] | None = None):
+    def __init__(self, n: int, terms: Mapping[tuple[int, ...], QtPoly] | Iterable | None = None):
         self.n = int(n)
-        clean: dict[tuple[int, ...], QtPoly] = {}
-        if terms:
-            for exps, c in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != self.n:
-                    raise ValueError(f"exponent vector {exps} has wrong length")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                c = QtPoly.coerce(c)
-                if c:
-                    prev = clean.get(exps)
-                    clean[exps] = prev + c if prev is not None else c
-        self._terms = {k: v for k, v in clean.items() if v}
+        self._terms = _accumulate(
+            (self._exponents(exps), QtPoly.coerce(c)) for exps, c in _pairs(terms)
+        )
+
+    def _exponents(self, exps) -> tuple[int, ...]:
+        exps = tuple(map(int, exps))
+        if len(exps) != self.n:
+            raise ValueError(f"exponent vector {exps} has wrong length")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        return exps
+
+    @classmethod
+    def _trusted(cls, n: int, pairs) -> "XPoly":
+        """Sum already valid ``(exponents, QtPoly)`` pairs unchecked."""
+        self = object.__new__(cls)
+        self.n = n
+        self._terms = _accumulate(pairs)
+        return self
 
     # -- constructors ------------------------------------------------
 
@@ -263,61 +304,43 @@ class XPoly:
 
     # -- ring operations ----------------------------------------------
 
-    def _check(self, other: "XPoly"):
+    def _coerce(self, other) -> "XPoly":
+        """``other`` as an XPoly in the same variables."""
+        if isinstance(other, (int, QtPoly)):
+            return XPoly._trusted(self.n, [((0,) * self.n, QtPoly.coerce(other))])
         if self.n != other.n:
             raise ValueError(f"variable counts differ: {self.n} vs {other.n}")
+        return other
 
     def __add__(self, other) -> "XPoly":
-        if isinstance(other, (int, QtPoly)):
-            other = XPoly(self.n, {(0,) * self.n: QtPoly.coerce(other)})
-        self._check(other)
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            prev = terms.get(k)
-            terms[k] = prev + c if prev is not None else c
-        return XPoly(self.n, terms)
+        other = self._coerce(other)
+        return XPoly._trusted(self.n, chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "XPoly":
-        return XPoly(self.n, {k: -c for k, c in self._terms.items()})
+        return XPoly._trusted(self.n, ((k, -c) for k, c in self._terms.items()))
 
     def __sub__(self, other) -> "XPoly":
-        if isinstance(other, (int, QtPoly)):
-            other = XPoly(self.n, {(0,) * self.n: QtPoly.coerce(other)})
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "XPoly":
         if isinstance(other, (int, QtPoly)):
             c = QtPoly.coerce(other)
-            return XPoly(self.n, {k: v * c for k, v in self._terms.items()})
-        self._check(other)
-        terms: dict[tuple[int, ...], QtPoly] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                k = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                prev = terms.get(k)
-                terms[k] = prev + prod if prev is not None else prod
-        return XPoly(self.n, terms)
+            return XPoly._trusted(self.n, ((k, v * c) for k, v in self._terms.items()))
+        other = self._coerce(other)
+        pairs = ((tuple(map(add, e1, e2)), c1 * c2)
+                 for e1, c1 in self._terms.items() for e2, c2 in other._terms.items())
+        return XPoly._trusted(self.n, pairs)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "XPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        out = XPoly.one(self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _pow(self, e, XPoly.one(self.n))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, QtPoly)):
-            other = XPoly(self.n, {(0,) * self.n: QtPoly.coerce(other)})
+            other = self._coerce(other)
         if not isinstance(other, XPoly):
             return NotImplemented
         return self.n == other.n and self._terms == other._terms
@@ -328,50 +351,47 @@ class XPoly:
     # -- specialization, symmetry, division ----------------------------
 
     def specialize(self, q: int | None = None, t: int | None = None) -> "XPoly":
-        return XPoly(
-            self.n, {k: c.specialize(q=q, t=t) for k, c in self._terms.items()}
+        return XPoly._trusted(
+            self.n, ((k, c.specialize(q=q, t=t)) for k, c in self._terms.items())
         )
 
     def swap_variables(self, i: int, j: int) -> "XPoly":
         """Exchange x_i and x_j (1-based)."""
-        terms = {}
-        for exps, c in self._terms.items():
-            e = list(exps)
-            e[i - 1], e[j - 1] = e[j - 1], e[i - 1]
-            k = tuple(e)
-            prev = terms.get(k)
-            terms[k] = prev + c if prev is not None else c
-        return XPoly(self.n, terms)
+
+        def swapped():
+            for exps, c in self._terms.items():
+                e = list(exps)
+                e[i - 1], e[j - 1] = e[j - 1], e[i - 1]
+                yield tuple(e), c
+
+        return XPoly._trusted(self.n, swapped())
 
     def div_scalar_exact(self, d) -> "XPoly":
         d = QtPoly.coerce(d)
-        return XPoly(self.n, {k: c.div_exact(d) for k, c in self._terms.items()})
+        return XPoly._trusted(self.n, ((k, c.div_exact(d)) for k, c in self._terms.items()))
 
     def div_exact(self, other: "XPoly") -> "XPoly":
         """Exact division by another XPoly (lex leading-term elimination)."""
-        self._check(other)
+        other = self._coerce(other)
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
         dk = max(other._terms)
         dc = other._terms[dk]
         rem = self
-        quot: dict[tuple[int, ...], QtPoly] = {}
+        quot: list[tuple[tuple[int, ...], QtPoly]] = []
         while rem:
             rk = max(rem._terms)
             if any(a < b for a, b in zip(rk, dk)):
                 raise ValueError("polynomial division is not exact")
             k = tuple(a - b for a, b in zip(rk, dk))
             c = rem._terms[rk].div_exact(dc)
-            prev = quot.get(k)
-            quot[k] = prev + c if prev is not None else c
-            rem = rem - XPoly(self.n, {k: c}) * other
-        return XPoly(self.n, quot)
+            quot.append((k, c))
+            rem = rem - XPoly._trusted(self.n, [(k, c)]) * other
+        return XPoly._trusted(self.n, quot)
 
     # -- rendering -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for exps in sorted(self._terms, reverse=True):
             c = self._terms[exps]
@@ -388,10 +408,7 @@ class XPoly:
                 parts.append(f"{v}*{mono}" if v != -1 else f"-{mono}")
             else:
                 parts.append(f"({cs})*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_join(parts)
 
     def __repr__(self) -> str:
         return f"XPoly[{self.n}]({self})"

@@ -8,9 +8,9 @@ inversion is exact integer back-substitution.
 """
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from typing import Mapping
+from itertools import chain
+from typing import Iterable, Mapping
 
 from .compositions import (
     Composition,
@@ -26,7 +26,7 @@ from .compositions import (
     reversal,
     triangle_key,
 )
-from .polynomial import QtPoly, XPoly
+from .polynomial import QtPoly, XPoly, _accumulate, _pairs, _signed_join
 from .tableaux import (
     comt_descents,
     enumerate_comts,
@@ -57,37 +57,35 @@ class QSymExpr:
 
     __slots__ = ("basis", "terms")
 
-    def __init__(self, basis: str, terms: Mapping | None = None):
+    def __init__(self, basis: str, terms: Mapping | Iterable | None = None):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
-        clean: dict[Composition, QtPoly] = {}
-        if terms:
-            for comp, c in terms.items():
-                comp = Composition(comp)
-                c = QtPoly.coerce(c)
-                if c:
-                    prev = clean.get(comp)
-                    clean[comp] = prev + c if prev is not None else c
-        self.terms = {k: v for k, v in clean.items() if v}
+        self.terms = _accumulate(
+            (Composition(comp), QtPoly.coerce(c)) for comp, c in _pairs(terms)
+        )
+
+    @classmethod
+    def _trusted(cls, basis: str, pairs) -> "QSymExpr":
+        """Sum already valid ``(Composition, QtPoly)`` pairs unchecked."""
+        self = object.__new__(cls)
+        self.basis = basis
+        self.terms = _accumulate(pairs)
+        return self
 
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other: "QSymExpr") -> "QSymExpr":
         if self.basis != other.basis:
             raise ValueError("cannot add expressions in different bases")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = terms.get(k)
-            terms[k] = prev + c if prev is not None else c
-        return QSymExpr(self.basis, terms)
+        return QSymExpr._trusted(self.basis, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "QSymExpr") -> "QSymExpr":
         return self + other.scale(-1)
 
     def scale(self, c) -> "QSymExpr":
         c = QtPoly.coerce(c)
-        return QSymExpr(self.basis, {k: v * c for k, v in self.terms.items()})
+        return QSymExpr._trusted(self.basis, ((k, v * c) for k, v in self.terms.items()))
 
     def coefficient(self, comp) -> QtPoly:
         return self.terms.get(Composition(comp), QtPoly.zero())
@@ -116,8 +114,6 @@ class QSymExpr:
         return sorted(self.terms.items(), key=key)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for comp, c in self.sorted_terms():
             name = f"{self.basis}{format_composition(comp)}" if comp else ""
@@ -132,10 +128,7 @@ class QSymExpr:
             else:
                 body = f"({c}){name}"
             parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_join(parts)
 
     def __repr__(self) -> str:
         return f"QSymExpr[{self.basis}]({self})"
@@ -153,13 +146,32 @@ class QSymExpr:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "QSymExpr":
-        terms = {}
-        for item in data["terms"]:
-            comp = Composition(item["composition"])
-            coeff = QtPoly({(qe, te): c for qe, te, c in item["coeff"]})
-            terms[comp] = terms.get(comp, QtPoly.zero()) + coeff
-        return cls(data["basis"], terms)
+    def from_json(cls, data) -> "QSymExpr":
+        """Read the ``to_json`` schema; a missing or mistyped field raises
+        ValueError naming it."""
+        basis = _json_field(data, "basis", str, "expression")
+        pairs = []
+        for i, item in enumerate(_json_field(data, "terms", list, "expression")):
+            where = f"terms[{i}]"
+            comp = _json_field(item, "composition", list, where)
+            coeff = _json_field(item, "coeff", list, where)
+            if not all(isinstance(p, int) for p in comp):
+                raise ValueError(f"{where}: 'composition' must be a list of integers")
+            if not all(isinstance(e, list) and len(e) == 3
+                       and all(isinstance(v, int) for v in e) for e in coeff):
+                raise ValueError(f"{where}: 'coeff' must be a list of [q, t, c] integer triples")
+            pairs.append((comp, QtPoly({(qe, te): c for qe, te, c in coeff})))
+        return cls(basis, pairs)
+
+
+def _json_field(obj, name: str, kind: type, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if name not in obj:
+        raise ValueError(f"{where} has no {name!r} field")
+    if not isinstance(obj[name], kind):
+        raise ValueError(f"{where}: {name!r} must be a {kind.__name__}")
+    return obj[name]
 
 
 def qsym_unit(basis: str, comp=(), coeff=1) -> QSymExpr:
@@ -174,23 +186,16 @@ def monomial_qsym_poly(a, n: int) -> XPoly:
     a = Composition(a)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = XPoly.zero(n)
     if len(a) > n:
-        return out
-    for positions in itertools.combinations(range(n), len(a)):
-        exps = [0] * n
-        for pos, val in zip(positions, a):
-            exps[pos] = val
-        out += XPoly.monomial(n, exps)
-    return out
+        return XPoly.zero(n)
+    return XPoly(n, ((g, 1) for g in expand_to_weak(a, n)))
 
 
 def fundamental_qsym_poly(a, n: int) -> XPoly:
     """The fundamental quasisymmetric function cut to n variables."""
-    out = XPoly.zero(n)
-    for b in refinements(Composition(a)):
-        out += monomial_qsym_poly(b, n)
-    return out
+    return XPoly(n, (
+        term for b in refinements(Composition(a)) for term in monomial_qsym_poly(b, n).items()
+    ))
 
 
 def qsym_to_poly(expr: QSymExpr, n: int) -> XPoly:
@@ -201,10 +206,9 @@ def qsym_to_poly(expr: QSymExpr, n: int) -> XPoly:
         gen = fundamental_qsym_poly
     else:
         raise ValueError("evaluate S-expressions via qschur_polynomial")
-    out = XPoly.zero(n)
-    for comp, c in expr.terms.items():
-        out += gen(comp, n) * c
-    return out
+    return XPoly(n, (
+        term for comp, c in expr.terms.items() for term in (gen(comp, n) * c).items()
+    ))
 
 
 # -- basis conversions ----------------------------------------------------
@@ -214,25 +218,20 @@ def f_to_m(expr: QSymExpr) -> QSymExpr:
     """Rewrite an F-expression over the monomial basis (refinement sum)."""
     if expr.basis != "F":
         raise ValueError("expected an F-expression")
-    terms: dict[Composition, QtPoly] = {}
-    for comp, c in expr.terms.items():
-        for b in refinements(comp):
-            prev = terms.get(b)
-            terms[b] = prev + c if prev is not None else c
-    return QSymExpr("M", terms)
+    return QSymExpr._trusted(
+        "M", ((b, c) for comp, c in expr.terms.items() for b in refinements(comp))
+    )
 
 
 def m_to_f(expr: QSymExpr) -> QSymExpr:
     """Rewrite an M-expression over the fundamental basis (signed sum)."""
     if expr.basis != "M":
         raise ValueError("expected an M-expression")
-    terms: dict[Composition, QtPoly] = {}
-    for comp, c in expr.terms.items():
-        for b in refinements(comp):
-            signed = c if (len(b) - len(comp)) % 2 == 0 else -c
-            prev = terms.get(b)
-            terms[b] = prev + signed if prev is not None else signed
-    return QSymExpr("F", terms)
+    return QSymExpr._trusted("F", (
+        (b, c if (len(b) - len(comp)) % 2 == 0 else -c)
+        for comp, c in expr.terms.items()
+        for b in refinements(comp)
+    ))
 
 
 # -- quasisymmetric Schur expansions ---------------------------------------
@@ -271,21 +270,15 @@ def demazure_atom(g, n: int | None = None) -> XPoly:
         raise ValueError("variable count below the number of rows")
     if n > len(g):
         g = WeakComposition(tuple(g) + (0,) * (n - len(g)))
-    out = XPoly.zero(n)
-    for f in enumerate_ssafs(g):
-        out += XPoly.monomial(n, f.exponents())
-    return out
+    return XPoly(n, ((f.exponents(), 1) for f in enumerate_ssafs(g)))
 
 
 def qschur_polynomial(a, n: int) -> XPoly:
     """The quasisymmetric Schur polynomial in n variables."""
     a = Composition(a)
-    out = XPoly.zero(n)
     if n < len(a):
-        return out
-    for g in expand_to_weak(a, n):
-        out += demazure_atom(g, n)
-    return out
+        return XPoly.zero(n)
+    return XPoly(n, (term for g in expand_to_weak(a, n) for term in demazure_atom(g, n).items()))
 
 
 def schur_in_qschur(l) -> QSymExpr:
@@ -348,7 +341,7 @@ def express_in_qschur(expr: QSymExpr) -> QSymExpr:
         return expr
     if expr.basis == "M":
         expr = m_to_f(expr)
-    out: dict[Composition, QtPoly] = {}
+    out: list[tuple[Composition, QtPoly]] = []
     by_degree: dict[int, dict[Composition, QtPoly]] = {}
     for comp, c in expr.terms.items():
         by_degree.setdefault(comp.size, {})[comp] = c
@@ -363,10 +356,8 @@ def express_in_qschur(expr: QSymExpr) -> QSymExpr:
                 if matrix[i][j]:
                     acc = acc - coeffs[i] * matrix[i][j]
             coeffs.append(acc)
-        for comp, c in zip(comps, coeffs):
-            if c:
-                out[comp] = c
-    return QSymExpr("S", out)
+        out.extend(zip(comps, coeffs))
+    return QSymExpr._trusted("S", out)
 
 
 # -- extraction from polynomials --------------------------------------------
@@ -386,40 +377,20 @@ def xpoly_to_monomial(p: XPoly) -> QSymExpr:
             f"{n} variables cannot faithfully carry degree {p.total_degree()}"
         )
     groups: dict[Composition, dict[tuple[int, ...], QtPoly]] = {}
-    const = QtPoly.zero()
     for exps, c in p.items():
-        comp = Composition(e for e in exps if e)
-        if not comp:
-            const = const + c
-            continue
-        groups.setdefault(comp, {})[exps] = c
+        groups.setdefault(Composition(e for e in exps if e), {})[exps] = c
     terms: dict[Composition, QtPoly] = {}
-    if const:
-        terms[Composition()] = const
     for comp, monos in groups.items():
-        expected = _leading_exponents(comp, n)
+        # the first placement puts the parts in the leading slots
+        expected, *others = expand_to_weak(comp, n)
         lead = monos.get(expected)
         if lead is None:
-            witness_other = next(iter(monos))
-            raise NotQuasisymmetricError((expected, witness_other))
-        for positions in itertools.combinations(range(n), len(comp)):
-            exps = _place(comp, positions, n)
-            got = monos.get(exps)
-            if got is None or got != lead:
-                raise NotQuasisymmetricError((expected, exps))
+            raise NotQuasisymmetricError((tuple(expected), next(iter(monos))))
+        for exps in others:
+            if monos.get(exps) != lead:
+                raise NotQuasisymmetricError((tuple(expected), tuple(exps)))
         terms[comp] = lead
-    return QSymExpr("M", terms)
-
-
-def _leading_exponents(comp: Composition, n: int) -> tuple[int, ...]:
-    return tuple(comp) + (0,) * (n - len(comp))
-
-
-def _place(comp, positions, n) -> tuple[int, ...]:
-    exps = [0] * n
-    for pos, val in zip(positions, comp):
-        exps[pos] = val
-    return tuple(exps)
+    return QSymExpr._trusted("M", terms.items())
 
 
 # -- basis coincidence classification ---------------------------------------

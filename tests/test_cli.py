@@ -94,6 +94,34 @@ def test_in_s(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "in-s", str(path))
     assert rc == 0
     assert out.strip() == "2 + S(1,3) - S(2,2) - S(1,1,2) + S(1,1,1,1)"
+    path.write_text(
+        json.dumps({"basis": "F", "terms": [{"composition": [2, 1], "coeff": [[-1, 0, 1]]}]})
+    )
+    rc, out, err = run_cli(capsys, "in-s", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: negative exponent")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"basis": "F"}, "expression has no 'terms' field"),
+        ([{"composition": [1], "coeff": [[0, 0, 1]]}], "expression must be a JSON object"),
+        ({"basis": "F", "terms": [{"composition": [1]}]}, "terms[0] has no 'coeff' field"),
+        ({"terms": []}, "expression has no 'basis' field"),
+        ({"basis": "F", "terms": {}}, "expression: 'terms' must be a list"),
+        ({"basis": "F", "terms": [{"composition": 1, "coeff": []}]}, "'composition' must be a list"),
+        ({"basis": "F", "terms": [{"composition": [1], "coeff": [[0, 1]]}]}, "'coeff' must be"),
+    ],
+)
+def test_in_s_malformed(tmp_path, capsys, data, message):
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "in-s", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_guard(capsys, monkeypatch):
@@ -136,6 +164,11 @@ def test_verify_suite(capsys):
         assert rc == 1
         assert out == ""
         assert f"suite {suite}: checked 0 cases" in err
+    # the bound means a different thing in each suite, so it is refused for all
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--max-size", "3"])
+    assert exc.value.code == 2
+    assert "--max-size bounds one suite" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite(capsys):

@@ -81,3 +81,45 @@ def test_xpoly_div_scalar_exact():
     t = QtPoly.t()
     p = x1 * ((1 - t) * (1 + t))
     assert p.div_scalar_exact(1 - t) == x1 * (1 + t)
+
+
+def test_constructors_sum_pairs_and_drop_zeros():
+    p = XPoly(2, [((1, 0), 1), ((0, 1), 2), ((1, 0), QtPoly.t()), ((0, 1), -2)])
+    assert dict(p.items()) == {(1, 0): 1 + QtPoly.t()}
+    assert XPoly(2, {(1, 1): 0}) == XPoly.zero(2)
+    assert QtPoly([((1, 0), 2), ((1, 0), -2), ((0, 2), 1)]) == QtPoly.t(2)
+
+
+def _rebuilt(p):
+    # the same polynomial through the validating constructor
+    return QtPoly(dict(p.items())) if isinstance(p, QtPoly) else XPoly(p.n, dict(p.items()))
+
+
+def test_arithmetic_results_match_the_validating_constructor():
+    q, t = QtPoly.q(), QtPoly.t()
+    a, b = 1 - q * t + t ** 2, q - t ** 2
+    x1, x2 = XPoly.variable(2, 1), XPoly.variable(2, 2)
+    f, g = x1 * (1 - t) + x2 ** 2, x1 * t - x2 ** 2 + 3
+    results = [
+        a + b, a - b, a - a, a * b, a * 0, a.specialize(q=1), a.specialize(t=1, q=-1),
+        f + g, f - g, f - f, f * g, f * (1 - q), f * 0, f.specialize(t=1), f.specialize(t=0),
+        f.swap_variables(1, 2), (x1 + x2).swap_variables(1, 2),
+    ]
+    for r in results:
+        # equal term lists: no zero or duplicate term survives an operation
+        assert list(r.items()) == list(_rebuilt(r).items())
+
+
+def test_constructors_reject_bad_terms():
+    with pytest.raises(ValueError, match="wrong length"):
+        XPoly(2, {(1,): 1})
+    with pytest.raises(ValueError, match="wrong length"):
+        XPoly(2, [((1, 0, 0), 1)])
+    with pytest.raises(ValueError, match="negative exponent"):
+        XPoly(2, {(1, -1): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        QtPoly({(-1, 0): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        QtPoly([((0, -2), 1)])
+    with pytest.raises(ValueError, match="negative exponent"):
+        QtPoly.q(-1)
