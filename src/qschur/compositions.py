@@ -78,6 +78,15 @@ def foundation(g: Iterable[int]) -> frozenset[int]:
     return frozenset(i + 1 for i, p in enumerate(g) if p != 0)
 
 
+def content(values: Iterable[int]) -> WeakComposition:
+    """Multiplicities of 1, 2, ..., max among positive integer values."""
+    counts: dict[int, int] = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    m = max(counts, default=0)
+    return WeakComposition(counts.get(i, 0) for i in range(1, m + 1))
+
+
 def reversal(a: Iterable[int]) -> Composition:
     return Composition(reversed(tuple(a)))
 

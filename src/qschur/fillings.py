@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .compositions import WeakComposition
+from .compositions import WeakComposition, content
 
 Cell = tuple[int, int]  # (row, column), 1-based; column 0 is the basement
 
@@ -71,12 +71,7 @@ class AugmentedFilling:
 
     def weight(self) -> WeakComposition:
         """Entry multiplicities (basement excluded), up to the largest entry."""
-        counts: dict[int, int] = {}
-        for row in self.rows:
-            for v in row:
-                counts[v] = counts.get(v, 0) + 1
-        m = max(counts, default=0)
-        return WeakComposition(counts.get(i, 0) for i in range(1, m + 1))
+        return content(v for row in self.rows for v in row)
 
     def exponents(self) -> tuple[int, ...]:
         """Entry multiplicities padded to nvars slots."""

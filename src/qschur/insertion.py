@@ -13,8 +13,10 @@ from .compositions import Composition
 from .tableaux import (
     CompositionTableau,
     ReverseTableau,
+    columns,
     comt_to_ssaf,
     ssaf_to_rt,
+    top_justify,
 )
 
 Cell = tuple[int, int]  # (row, column), 0-based
@@ -176,17 +178,8 @@ def canonical_descent_tableau(a) -> ReverseTableau:
     for part in a:
         blocks.append(list(range(start + part - 1, start - 1, -1)))
         start += part
-    rows_bottom_up = blocks  # row i from the bottom holds block i
-    rows = list(reversed(rows_bottom_up))
-    width = max((len(r) for r in rows), default=0)
-    cols = []
-    for j in range(width):
-        cols.append([r[j] for r in rows if len(r) > j])
-    depth = max((len(c) for c in cols), default=0)
-    out = []
-    for i in range(depth):
-        out.append([c[i] for c in cols if len(c) > i])
-    return ReverseTableau(out)
+    # row i from the bottom holds block i
+    return top_justify(columns(blocks[::-1]))
 
 
 def commutation_check(t: CompositionTableau, k: int) -> bool:

@@ -27,15 +27,18 @@ from .fillings import (
     attack_pairs,
     coinv,
     enumerate_fillings,
-    is_inversion_triple,
     leg,
     maj,
-    triples,
 )
 from .polynomial import QtPoly, XPoly
 from .qsym import QSymExpr, m_to_f, xpoly_to_monomial
 
 _ONE_MINUS_T = QtPoly({(0, 0): 1, (0, 1): -1})
+
+
+def _repeat_factor(shape, s) -> QtPoly:
+    """(1 - q^(leg+1) t^(arm+1)) for a cell repeating its left neighbour."""
+    return QtPoly({(0, 0): 1, (leg(shape, s) + 1, arm(shape, s) + 1): -1})
 
 
 def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = None) -> XPoly:
@@ -59,7 +62,7 @@ def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = Non
         w = QtPoly({(maj(f), coinv(f)): 1})
         for s in f.cells():
             if f.entry(*s) == f.entry(s[0], s[1] - 1):
-                w = w * QtPoly({(0, 0): 1, (leg(shape, s) + 1, arm(shape, s) + 1): -1})
+                w = w * _repeat_factor(shape, s)
             else:
                 w = w * _ONE_MINUS_T
         return w
@@ -233,7 +236,6 @@ def j_fundamental_classes(mu):
     for a, b in attack_pairs(mu):
         if a[1] != 0 and b[1] != 0:
             attacks.add(frozenset((a, b)))
-    trips = triples(mu)
     for values in itertools.permutations(range(1, m + 1)):
         f = dict(zip(cells, values))
         rows = tuple(
@@ -241,9 +243,7 @@ def j_fundamental_classes(mu):
             for i, g in enumerate(mu, start=1)
         )
         filling = AugmentedFilling(mu, rows, rule="const", nvars=m)
-        coinv_f = sum(
-            0 if is_inversion_triple(filling, a, b, c) else 1 for a, b, c in trips
-        )
+        coinv_f = coinv(filling)
         cell_of = {v: c for c, v in f.items()}
         mergeable = [
             i
@@ -272,7 +272,7 @@ def j_fundamental_classes(mu):
                 w = QtPoly({(majv, coinv_f): 1})
                 for s in cells:
                     if s in equal_cells:
-                        w = w * QtPoly({(0, 0): 1, (leg(mu, s) + 1, arm(mu, s) + 1): -1})
+                        w = w * _repeat_factor(mu, s)
                     else:
                         w = w * _ONE_MINUS_T
                 terms.append((composition_of(frozenset(range(1, m)) - s_set, m), w))

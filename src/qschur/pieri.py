@@ -16,6 +16,7 @@ from .compositions import (
     Composition,
     Partition,
     compositions_of_partition,
+    enumerate_partitions,
     to_partition,
 )
 from .qsym import (
@@ -25,6 +26,7 @@ from .qsym import (
     qsym_unit,
     xpoly_to_monomial,
 )
+from .tableaux import SkewShape, horizontal_strip, vertical_strip
 
 
 def rem(a, s: int) -> Composition | None:
@@ -63,57 +65,27 @@ def col_op(a, ms: Iterable[int]) -> Composition | None:
 # -- strip generation -------------------------------------------------------
 
 
+def _strips_over(lam, n: int, is_strip) -> list[Partition]:
+    """Partitions of |lam| + n that contain ``lam`` and whose skew shape
+    over ``lam`` passes the strip predicate."""
+    lam = Partition(lam)
+    return [
+        mu
+        for mu in enumerate_partitions(lam.size + n)
+        if len(mu) >= len(lam)
+        and all(m >= l for m, l in zip(mu, lam))
+        and is_strip(SkewShape(mu, lam))
+    ]
+
+
 def horizontal_strips_over(lam, n: int) -> list[Partition]:
     """Partitions obtained from ``lam`` by adding an n-cell horizontal strip."""
-    lam = Partition(lam)
-    out = []
-    rows = len(lam) + 1
-    padded = tuple(lam) + (0,)
-
-    def rec(i: int, remaining: int, cur: list[int]):
-        if i == rows:
-            if remaining == 0:
-                out.append(Partition(p for p in cur if p))
-            return
-        lo = padded[i]
-        hi = padded[i - 1] if i > 0 else padded[i] + remaining
-        hi = min(hi, padded[i] + remaining)
-        for v in range(lo, hi + 1):
-            cur.append(v)
-            rec(i + 1, remaining - (v - lo), cur)
-            cur.pop()
-
-    rec(0, n, [])
-    return out
+    return _strips_over(lam, n, horizontal_strip)
 
 
 def vertical_strips_over(lam, n: int) -> list[Partition]:
     """Partitions obtained from ``lam`` by adding an n-cell vertical strip."""
-    lam = Partition(lam)
-    out = []
-    rows = len(lam) + n
-    padded = tuple(lam) + (0,) * n
-
-    def rec(i: int, remaining: int, cur: list[int]):
-        if remaining == 0:
-            cand = list(cur) + list(padded[i:rows])
-            if all(a >= b for a, b in zip(cand, cand[1:])):
-                out.append(Partition(p for p in cand if p))
-            return
-        if i == rows:
-            return
-        for add in (0, 1):
-            v = padded[i] + add
-            if cur and v > cur[-1]:
-                continue
-            cur.append(v)
-            rec(i + 1, remaining - add, cur)
-            cur.pop()
-
-    # the recursion stops as soon as the strip is placed, so no partition
-    # is reached twice
-    rec(0, n, [])
-    return out
+    return _strips_over(lam, n, vertical_strip)
 
 
 def strip_column_set(mu, lam) -> frozenset[int]:
@@ -134,34 +106,30 @@ def strip_column_multiset(mu, lam) -> tuple[int, ...]:
 # -- Pieri expansions --------------------------------------------------------
 
 
-def pieri_row(a, n: int) -> QSymExpr:
-    """Expansion of (single row of size n) times the S element of ``a``."""
+def _pieri(a, n: int, strips_over, strip_columns, op) -> QSymExpr:
+    """Sum of the compositions whose sorted shape is a strip over that of
+    ``a`` and which ``op`` takes back to ``a`` along the strip columns."""
     a = Composition(a)
     if n < 1:
         raise ValueError("n must be positive")
     lam = to_partition(a)
     terms = {}
-    for mu in horizontal_strips_over(lam, n):
-        cols = strip_column_set(mu, lam)
+    for mu in strips_over(lam, n):
+        cols = strip_columns(mu, lam)
         for b in compositions_of_partition(mu):
-            if row_op(b, cols) == a:
+            if op(b, cols) == a:
                 terms[b] = 1
     return QSymExpr("S", terms)
+
+
+def pieri_row(a, n: int) -> QSymExpr:
+    """Expansion of (single row of size n) times the S element of ``a``."""
+    return _pieri(a, n, horizontal_strips_over, strip_column_set, row_op)
 
 
 def pieri_col(a, n: int) -> QSymExpr:
     """Expansion of (single column of size n) times the S element of ``a``."""
-    a = Composition(a)
-    if n < 1:
-        raise ValueError("n must be positive")
-    lam = to_partition(a)
-    terms = {}
-    for mu in vertical_strips_over(lam, n):
-        cols = strip_column_multiset(mu, lam)
-        for b in compositions_of_partition(mu):
-            if col_op(b, cols) == a:
-                terms[b] = 1
-    return QSymExpr("S", terms)
+    return _pieri(a, n, vertical_strips_over, strip_column_multiset, col_op)
 
 
 def product_qschur(a, b) -> QSymExpr:

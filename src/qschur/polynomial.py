@@ -56,6 +56,40 @@ def _pow(base, e: int, one):
     return out
 
 
+def _int_div_exact(a: int, b: int) -> int:
+    if a % b:
+        raise ValueError("polynomial division is not exact")
+    return a // b
+
+
+def _divide(num: dict, den: dict, div_coefficient) -> list:
+    """Quotient pairs of ``num`` by ``den`` (exponent tuple -> coefficient
+    maps) by leading-term elimination in lex order.
+
+    The remainder is a dict updated in place; ``div_coefficient`` divides
+    coefficients exactly.  Raises ValueError if the division is not exact.
+    """
+    if not den:
+        raise ZeroDivisionError("division by zero polynomial")
+    dk = max(den)
+    dc = den[dk]
+    rem = dict(num)
+    quot = []
+    while rem:
+        rk = max(rem)
+        if any(a < b for a, b in zip(rk, dk)):
+            raise ValueError("polynomial division is not exact")
+        k = tuple(a - b for a, b in zip(rk, dk))
+        c = div_coefficient(rem[rk], dc)
+        quot.append((k, c))
+        for ek, ec in den.items():
+            key = tuple(map(add, k, ek))
+            v = rem.pop(key, 0) - c * ec
+            if v:
+                rem[key] = v
+    return quot
+
+
 def _qt_exponents(qe, te) -> tuple[int, int]:
     qe, te = int(qe), int(te)
     if qe < 0 or te < 0:
@@ -187,27 +221,10 @@ class QtPoly:
 
         return QtPoly._trusted(specialized())
 
-    def _leading(self) -> tuple[tuple[int, int], int]:
-        k = max(self._terms)
-        return k, self._terms[k]
-
     def div_exact(self, other) -> "QtPoly":
         """Exact division; raises ValueError if the division is not exact."""
         other = QtPoly.coerce(other)
-        if not other:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = self
-        quot: list[tuple[tuple[int, int], int]] = []
-        (dq, dt), dc = other._leading()
-        while rem:
-            (rq, rt), rc = rem._leading()
-            if rq < dq or rt < dt or rc % dc:
-                raise ValueError("polynomial division is not exact")
-            k = (rq - dq, rt - dt)
-            c = rc // dc
-            quot.append((k, c))
-            rem = rem - QtPoly._trusted([(k, c)]) * other
-        return QtPoly._trusted(quot)
+        return QtPoly._trusted(_divide(self._terms, other._terms, _int_div_exact))
 
     # -- rendering -----------------------------------------------------
 
@@ -373,21 +390,7 @@ class XPoly:
     def div_exact(self, other: "XPoly") -> "XPoly":
         """Exact division by another XPoly (lex leading-term elimination)."""
         other = self._coerce(other)
-        if not other:
-            raise ZeroDivisionError("division by zero polynomial")
-        dk = max(other._terms)
-        dc = other._terms[dk]
-        rem = self
-        quot: list[tuple[tuple[int, ...], QtPoly]] = []
-        while rem:
-            rk = max(rem._terms)
-            if any(a < b for a, b in zip(rk, dk)):
-                raise ValueError("polynomial division is not exact")
-            k = tuple(a - b for a, b in zip(rk, dk))
-            c = rem._terms[rk].div_exact(dc)
-            quot.append((k, c))
-            rem = rem - XPoly._trusted(self.n, [(k, c)]) * other
-        return XPoly._trusted(self.n, quot)
+        return XPoly._trusted(self.n, _divide(self._terms, other._terms, QtPoly.div_exact))
 
     # -- rendering -----------------------------------------------------
 

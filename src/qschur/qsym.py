@@ -160,7 +160,7 @@ class QSymExpr:
             if not all(isinstance(e, list) and len(e) == 3
                        and all(isinstance(v, int) for v in e) for e in coeff):
                 raise ValueError(f"{where}: 'coeff' must be a list of [q, t, c] integer triples")
-            pairs.append((comp, QtPoly({(qe, te): c for qe, te, c in coeff})))
+            pairs.append((comp, QtPoly(((qe, te), c) for qe, te, c in coeff)))
         return cls(basis, pairs)
 
 
@@ -290,24 +290,22 @@ def schur_in_qschur(l) -> QSymExpr:
 def schur_in_monomial_oracle(l) -> QSymExpr:
     """Monomial expansion of a Schur function via reverse tableaux.
 
-    Counts reverse tableaux of the given shape by weight; this path
-    never touches composition tableaux, so it can referee them.
+    Counts the reverse tableaux of the given shape, enumerated once, by
+    weight; this path never touches composition tableaux, so it can
+    referee them.
     """
     l = Partition(l)
     n = l.size
-    kostka: dict[Partition, int] = {}
-    for mu in enumerate_partitions(n):
-        target = tuple(reversal(mu))
-        count = 0
-        for t in enumerate_reverse_tableaux(l, len(mu)):
-            if tuple(t.weight()) == target:
-                count += 1
-        if count:
-            kostka[mu] = count
+    by_content: dict[WeakComposition, int] = {}
+    for t in enumerate_reverse_tableaux(l, n):
+        w = t.weight()
+        by_content[w] = by_content.get(w, 0) + 1
     terms: dict[Composition, int] = {}
-    for mu, k in kostka.items():
-        for b in compositions_of_partition(mu):
-            terms[b] = k
+    for mu in enumerate_partitions(n):
+        k = by_content.get(reversal(mu))
+        if k:
+            for b in compositions_of_partition(mu):
+                terms[b] = k
     return QSymExpr("M", terms)
 
 

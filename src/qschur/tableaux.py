@@ -16,6 +16,7 @@ from .compositions import (
     Partition,
     WeakComposition,
     collapse,
+    content,
     foundation,
 )
 from .fillings import AugmentedFilling, is_ssaf_filling
@@ -72,27 +73,10 @@ def vertical_strip(s: SkewShape) -> bool:
     return len(rows) == len(set(rows))
 
 
-class ReverseTableau:
-    """Rows weakly decreasing, columns strictly decreasing.
+class _Tableau:
+    """Rows of positive entries, and the statistics read off them."""
 
-    ``inner`` gives a skew inner shape; row i holds the entries of
-    columns inner[i]..inner[i]+len(rows[i])-1 (0-based).
-    """
-
-    __slots__ = ("rows", "inner")
-
-    def __init__(self, rows: Iterable[Iterable[int]] = (), inner: Iterable[int] = ()):
-        self.rows = _freeze(rows)
-        self.inner = tuple(int(v) for v in inner)
-
-    def shape(self) -> Partition:
-        if self.inner:
-            raise ValueError("skew tableau has no straight shape")
-        return Partition(len(r) for r in self.rows)
-
-    def outer_shape(self) -> tuple[int, ...]:
-        inner = self.inner + (0,) * (len(self.rows) - len(self.inner))
-        return tuple(m + len(r) for m, r in zip(inner, self.rows))
+    __slots__ = ("rows",)
 
     @property
     def size(self) -> int:
@@ -106,11 +90,30 @@ class ReverseTableau:
         return e == list(range(1, len(e) + 1))
 
     def weight(self) -> WeakComposition:
-        counts: dict[int, int] = {}
-        for v in self.entries():
-            counts[v] = counts.get(v, 0) + 1
-        m = max(counts, default=0)
-        return WeakComposition(counts.get(i, 0) for i in range(1, m + 1))
+        return content(self.entries())
+
+
+class ReverseTableau(_Tableau):
+    """Rows weakly decreasing, columns strictly decreasing.
+
+    ``inner`` gives a skew inner shape; row i holds the entries of
+    columns inner[i]..inner[i]+len(rows[i])-1 (0-based).
+    """
+
+    __slots__ = ("inner",)
+
+    def __init__(self, rows: Iterable[Iterable[int]] = (), inner: Iterable[int] = ()):
+        self.rows = _freeze(rows)
+        self.inner = tuple(int(v) for v in inner)
+
+    def shape(self) -> Partition:
+        if self.inner:
+            raise ValueError("skew tableau has no straight shape")
+        return Partition(len(r) for r in self.rows)
+
+    def outer_shape(self) -> tuple[int, ...]:
+        inner = self.inner + (0,) * (len(self.rows) - len(self.inner))
+        return tuple(m + len(r) for m, r in zip(inner, self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, ReverseTableau):
@@ -160,17 +163,23 @@ def is_reversetableau(t: ReverseTableau) -> bool:
     return True
 
 
-def rt_descents(t: ReverseTableau) -> frozenset[int]:
-    """Values i such that i+1 is not strictly left of i (standard input)."""
+def _descents(t: _Tableau, inner: tuple[int, ...]) -> frozenset[int]:
+    """Values i such that i+1 is not strictly left of i, row i of ``t``
+    starting in column inner[i] (standard input)."""
     if not t.is_standard():
         raise ValueError("descent set requires a standard tableau")
     col = {}
     for i, row in enumerate(t.rows):
-        off = t.inner[i] if i < len(t.inner) else 0
+        off = inner[i] if i < len(inner) else 0
         for j, v in enumerate(row):
             col[v] = off + j
     n = t.size
     return frozenset(i for i in range(1, n) if not col[i + 1] < col[i])
+
+
+def rt_descents(t: ReverseTableau) -> frozenset[int]:
+    """Values i such that i+1 is not strictly left of i (standard input)."""
+    return _descents(t, t.inner)
 
 
 def standardize(t: ReverseTableau) -> ReverseTableau:
@@ -197,10 +206,10 @@ def standardize(t: ReverseTableau) -> ReverseTableau:
 # -- composition tableaux ----------------------------------------------
 
 
-class CompositionTableau:
+class CompositionTableau(_Tableau):
     """Filling of a composition diagram by rows."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
         self.rows = _freeze(rows)
@@ -209,24 +218,6 @@ class CompositionTableau:
 
     def shape(self) -> Composition:
         return Composition(len(r) for r in self.rows)
-
-    @property
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def entries(self) -> list[int]:
-        return [v for r in self.rows for v in r]
-
-    def is_standard(self) -> bool:
-        e = sorted(self.entries())
-        return e == list(range(1, len(e) + 1))
-
-    def weight(self) -> WeakComposition:
-        counts: dict[int, int] = {}
-        for v in self.entries():
-            counts[v] = counts.get(v, 0) + 1
-        m = max(counts, default=0)
-        return WeakComposition(counts.get(i, 0) for i in range(1, m + 1))
 
     def __eq__(self, other):
         if not isinstance(other, CompositionTableau):
@@ -278,14 +269,7 @@ def is_comt(t: CompositionTableau) -> bool:
 
 def comt_descents(t: CompositionTableau) -> frozenset[int]:
     """Values i such that i+1 is not strictly left of i (standard input)."""
-    if not t.is_standard():
-        raise ValueError("descent set requires a standard tableau")
-    col = {}
-    for row in t.rows:
-        for j, v in enumerate(row):
-            col[v] = j
-    n = t.size
-    return frozenset(i for i in range(1, n) if not col[i + 1] < col[i])
+    return _descents(t, ())
 
 
 # -- correspondence with augmented fillings -----------------------------
@@ -358,18 +342,21 @@ def rt_to_comt(t: ReverseTableau) -> CompositionTableau:
     return ssaf_to_comt(rt_to_ssaf(t))
 
 
+def columns(rows) -> list[list[int]]:
+    """Column k lists, top to bottom, the k-th entries of the rows that
+    reach column k."""
+    width = max((len(r) for r in rows), default=0)
+    return [[r[k] for r in rows if len(r) > k] for k in range(width)]
+
+
+def top_justify(cols) -> ReverseTableau:
+    """The tableau whose column k holds cols[k], pushed to the top."""
+    return ReverseTableau(columns(cols))
+
+
 def ssaf_to_rt(f: AugmentedFilling) -> ReverseTableau:
     """Sort each column decreasingly and top-justify."""
-    width = max((len(r) for r in f.rows), default=0)
-    cols = []
-    for k in range(width):
-        col = sorted((r[k] for r in f.rows if len(r) > k), reverse=True)
-        cols.append(col)
-    depth = max((len(c) for c in cols), default=0)
-    rows = []
-    for i in range(depth):
-        rows.append([c[i] for c in cols if len(c) > i])
-    return ReverseTableau(rows)
+    return top_justify([sorted(c, reverse=True) for c in columns(f.rows)])
 
 
 def comt_to_rt(t: CompositionTableau) -> ReverseTableau:
@@ -459,10 +446,10 @@ def enumerate_ssafs(g: Iterable[int]) -> Iterator[AugmentedFilling]:
     if not base:
         yield AugmentedFilling(g, [()] * n, rule="id", nvars=n)
         return
+    # the pinned first column puts each row beside its basement entry,
+    # so every tableau has shape g
     for t in enumerate_comts(collapse(g), n, first_column=base):
-        f = comt_to_ssaf(t, n=n)
-        if f.shape == g:
-            yield f
+        yield comt_to_ssaf(t, n=n)
 
 
 def enumerate_reverse_tableaux(

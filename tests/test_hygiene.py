@@ -1,6 +1,8 @@
-"""Static checks on the source tree: no dead imports in the library, and
-every property suite is run by some test."""
+"""Static checks on the source tree: no dead imports and no duplicate
+function bodies in the library, and every property suite is run by some
+test."""
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 from qschur.verify import SUITES
@@ -40,6 +42,31 @@ def test_library_has_no_unused_imports():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+# bodies this small (a return of one call, a delegation) may repeat
+_MIN_BODY_NODES = 15
+
+
+def _function_bodies(path: Path):
+    """(dump, location) of every function or method body in the file, its
+    docstring dropped, for bodies of at least _MIN_BODY_NODES nodes."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if sum(1 for stmt in body for _ in ast.walk(stmt)) < _MIN_BODY_NODES:
+            continue
+        yield "".join(ast.dump(stmt) for stmt in body), f"{path.name}:{node.lineno} {node.name}"
+
+
+def test_library_has_no_duplicate_function_bodies():
+    places = defaultdict(list)
+    for path in sorted(LIBRARY.glob("*.py")):
+        for dump, where in _function_bodies(path):
+            places[dump].append(where)
+    duplicates = [where for where in places.values() if len(where) > 1]
+    assert not duplicates, duplicates
 
 
 def _suites_named_in(path: Path) -> set[str]:

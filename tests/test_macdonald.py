@@ -47,14 +47,6 @@ HIVERT_G13_PRINTED = {
 }
 
 
-def test_armleg_tables():
-    shape = (1, 0, 3, 2, 3)
-    legs = [[leg(shape, (i, j)) for j in range(1, shape[i - 1] + 1)] for i in range(1, 6)]
-    arms = [[arm(shape, (i, j)) for j in range(1, shape[i - 1] + 1)] for i in range(1, 6)]
-    assert legs == [[0], [], [2, 1, 0], [1, 0], [2, 1, 0]]
-    assert arms == [[0], [], [4, 3, 1], [2, 1], [3, 2, 1]]
-
-
 def test_single_row_armleg():
     k = 5
     for j in range(1, k + 1):

@@ -47,7 +47,19 @@ def test_strips():
     assert sorted(map(tuple, vertical_strips_over((1,), 2))) == [(1, 1, 1), (2, 1)]
     assert sorted(map(tuple, horizontal_strips_over((), 3))) == [(3,)]
     assert strip_column_set((4, 1), (3, 1)) == {4}
+    # a vertical strip over lam is a horizontal strip over lam' conjugated
+    for size in range(7):
+        for lam in enumerate_partitions(size):
+            for n in range(4):
+                vertical = sorted(map(tuple, vertical_strips_over(lam, n)))
+                horizontal = horizontal_strips_over(_conjugate(lam), n)
+                conjugated = sorted(_conjugate(mu) for mu in horizontal)
+                assert vertical == conjugated, (lam, n)
     assert strip_column_multiset((2, 1, 1), (1,)) == (1, 1, 2)
+
+
+def _conjugate(lam) -> tuple[int, ...]:
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
 
 
 def test_pieri_row_worked_example():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qschur.polynomial import QtPoly, XPoly
 
@@ -123,3 +124,40 @@ def test_constructors_reject_bad_terms():
         QtPoly([((0, -2), 1)])
     with pytest.raises(ValueError, match="negative exponent"):
         QtPoly.q(-1)
+
+
+_exponent = st.integers(0, 2)
+_coeff = st.integers(-3, 3).filter(bool)
+_qtpolys = st.dictionaries(
+    st.tuples(_exponent, _exponent), _coeff, min_size=1, max_size=3
+).map(QtPoly)
+
+
+def _xpolys(n):
+    return st.dictionaries(
+        st.tuples(*[_exponent] * n), _qtpolys, min_size=1, max_size=3
+    ).map(lambda terms: XPoly(n, terms))
+
+
+@st.composite
+def _dividend_divisor(draw):
+    kind = draw(st.sampled_from(["qt", 2, 3]))
+    if kind == "qt":
+        return draw(_qtpolys), draw(_qtpolys)
+    return draw(_xpolys(kind)), draw(_xpolys(kind))
+
+
+def _is_constant(p) -> bool:
+    if isinstance(p, QtPoly):
+        return p.is_constant()
+    return all(not any(e) and c.is_constant() for e, c in p.items())
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_dividend_divisor())
+def test_div_exact_inverts_multiplication(pair):
+    a, b = pair
+    assert (a * b).div_exact(b) == a
+    if not _is_constant(b):
+        with pytest.raises(ValueError):
+            (a * b + 1).div_exact(b)

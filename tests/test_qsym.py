@@ -165,6 +165,12 @@ def test_enumeration_bound_is_safe():
 def test_qsym_expr_json_round_trip():
     e = QSymExpr("F", {(1, 3): QtPoly.one() - QtPoly.t(), (2, 2): QtPoly.const(2)})
     assert QSymExpr.from_json(e.to_json()) == e
+    # repeated exponent pairs sum, as repeated compositions do
+    one = [0, 0, 1]
+    repeated_pair = {"basis": "F", "terms": [{"composition": [1], "coeff": [one, one]}]}
+    repeated_comp = {"basis": "F", "terms": [{"composition": [1], "coeff": [one]}] * 2}
+    assert QSymExpr.from_json(repeated_pair) == QSymExpr("F", {(1,): 2})
+    assert QSymExpr.from_json(repeated_comp) == QSymExpr("F", {(1,): 2})
 
 
 def test_fundamental_poly():
