@@ -91,6 +91,7 @@ from .pieri import (
     pieri_col,
     pieri_row,
     product_qschur,
+    product_qschur_oracle,
     rem,
     row_op,
 )

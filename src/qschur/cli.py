@@ -148,7 +148,7 @@ def cmd_pieri_col(args):
 def cmd_product(args):
     a = parse_composition(args.left)
     b = parse_composition(args.right)
-    _check_guard(a.size + b.size, a.size + b.size, args.force)
+    _check_guard(a.size + b.size, 0, args.force)
     _emit_qsym(args, product_qschur(a, b))
 
 

@@ -232,6 +232,29 @@ def expand_to_weak(a: Iterable[int], n: int) -> list[WeakComposition]:
     return out
 
 
+def quasi_shuffles(x: Iterable[int], y: Iterable[int]) -> dict[Composition, int]:
+    """The quasi-shuffles of ``x`` and ``y`` with their multiplicities.
+
+    Each step takes the next part of ``x``, the next part of ``y``, or
+    their sum, so M_x * M_y is the sum of k * M_z over the returned
+    ``{z: k}``.
+    """
+    x, y = Composition(x), Composition(y)
+    counts: dict[tuple[int, ...], int] = {}
+
+    def rec(i: int, j: int, prefix: tuple[int, ...]):
+        if i == len(x) or j == len(y):
+            z = prefix + x[i:] + y[j:]
+            counts[z] = counts.get(z, 0) + 1
+            return
+        rec(i + 1, j, prefix + (x[i],))
+        rec(i, j + 1, prefix + (y[j],))
+        rec(i + 1, j + 1, prefix + (x[i] + y[j],))
+
+    rec(0, 0, ())
+    return {Composition(z): k for z, k in counts.items()}
+
+
 def _parse_parts(text: str, kind: str) -> list[int]:
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):

@@ -17,11 +17,13 @@ from .compositions import (
     Partition,
     compositions_of_partition,
     enumerate_partitions,
+    quasi_shuffles,
     to_partition,
 )
 from .qsym import (
     QSymExpr,
     express_in_qschur,
+    qschur_in_monomial,
     qschur_polynomial,
     qsym_unit,
     xpoly_to_monomial,
@@ -133,12 +135,32 @@ def pieri_col(a, n: int) -> QSymExpr:
 
 
 def product_qschur(a, b) -> QSymExpr:
+    """Product of two S elements, computed inside QSym.
+
+    Expands both factors in the monomial basis, multiplies the monomial
+    functions by quasi-shuffle, and converts back.  Structure constants
+    can be negative.
+    """
+    a, b = Composition(a), Composition(b)
+    if a.size + b.size == 0:
+        return qsym_unit("S", ())
+    in_m_a = qschur_in_monomial(a).terms.items()
+    in_m_b = qschur_in_monomial(b).terms.items()
+    return express_in_qschur(QSymExpr._trusted("M", (
+        (z, cx * cy * k)
+        for x, cx in in_m_a
+        for y, cy in in_m_b
+        for z, k in quasi_shuffles(x, y).items()
+    )))
+
+
+def product_qschur_oracle(a, b) -> QSymExpr:
     """Product of two S elements, computed through polynomials.
 
     Multiplies the two polynomials in |a|+|b| variables (enough for
     faithful extraction of the homogeneous product), reads the result
-    off the monomial basis, and converts back.  Structure constants can
-    be negative.
+    off the monomial basis, and converts back.  An oracle for
+    :func:`product_qschur`, which never builds a polynomial.
     """
     a, b = Composition(a), Composition(b)
     n = a.size + b.size

@@ -351,7 +351,7 @@ def express_in_qschur(expr: QSymExpr) -> QSymExpr:
             c = terms.get(comp, QtPoly.zero())
             acc = c
             for i in range(j):
-                if matrix[i][j]:
+                if matrix[i][j] and coeffs[i]:
                     acc = acc - coeffs[i] * matrix[i][j]
             coeffs.append(acc)
         out.extend(zip(comps, coeffs))

@@ -32,7 +32,7 @@ from .insertion import (
     skyline_insert,
     skyline_uninsert,
 )
-from .pieri import pieri_col, pieri_row, product_qschur, rem
+from .pieri import pieri_col, pieri_row, product_qschur, product_qschur_oracle, rem
 from .polynomial import QtPoly
 from .qsym import (
     demazure_atom,
@@ -230,20 +230,36 @@ def suite_bases(max_size: int = 6) -> SuiteResult:
     return cases, fails
 
 
+def suite_product(max_size: int = 6) -> SuiteResult:
+    """The quasi-shuffle product equals the polynomial product for every
+    pair of compositions of total size <= max_size."""
+    cases, fails = 0, []
+    for m in range(0, max_size + 1):
+        for k in range(0, max_size - m + 1):
+            for a in enumerate_compositions(m):
+                for b in enumerate_compositions(k):
+                    cases += 1
+                    if product_qschur(a, b) != product_qschur_oracle(a, b):
+                        fails.append(f"product disagrees with the oracle at {tuple(a)},{tuple(b)}")
+    return cases, fails
+
+
 def suite_pieri(max_size: int = 5, max_strip: int = 3) -> SuiteResult:
-    """The row and column rules equal brute-force products, with every
-    coefficient 1, and rem removes exactly one cell."""
+    """The row and column rules equal both the polynomial product and
+    the quasi-shuffle product, with every coefficient 1, and rem removes
+    exactly one cell."""
     cases, fails = 0, []
     for m in range(0, max_size + 1):
         for a in enumerate_compositions(m):
             for n in range(1, max_strip + 1):
                 cases += 1
                 row = pieri_row(a, n)
-                if row != product_qschur((n,), a):
-                    fails.append(f"row rule disagrees with product at {tuple(a)},{n}")
                 col = pieri_col(a, n)
-                if col != product_qschur((1,) * n, a):
-                    fails.append(f"column rule disagrees with product at {tuple(a)},{n}")
+                for rule, got, strip in (("row", row, (n,)), ("column", col, (1,) * n)):
+                    for name, product in (("oracle", product_qschur_oracle),
+                                          ("product", product_qschur)):
+                        if got != product(strip, a):
+                            fails.append(f"{rule} rule disagrees with {name} at {tuple(a)},{n}")
                 for c in itertools.chain(row.terms.values(), col.terms.values()):
                     if c != QtPoly.one():
                         fails.append(f"coefficient above 1 at {tuple(a)},{n}")
@@ -345,6 +361,7 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
     "tableaux": suite_tableaux,
     "insertion": suite_insertion,
     "bases": suite_bases,
+    "product": suite_product,
     "pieri": suite_pieri,
     "macdonald": suite_macdonald,
     "hall-littlewood": suite_hall_littlewood,

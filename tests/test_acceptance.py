@@ -276,6 +276,6 @@ def test_criterion_12_deformation_display():
 
 
 # suites that no criterion above runs, at their default bounds
-@pytest.mark.parametrize("name", ["core"])
+@pytest.mark.parametrize("name", ["core", "product"])
 def test_suite_without_criterion(check_suite, name):
     check_suite(name)

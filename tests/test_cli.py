@@ -62,6 +62,16 @@ def test_product(capsys):
     assert out.strip() == "S(1,4) + S(2,3) + S(1,3,1) + S(1,1,3)"
 
 
+def test_product_guards_cells_only(capsys):
+    rc, out, err = run_cli(capsys, "product", "(1,1,1,1)", "(1,1,1)")
+    assert rc == 0, err
+    assert out.strip().startswith("S(")
+    rc, out, err = run_cli(capsys, "product", "(1,1,1,1,1)", "(2,2)")
+    assert rc == 1
+    assert out == ""
+    assert "guard" in err
+
+
 def test_atom(capsys):
     rc, out, _ = run_cli(capsys, "atom", "--shape", "(1,0,2)")
     assert rc == 0

@@ -19,6 +19,7 @@ from qschur.compositions import (
     foundation,
     parse_composition,
     parse_weak_composition,
+    quasi_shuffles,
     refinements,
     reversal,
     subset_of,
@@ -172,3 +173,22 @@ def test_parsing_and_formatting():
 def test_compositions_of_partition():
     assert [tuple(c) for c in compositions_of_partition((2, 1))] == [(2, 1), (1, 2)]
     assert compositions_of_partition((2, 2)) == [(2, 2)]
+
+
+def _delannoy(k: int, l: int) -> int:
+    return sum(math.comb(k, i) * math.comb(l, i) * 2**i for i in range(min(k, l) + 1))
+
+
+def test_quasi_shuffles():
+    assert quasi_shuffles((1,), (1,)) == {(1, 1): 2, (2,): 1}
+    assert quasi_shuffles((), (2, 1)) == {(2, 1): 1}
+    assert quasi_shuffles((), ()) == {(): 1}
+    assert all(type(z) is Composition for z in quasi_shuffles((1, 2), (3,)))
+    # the quasi-shuffles of a k-part and an l-part composition, counted
+    # with multiplicity, are the Delannoy number D(k, l)
+    for k in range(5):
+        for l in range(5):
+            x, y = tuple(range(1, k + 1)), tuple(range(k + 1, k + l + 1))
+            shuffles = quasi_shuffles(x, y)
+            assert sum(shuffles.values()) == _delannoy(k, l), (k, l)
+            assert all(z.size == sum(x) + sum(y) for z in shuffles)

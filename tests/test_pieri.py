@@ -1,3 +1,6 @@
+from hypothesis import given, settings, strategies as st
+
+from qschur import pieri, qsym
 from qschur.compositions import (
     compositions_of_partition,
     enumerate_compositions,
@@ -11,12 +14,14 @@ from qschur.pieri import (
     pieri_col,
     pieri_row,
     product_qschur,
+    product_qschur_oracle,
     rem,
     row_op,
     strip_column_multiset,
     strip_column_set,
     vertical_strips_over,
 )
+from qschur.polynomial import XPoly
 from qschur.qsym import QSymExpr, qsym_unit, schur_in_qschur
 
 
@@ -76,28 +81,53 @@ def test_pieri_trivial():
             assert pieri_row(a, 1) == pieri_col(a, 1)
 
 
+# S(2,1) squared, with its four negative structure constants
+SIGNED_SQUARE = {
+    (4, 2): 1,
+    (4, 1, 1): 1,
+    (3, 2, 1): 2,
+    (3, 1, 2): 1,
+    (2, 3, 1): 2,
+    (1, 3, 2): 1,
+    (3, 1, 1, 1): 1,
+    (2, 2, 2): 1,
+    (2, 2, 1, 1): 1,
+    (2, 1, 2, 1): 1,
+    (1, 4, 1): -1,
+    (1, 3, 1, 1): -1,
+    (1, 1, 3, 1): -1,
+    (1, 2, 2, 1): -1,
+}
+
+
 def test_signed_product():
-    p = product_qschur((2, 1), (2, 1))
-    expected = QSymExpr(
-        "S",
-        {
-            (4, 2): 1,
-            (4, 1, 1): 1,
-            (3, 2, 1): 2,
-            (3, 1, 2): 1,
-            (2, 3, 1): 2,
-            (1, 3, 2): 1,
-            (3, 1, 1, 1): 1,
-            (2, 2, 2): 1,
-            (2, 2, 1, 1): 1,
-            (2, 1, 2, 1): 1,
-            (1, 4, 1): -1,
-            (1, 3, 1, 1): -1,
-            (1, 1, 3, 1): -1,
-            (1, 2, 2, 1): -1,
-        },
-    )
-    assert p == expected
+    assert product_qschur((2, 1), (2, 1)) == QSymExpr("S", SIGNED_SQUARE)
+
+
+def test_product_builds_no_polynomial(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product kernel touched the polynomial path")
+
+    monkeypatch.setattr(XPoly, "__mul__", forbidden)
+    monkeypatch.setattr(XPoly, "__rmul__", forbidden)
+    monkeypatch.setattr(qsym, "qschur_polynomial", forbidden)
+    monkeypatch.setattr(pieri, "qschur_polynomial", forbidden)
+    assert product_qschur((2, 1), (2, 1)) == QSymExpr("S", SIGNED_SQUARE)
+
+
+@st.composite
+def _pairs_of_total_size(draw, total=7):
+    m = draw(st.integers(0, total))
+    a = draw(st.sampled_from(enumerate_compositions(m)))
+    b = draw(st.sampled_from(enumerate_compositions(total - m)))
+    return a, b
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(_pairs_of_total_size())
+def test_product_matches_oracle_at_size_7(pair):
+    """Beyond the exhaustive bound of suite product (total size 6)."""
+    assert product_qschur(*pair) == product_qschur_oracle(*pair)
 
 
 def test_product_identity():
