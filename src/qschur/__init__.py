@@ -42,7 +42,6 @@ from .tableaux import (
     horizontal_strip,
     is_comt,
     is_reversetableau,
-    is_ssaf,
     rt_descents,
     rt_to_comt,
     rt_to_ssaf,
@@ -50,7 +49,6 @@ from .tableaux import (
     ssaf_to_rt,
     standardize,
     vertical_strip,
-    weight,
 )
 from .insertion import (
     InsertionResult,
@@ -87,7 +85,6 @@ from .qsym import (
 )
 from .pieri import (
     col_op,
-    cover_relation,
     pieri_col,
     pieri_row,
     product_qschur,

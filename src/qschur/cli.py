@@ -59,12 +59,12 @@ def _max_cells() -> int:
 def _check_guard(cells: int, nvars: int, force: bool):
     if force:
         return
-    if cells > _max_cells() or nvars > DEFAULT_MAX_VARS:
-        raise DomainError(
-            f"enumeration guard: {cells} cells / {nvars} variables exceeds the "
-            f"limit ({_max_cells()} cells, {DEFAULT_MAX_VARS} variables); "
-            "pass --force or set QSCHUR_MAX_CELLS to override"
-        )
+    max_cells = _max_cells()
+    limits = ((cells, max_cells, "cells"), (nvars, DEFAULT_MAX_VARS, "variables"))
+    over = [f"{v} {name} exceeds the limit of {limit}" for v, limit, name in limits if v > limit]
+    if over:
+        env = " or set QSCHUR_MAX_CELLS" if cells > max_cells else ""
+        raise DomainError(f"enumeration guard: {' and '.join(over)}; pass --force{env} to override")
 
 
 def _emit(args, text: str, payload):

@@ -45,10 +45,6 @@ class Composition(WeakComposition):
                 raise ValueError(f"zero part in composition: {tuple(self)}")
         return self
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
 
 class Partition(Composition):
     """A weakly decreasing composition."""

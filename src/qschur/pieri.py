@@ -170,9 +170,3 @@ def product_qschur_oracle(a, b) -> QSymExpr:
     if not p:
         return QSymExpr("S")
     return express_in_qschur(xpoly_to_monomial(p))
-
-
-def cover_relation(a, b) -> bool:
-    """True iff ``b`` covers ``a`` in the poset induced by single-cell
-    row multiplication."""
-    return Composition(b) in pieri_row(Composition(a), 1).terms

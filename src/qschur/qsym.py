@@ -29,7 +29,6 @@ from .compositions import (
 from .polynomial import QtPoly, XPoly, _accumulate, _pairs, _signed_join
 from .tableaux import (
     comt_descents,
-    enumerate_comts,
     enumerate_reverse_tableaux,
     enumerate_ssafs,
     enumerate_standard_comts,
@@ -238,20 +237,13 @@ def m_to_f(expr: QSymExpr) -> QSymExpr:
 
 
 def qschur_in_monomial(a) -> QSymExpr:
-    """Monomial expansion: count composition tableaux by exact weight."""
-    a = Composition(a)
-    counts: dict[Composition, int] = {}
-    for t in enumerate_comts(a, a.size):
-        w = t.weight()
-        if all(p > 0 for p in w):
-            b = Composition(w)
-            counts[b] = counts.get(b, 0) + 1
-    return QSymExpr("M", counts)
+    """Monomial expansion: the refinement sum of the fundamental one."""
+    return f_to_m(qschur_in_fundamental(a))
 
 
 def qschur_in_fundamental(a) -> QSymExpr:
-    """Fundamental expansion: count standard composition tableaux by
-    descent composition."""
+    """Fundamental expansion: count standard composition tableaux, the
+    column refills of standard reverse tableaux, by descent composition."""
     a = Composition(a)
     n = a.size
     counts: dict[Composition, int] = {}

@@ -18,8 +18,9 @@ from .compositions import (
     collapse,
     content,
     foundation,
+    to_partition,
 )
-from .fillings import AugmentedFilling, is_ssaf_filling
+from .fillings import AugmentedFilling
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -299,10 +300,6 @@ def ssaf_to_comt(f: AugmentedFilling) -> CompositionTableau:
     return CompositionTableau([r for r in f.rows if r])
 
 
-def is_ssaf(f: AugmentedFilling) -> bool:
-    return is_ssaf_filling(f)
-
-
 # -- the column-filling bijection with reverse tableaux ------------------
 
 
@@ -430,12 +427,12 @@ def enumerate_comts(
 
 
 def enumerate_standard_comts(a: Iterable[int]) -> Iterator[CompositionTableau]:
-    """All composition tableaux of shape ``a`` using 1..n exactly once."""
+    """All composition tableaux of shape ``a`` using 1..n exactly once:
+    the column refills of standard reverse tableaux that land on ``a``."""
     shape = Composition(a)
-    n = shape.size
-    for t in enumerate_comts(shape, n):
-        if t.is_standard():
-            yield t
+    for c in map(rt_to_comt, enumerate_standard_reverse_tableaux(to_partition(shape))):
+        if c.shape() == shape:
+            yield c
 
 
 def enumerate_ssafs(g: Iterable[int]) -> Iterator[AugmentedFilling]:
@@ -481,13 +478,19 @@ def enumerate_reverse_tableaux(
 def enumerate_standard_reverse_tableaux(
     shape: Iterable[int],
 ) -> Iterator[ReverseTableau]:
+    """All reverse tableaux of a partition shape using 1..n exactly once:
+    n, n-1, ..., 1 are placed in turn at the end of a row shorter than its
+    part and than the row above, so nothing is filtered."""
     shape = Partition(shape)
-    n = shape.size
-    for t in enumerate_reverse_tableaux(shape, n):
-        if t.is_standard():
-            yield t
+    rows: list[list[int]] = [[] for _ in shape]
 
+    def place(v: int) -> Iterator[ReverseTableau]:
+        if v == 0:  # every row is full
+            yield ReverseTableau(rows)
+        for i, row in enumerate(rows):
+            if len(row) < shape[i] and (i == 0 or len(row) < len(rows[i - 1])):
+                row.append(v)
+                yield from place(v - 1)
+                row.pop()
 
-def weight(obj) -> WeakComposition:
-    """Entry multiplicities of a tableau or filling (basement excluded)."""
-    return obj.weight()
+    yield from place(shape.size)

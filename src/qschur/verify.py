@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Callable
 
 from .compositions import (
@@ -35,10 +36,10 @@ from .insertion import (
 from .pieri import pieri_col, pieri_row, product_qschur, product_qschur_oracle, rem
 from .polynomial import QtPoly
 from .qsym import (
+    QSymExpr,
     demazure_atom,
     equals_fundamental_shape,
     equals_monomial_shape,
-    f_to_m,
     monomial_qsym_poly,
     qschur_in_fundamental,
     qschur_in_monomial,
@@ -57,13 +58,13 @@ from .macdonald import (
     ns_hall_littlewood,
 )
 from .tableaux import (
+    comt_descents,
     comt_to_ssaf,
     enumerate_comts,
     enumerate_reverse_tableaux,
     enumerate_ssafs,
     enumerate_standard_reverse_tableaux,
     is_comt,
-    is_ssaf,
     rt_to_ssaf,
     ssaf_to_comt,
     ssaf_to_rt,
@@ -100,7 +101,7 @@ def suite_core(max_size: int = 6) -> SuiteResult:
 def suite_tableaux(max_size: int = 5, max_entry: int | None = None) -> SuiteResult:
     """Composition tableaux of size <= max_size with entries <= max_entry
     (default max_size + 1) against their fillings and reverse tableaux,
-    and the column refill of standard reverse tableaux."""
+    and the count and column refill of standard reverse tableaux."""
     if max_entry is None:
         max_entry = max_size + 1
     cases, fails = 0, []
@@ -112,7 +113,7 @@ def suite_tableaux(max_size: int = 5, max_entry: int | None = None) -> SuiteResu
                     fails.append(f"enumerated non-tableau {t.rows}")
                     continue
                 f = comt_to_ssaf(t)
-                if not is_ssaf(f):
+                if not is_ssaf_filling(f):
                     fails.append(f"flattened tableau fails filling checks {t.rows}")
                 if ssaf_to_comt(f) != t:
                     fails.append(f"round trip broken for {t.rows}")
@@ -129,8 +130,13 @@ def suite_tableaux(max_size: int = 5, max_entry: int | None = None) -> SuiteResu
                         fails.append(f"repeated entry in a column of {f.rows}")
     for k in range(1, max_size + 1):
         for lam in enumerate_partitions(k):
-            for t in enumerate_standard_reverse_tableaux(lam):
-                cases += 1
+            standard = list(enumerate_standard_reverse_tableaux(lam))
+            cases += len(standard)
+            hooks = math.prod(p - j + sum(1 for q in lam[i + 1:] if q > j)
+                              for i, p in enumerate(lam) for j in range(p))
+            if len(standard) != math.factorial(k) // hooks:  # the hook length formula
+                fails.append(f"{len(standard)} standard reverse tableaux of shape {tuple(lam)}")
+            for t in standard:
                 f = rt_to_ssaf(t)
                 if ssaf_to_rt(f) != t:
                     fails.append(f"column refill round trip broken for {t.rows}")
@@ -184,18 +190,26 @@ def suite_insertion(max_size: int = 5, max_entry: int | None = None) -> SuiteRes
 
 
 def suite_bases(max_size: int = 6) -> SuiteResult:
-    """The M and F expansions agree, the M/F coincidence shapes are
-    classified exactly, the transition matrices are unitriangular, the
-    rearrangement sums match the reverse-tableau Schur oracle and the
-    abstract expansions evaluate to the polynomials."""
+    """The M and F expansions equal the composition tableau counts, the
+    M/F coincidence shapes are classified exactly, the transition matrices
+    are unitriangular, the rearrangement sums match the reverse-tableau
+    Schur oracle and the abstract expansions evaluate to the polynomials."""
     cases, fails = 0, []
     for n in range(0, max_size + 1):
         comps = enumerate_compositions(n)
         for a in comps:
             cases += 1
             in_m, in_f = qschur_in_monomial(a), qschur_in_fundamental(a)
-            if f_to_m(in_f) != in_m:
-                fails.append(f"monomial/fundamental expansions disagree at {tuple(a)}")
+            by_weight, by_descents = Counter(), Counter()
+            for t in enumerate_comts(a, n):
+                if all(w := t.weight()):
+                    by_weight[w] += 1
+                if t.is_standard():
+                    by_descents[composition_of(comt_descents(t), n)] += 1
+            if in_m != QSymExpr("M", by_weight):
+                fails.append(f"monomial expansion disagrees with tableau counts at {tuple(a)}")
+            if in_f != QSymExpr("F", by_descents):
+                fails.append(f"fundamental expansion disagrees with tableau counts at {tuple(a)}")
             if (in_m == qsym_unit("M", a)) != equals_monomial_shape(a):
                 fails.append(f"monomial coincidence misclassified at {tuple(a)}")
             if (in_f == qsym_unit("F", a)) != equals_fundamental_shape(a):

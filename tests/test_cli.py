@@ -72,6 +72,19 @@ def test_product_guards_cells_only(capsys):
     assert "guard" in err
 
 
+def test_guard_names_only_the_quantity_over_its_limit(capsys):
+    rc, _, err = run_cli(capsys, "product", "(1,1,1,1,1)", "(2,2)")
+    assert rc == 1
+    assert "9 cells exceeds the limit of 8" in err
+    assert "variables" not in err
+    rc, _, err = run_cli(capsys, "atom", "--shape", "(1,0,2)", "--vars", "7")
+    assert rc == 1
+    assert "7 variables exceeds the limit of 6" in err
+    assert "cells" not in err and "QSCHUR_MAX_CELLS" not in err
+    rc, _, err = run_cli(capsys, "atom", "--shape", "(9,9,9)", "--vars", "7")
+    assert "27 cells exceeds the limit of 8 and 7 variables exceeds the limit of 6" in err
+
+
 def test_atom(capsys):
     rc, out, _ = run_cli(capsys, "atom", "--shape", "(1,0,2)")
     assert rc == 0

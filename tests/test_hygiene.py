@@ -1,6 +1,6 @@
-"""Static checks on the source tree: no dead imports and no duplicate
-function bodies in the library, and every property suite is run by some
-test."""
+"""Static checks on the source tree: no dead imports, no duplicate
+function bodies and no oracle calls in the library outside ``verify``,
+and every property suite is run by some test."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -67,6 +67,26 @@ def test_library_has_no_duplicate_function_bodies():
             places[dump].append(where)
     duplicates = [where for where in places.values() if len(where) > 1]
     assert not duplicates, duplicates
+
+
+def _oracle_calls(path: Path) -> list[str]:
+    """Calls in the file to a function whose name ends in ``_oracle``."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name.endswith("_oracle"):
+                calls.append(f"{path.name}:{node.lineno} {name}")
+    return calls
+
+
+def test_only_verify_calls_oracles():
+    # brute-force oracles referee the library; no library path runs one
+    modules = sorted(p for p in LIBRARY.glob("*.py") if p.name != "verify.py")
+    assert modules
+    calls = [call for path in modules for call in _oracle_calls(path)]
+    assert not calls, calls
 
 
 def _suites_named_in(path: Path) -> set[str]:

@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from qschur import pieri, qsym
+from qschur import pieri, qsym, tableaux
 from qschur.compositions import (
     compositions_of_partition,
     enumerate_compositions,
@@ -9,7 +9,6 @@ from qschur.compositions import (
 )
 from qschur.pieri import (
     col_op,
-    cover_relation,
     horizontal_strips_over,
     pieri_col,
     pieri_row,
@@ -115,6 +114,48 @@ def test_product_builds_no_polynomial(monkeypatch):
     assert product_qschur((2, 1), (2, 1)) == QSymExpr("S", SIGNED_SQUARE)
 
 
+# S expansions at n = 4 in the triangle order: over F as in criterion 02,
+# over M as counted from composition tableaux
+F_MATRIX_4 = [
+    [1, 0, 0, 0, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, 1, 0, 0, 0, 0],
+    [0, 0, 0, 1, 0, 1, 0, 0],
+    [0, 0, 0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+]
+M_MATRIX_4 = [
+    [1, 1, 1, 1, 1, 1, 1, 1],
+    [0, 1, 0, 0, 1, 1, 0, 1],
+    [0, 0, 1, 1, 1, 1, 2, 2],
+    [0, 0, 0, 1, 1, 1, 1, 2],
+    [0, 0, 0, 0, 1, 0, 0, 1],
+    [0, 0, 0, 0, 0, 1, 0, 1],
+    [0, 0, 0, 0, 0, 0, 1, 1],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+]
+
+
+def test_expansions_enumerate_only_standard_reverse_tableaux(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an S expansion enumerated semistandard tableaux")
+
+    for module in (tableaux, qsym):
+        for name in ("enumerate_comts", "enumerate_reverse_tableaux"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    qsym.transition_matrix.cache_clear()
+    try:
+        assert [list(r) for r in qsym.transition_matrix("F", 4)] == F_MATRIX_4
+        assert [list(r) for r in qsym.transition_matrix("M", 4)] == M_MATRIX_4
+        assert qsym.qschur_in_monomial((1, 2)) == QSymExpr("M", {(1, 2): 1, (1, 1, 1): 1})
+        assert product_qschur((2, 1), (2, 1)) == QSymExpr("S", SIGNED_SQUARE)
+    finally:
+        qsym.transition_matrix.cache_clear()
+
+
 @st.composite
 def _pairs_of_total_size(draw, total=7):
     m = draw(st.integers(0, total))
@@ -154,8 +195,8 @@ def test_classical_collapse():
 def test_cover_relations():
     covers = {b for b in pieri_row((1, 3), 1).terms}
     assert covers == {(1, 4), (2, 3), (1, 3, 1), (1, 1, 3)}
-    assert cover_relation((), (1,))
-    assert not cover_relation((), (2,))
+    assert (1,) in pieri_row((), 1).terms
+    assert (2,) not in pieri_row((), 1).terms
 
 
 def test_partition_covers_match_cell_additions():

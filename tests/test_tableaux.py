@@ -1,7 +1,7 @@
 import pytest
 
 from qschur.compositions import collapse, composition_of, enumerate_partitions
-from qschur.fillings import AugmentedFilling
+from qschur.fillings import AugmentedFilling, is_ssaf_filling
 from qschur.insertion import canonical_descent_tableau
 from qschur.polynomial import XPoly
 from qschur.qsym import fundamental_qsym_poly
@@ -18,7 +18,6 @@ from qschur.tableaux import (
     horizontal_strip,
     is_comt,
     is_reversetableau,
-    is_ssaf,
     rt_descents,
     rt_to_ssaf,
     ssaf_to_comt,
@@ -88,16 +87,16 @@ def test_comt_descents():
 
 
 def test_is_ssaf():
-    assert is_ssaf(AugmentedFilling((1, 0, 2), [[1], [], [3, 2]]))
-    assert is_ssaf(AugmentedFilling((1, 0, 2), [[1], [], [3, 3]]))
-    assert not is_ssaf(AugmentedFilling((0, 2), [[], [1, 2]]))
+    assert is_ssaf_filling(AugmentedFilling((1, 0, 2), [[1], [], [3, 2]]))
+    assert is_ssaf_filling(AugmentedFilling((1, 0, 2), [[1], [], [3, 3]]))
+    assert not is_ssaf_filling(AugmentedFilling((0, 2), [[], [1, 2]]))
 
 
 def test_comt_ssaf_bijection_example():
     t = CompositionTableau([[5, 4, 3, 1], [6], [8, 7, 2]])
     f = comt_to_ssaf(t)
     assert tuple(f.shape) == (0, 0, 0, 0, 4, 1, 0, 3)
-    assert is_ssaf(f)
+    assert is_ssaf_filling(f)
     assert ssaf_to_comt(f) == t
     assert ssaf_to_comt(comt_to_ssaf(CompositionTableau())) == CompositionTableau()
     small = CompositionTableau([[1], [3, 2]])
@@ -162,7 +161,7 @@ def test_ssaf_enumeration_matches_shape():
     for g in [(1, 0, 2), (0, 2), (2, 0, 1), (0, 0, 3)]:
         for f in enumerate_ssafs(g):
             assert tuple(f.shape) == g
-            assert is_ssaf(f)
+            assert is_ssaf_filling(f)
     assert len(list(enumerate_ssafs((1, 0, 2)))) == 2
 
 
