@@ -32,7 +32,6 @@ from .tableaux import (
     ReverseTableau,
     SkewShape,
     comt_descents,
-    comt_to_rt,
     comt_to_ssaf,
     enumerate_comts,
     enumerate_reverse_tableaux,

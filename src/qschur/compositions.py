@@ -19,10 +19,9 @@ class WeakComposition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        for p in parts:
-            if p < 0:
-                raise ValueError(f"negative part in weak composition: {parts}")
+        parts = tuple(map(int, parts))
+        if parts and min(parts) < 0:
+            raise ValueError(f"negative part in weak composition: {parts}")
         return super().__new__(cls, parts)
 
     @property
@@ -40,9 +39,8 @@ class Composition(WeakComposition):
 
     def __new__(cls, parts: Iterable[int] = ()):
         self = super().__new__(cls, parts)
-        for p in self:
-            if p == 0:
-                raise ValueError(f"zero part in composition: {tuple(self)}")
+        if 0 in self:
+            raise ValueError(f"zero part in composition: {tuple(self)}")
         return self
 
 

@@ -4,7 +4,7 @@ A ``QSymExpr`` is a basis-tagged sparse map from compositions to
 coefficients in Z[q,t].  Supported bases: monomial (M), fundamental
 (F), and the quasisymmetric Schur basis (S).  Transition matrices
 between S and M/F are upper unitriangular in the triangle order, so
-inversion is exact integer back-substitution.
+an expression is rewritten over S exactly by peeling leading terms.
 """
 from __future__ import annotations
 
@@ -32,6 +32,8 @@ from .tableaux import (
     enumerate_reverse_tableaux,
     enumerate_ssafs,
     enumerate_standard_comts,
+    enumerate_standard_reverse_tableaux,
+    rt_to_comt,
 )
 
 BASES = ("M", "F", "S")
@@ -306,47 +308,46 @@ def schur_in_monomial_oracle(l) -> QSymExpr:
 
 @lru_cache(maxsize=None)
 def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of S expansions over M or F, indexed by the triangle order."""
+    """Matrix of S expansions over M or F, indexed by the triangle order.
+
+    Refills each standard reverse tableau of size n once; a refill of shape
+    a adds 1 to row a at its descent composition, or over M at every
+    refinement of it."""
     if basis_to not in ("M", "F"):
         raise ValueError("basis_to must be 'M' or 'F'")
     comps = enumerate_compositions(n)
     index = {c: i for i, c in enumerate(comps)}
-    rows = []
-    for a in comps:
-        expr = qschur_in_monomial(a) if basis_to == "M" else qschur_in_fundamental(a)
-        row = [0] * len(comps)
-        for b, c in expr.terms.items():
-            row[index[b]] = c.constant()
-        rows.append(tuple(row))
-    return tuple(rows)
+    rows = [[0] * len(comps) for _ in comps]
+    for lam in enumerate_partitions(n):
+        for t in map(rt_to_comt, enumerate_standard_reverse_tableaux(lam)):
+            b = composition_of(comt_descents(t), n)
+            row = rows[index[t.shape()]]
+            for c in refinements(b) if basis_to == "M" else (b,):
+                row[index[c]] += 1
+    return tuple(map(tuple, rows))
 
 
 def express_in_qschur(expr: QSymExpr) -> QSymExpr:
     """Rewrite an M- or F-expression over the S basis.
 
-    Works degree by degree; the transition matrix is unitriangular in
-    the triangle order, so plain forward substitution stays in Z[q,t].
+    Over M and over F alike, S_a is the element of a plus smaller ones in
+    the triangle order.  So each degree is peeled in the input's basis from
+    the largest composition down: what is left of a coefficient is the S
+    coefficient, and that multiple of the matrix row is taken off the rest.
     """
     if expr.basis == "S":
         return expr
-    if expr.basis == "M":
-        expr = m_to_f(expr)
-    out: list[tuple[Composition, QtPoly]] = []
-    by_degree: dict[int, dict[Composition, QtPoly]] = {}
-    for comp, c in expr.terms.items():
-        by_degree.setdefault(comp.size, {})[comp] = c
-    for n, terms in by_degree.items():
+    rest, out = dict(expr.terms), []
+    zero = QtPoly.zero()
+    for n in sorted({comp.size for comp in rest}):
         comps = enumerate_compositions(n)
-        matrix = transition_matrix("F", n)
-        coeffs: list[QtPoly] = []
-        for j, comp in enumerate(comps):
-            c = terms.get(comp, QtPoly.zero())
-            acc = c
-            for i in range(j):
-                if matrix[i][j] and coeffs[i]:
-                    acc = acc - coeffs[i] * matrix[i][j]
-            coeffs.append(acc)
-        out.extend(zip(comps, coeffs))
+        for i, (comp, row) in enumerate(zip(comps, transition_matrix(expr.basis, n))):
+            c = rest.pop(comp, zero)
+            if c:
+                out.append((comp, c))
+                for b, k in zip(comps[i + 1:], row[i + 1:]):
+                    if k:
+                        rest[b] = rest.get(b, zero) + c * -k
     return QSymExpr._trusted("S", out)
 
 

@@ -356,10 +356,6 @@ def ssaf_to_rt(f: AugmentedFilling) -> ReverseTableau:
     return top_justify([sorted(c, reverse=True) for c in columns(f.rows)])
 
 
-def comt_to_rt(t: CompositionTableau) -> ReverseTableau:
-    return ssaf_to_rt(comt_to_ssaf(t))
-
-
 # -- enumeration ---------------------------------------------------------
 
 

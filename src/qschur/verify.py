@@ -192,14 +192,18 @@ def suite_insertion(max_size: int = 5, max_entry: int | None = None) -> SuiteRes
 def suite_bases(max_size: int = 6) -> SuiteResult:
     """The M and F expansions equal the composition tableau counts, the
     M/F coincidence shapes are classified exactly, the transition matrices
-    are unitriangular, the rearrangement sums match the reverse-tableau
-    Schur oracle and the abstract expansions evaluate to the polynomials."""
+    are unitriangular and their rows equal the expansions, the
+    rearrangement sums match the reverse-tableau Schur oracle and the
+    abstract expansions evaluate to the polynomials."""
     cases, fails = 0, []
     for n in range(0, max_size + 1):
         comps = enumerate_compositions(n)
+        expansions = {"M": [], "F": []}
         for a in comps:
             cases += 1
             in_m, in_f = qschur_in_monomial(a), qschur_in_fundamental(a)
+            expansions["M"].append(in_m)
+            expansions["F"].append(in_f)
             by_weight, by_descents = Counter(), Counter()
             for t in enumerate_comts(a, n):
                 if all(w := t.weight()):
@@ -217,7 +221,9 @@ def suite_bases(max_size: int = 6) -> SuiteResult:
         for basis in ("M", "F"):
             cases += 1
             mat = transition_matrix(basis, n)
-            for i in range(len(comps)):
+            for i, expansion in enumerate(expansions[basis]):
+                if QSymExpr(basis, zip(comps, mat[i])) != expansion:
+                    fails.append(f"matrix row {tuple(comps[i])} ({basis}) is not its expansion")
                 if mat[i][i] != 1:
                     fails.append(f"diagonal not 1 at {tuple(comps[i])} ({basis})")
                 for j in range(i):

@@ -112,7 +112,7 @@ def test_criterion_02_transition_matrices():
     assert [list(r) for r in transition_matrix("F", 4)] == expected
     order = [tuple(c) for c in enumerate_compositions(4)]
     assert order == [(4,), (3, 1), (1, 3), (2, 2), (2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 1, 1, 1)]
-    for n in (1, 2, 3):
+    for n in (0, 1, 2, 3):
         m = transition_matrix("F", n)
         assert all(
             m[i][j] == (1 if i == j else 0) for i in range(len(m)) for j in range(len(m))

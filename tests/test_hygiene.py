@@ -1,6 +1,7 @@
 """Static checks on the source tree: no dead imports, no duplicate
 function bodies and no oracle calls in the library outside ``verify``,
-and every property suite is run by some test."""
+every exported name is used somewhere, and every property suite is run
+by some test."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -10,6 +11,7 @@ from qschur.verify import SUITES
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "qschur"
 TESTS = ROOT / "tests"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -87,6 +89,30 @@ def test_only_verify_calls_oracles():
     assert modules
     calls = [call for path in modules for call in _oracle_calls(path)]
     assert not calls, calls
+
+
+def _names_used_in(path: Path) -> set[str]:
+    """Names read in the file, bare or as an attribute (``Q.name``)."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_export_is_used():
+    # an export nothing calls is dead code kept alive by __init__.py
+    init = ast.parse((LIBRARY / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in init.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    users = [p for p in LIBRARY.glob("*.py") if p.name != "__init__.py"]
+    users += [*TESTS.glob("*.py"), *PERFBENCH.rglob("*.py")]
+    used = set().union(*map(_names_used_in, users))
+    assert exported
+    assert exported <= used, sorted(exported - used)
 
 
 def _suites_named_in(path: Path) -> set[str]:

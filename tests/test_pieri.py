@@ -156,6 +156,30 @@ def test_expansions_enumerate_only_standard_reverse_tableaux(monkeypatch):
         qsym.transition_matrix.cache_clear()
 
 
+def test_basis_change_takes_no_detour(monkeypatch):
+    """The matrices are built from refills, not from the single-composition
+    expansions, and neither express nor the product converts M to F."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the basis change took a detour")
+
+    in_fundamental = qsym.qschur_in_fundamental
+    for name in ("m_to_f", "qschur_in_fundamental", "qschur_in_monomial"):
+        monkeypatch.setattr(qsym, name, forbidden)
+    qsym.transition_matrix.cache_clear()
+    try:
+        assert [list(r) for r in qsym.transition_matrix("F", 4)] == F_MATRIX_4
+        assert [list(r) for r in qsym.transition_matrix("M", 4)] == M_MATRIX_4
+        assert qsym.express_in_qschur(qsym_unit("M", (1, 3))) == QSymExpr(
+            "S", {(1, 3): 1, (2, 2): -1, (1, 1, 2): -1, (1, 1, 1, 1): 1}
+        )
+        qsym.transition_matrix("M", 6)
+        # the product expands its two factors over M, through F
+        monkeypatch.setattr(qsym, "qschur_in_fundamental", in_fundamental)
+        assert product_qschur((2, 1), (2, 1)) == QSymExpr("S", SIGNED_SQUARE)
+    finally:
+        qsym.transition_matrix.cache_clear()
+
+
 @st.composite
 def _pairs_of_total_size(draw, total=7):
     m = draw(st.integers(0, total))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qschur.compositions import Composition, enumerate_compositions, expand_to_weak
 from qschur.polynomial import QtPoly, XPoly
@@ -17,7 +18,6 @@ from qschur.qsym import (
     qsym_unit,
     schur_in_monomial_oracle,
     schur_in_qschur,
-    transition_matrix,
     xpoly_to_monomial,
 )
 from qschur.tableaux import enumerate_comts
@@ -100,28 +100,6 @@ def test_schur_oracle():
     assert schur_in_monomial_oracle((1,)) == qsym_unit("M", (1,))
 
 
-def test_transition_matrix_n4():
-    expected = [
-        [1, 0, 0, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, 1, 1, 0, 0, 0, 0],
-        [0, 0, 0, 1, 0, 1, 0, 0],
-        [0, 0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 0, 0, 1],
-    ]
-    assert [list(r) for r in transition_matrix("F", 4)] == expected
-
-
-def test_transition_matrix_small_identity():
-    for n in (0, 1, 2, 3):
-        m = transition_matrix("F", n)
-        for i in range(len(m)):
-            for j in range(len(m)):
-                assert m[i][j] == (1 if i == j else 0)
-
-
 def test_express_in_qschur():
     e = express_in_qschur(qsym_unit("F", (1, 3)))
     assert e == QSymExpr("S", {(1, 3): 1, (2, 2): -1, (1, 2, 1): 1})
@@ -134,6 +112,28 @@ def test_express_in_qschur():
         expr = qsym_unit(basis, (), 3) + qsym_unit(basis, (1, 3))
         expected = qsym_unit("S", (), 3) + express_in_qschur(qsym_unit(basis, (1, 3)))
         assert express_in_qschur(expr) == expected
+
+
+_COEFFS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3
+).map(QtPoly).filter(lambda c: not c.is_constant())
+
+
+@st.composite
+def _expressions(draw, max_size=7):
+    """M- or F-expressions of mixed degree with coefficients in Z[q,t]."""
+    comps = st.integers(0, max_size).flatmap(
+        lambda n: st.sampled_from(enumerate_compositions(n))
+    )
+    basis = draw(st.sampled_from("MF"))
+    return QSymExpr(basis, draw(st.lists(st.tuples(comps, _COEFFS), max_size=6)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_expressions())
+def test_express_is_independent_of_the_input_basis(e):
+    other = m_to_f(e) if e.basis == "M" else f_to_m(e)
+    assert express_in_qschur(e) == express_in_qschur(other)
 
 
 def test_xpoly_to_monomial():
@@ -192,7 +192,8 @@ def test_coincidence_classification(check_suite):
 
 
 def test_basis_consistency(check_suite):
-    """f_to_m of the F expansion is the M expansion for n <= 7."""
+    """Every transition-matrix row is the S expansion of its composition,
+    over M and over F, for n <= 7."""
     check_suite("bases", max_size=7)
 
 
