@@ -36,9 +36,37 @@ from .qsym import QSymExpr, m_to_f, xpoly_to_monomial
 _ONE_MINUS_T = QtPoly({(0, 0): 1, (0, 1): -1})
 
 
-def _repeat_factor(shape, s) -> QtPoly:
-    """(1 - q^(leg+1) t^(arm+1)) for a cell repeating its left neighbour."""
-    return QtPoly({(0, 0): 1, (leg(shape, s) + 1, arm(shape, s) + 1): -1})
+def _cell_factors(shape, repeats) -> QtPoly:
+    """Product over the cells of (1 - q^(leg+1) t^(arm+1)) for a cell in
+    ``repeats`` (it repeats its left neighbour) and (1 - t) otherwise."""
+    w = QtPoly.one()
+    for s in ((i, k) for i, g in enumerate(shape, start=1) for k in range(1, g + 1)):
+        if s in repeats:
+            w = w * QtPoly({(0, 0): 1, (leg(shape, s) + 1, arm(shape, s) + 1): -1})
+        else:
+            w = w * _ONE_MINUS_T
+    return w
+
+
+def _filling_sum(shape, rule: str, nvars: int, descentless: bool) -> XPoly:
+    """Sum of x^f q^maj t^coinv times the cell factors of the filling's
+    repeat set, over the non-attacking fillings.
+
+    The fillings are grouped by repeat set and exponent vector, the
+    q^maj t^coinv inside each group are counted, and each group pays its
+    factor product once; the factors depend on the repeat set alone.
+    """
+    groups: dict = {}
+    for f in enumerate_fillings(shape, rule=rule, nvars=nvars, descentless=descentless):
+        repeats = frozenset(s for s in f.cells() if f.entry(*s) == f.entry(s[0], s[1] - 1))
+        stats = groups.setdefault(repeats, {}).setdefault(f.exponents(), {})
+        key = (maj(f), coinv(f))
+        stats[key] = stats.get(key, 0) + 1
+    terms = []
+    for repeats, by_exponents in groups.items():
+        factor = _cell_factors(shape, repeats)
+        terms.extend((e, QtPoly._trusted(stats.items()) * factor) for e, stats in by_exponents.items())
+    return XPoly(nvars, terms)
 
 
 def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = None) -> XPoly:
@@ -57,42 +85,24 @@ def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = Non
     nv = n if nvars is None else int(nvars)
     if basement in ("id", "rev") and nv != n:
         raise ValueError("identity/reversed basements need one variable per row")
-
-    def weight(f) -> QtPoly:
-        w = QtPoly({(maj(f), coinv(f)): 1})
-        for s in f.cells():
-            if f.entry(*s) == f.entry(s[0], s[1] - 1):
-                w = w * _repeat_factor(shape, s)
-            else:
-                w = w * _ONE_MINUS_T
-        return w
-
-    fillings = enumerate_fillings(shape, rule=basement, nvars=nv)
-    return XPoly(nv, ((f.exponents(), weight(f)) for f in fillings))
+    return _filling_sum(shape, basement, nv, descentless=False)
 
 
 def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
     """Descentless specialization: one t parameter.
 
-    Sums x^f t^coinv over descent-free non-attacking fillings with the
-    identity basement, times (1 - t) for every cell differing from its
-    left neighbour.  At t = 0 this is the Demazure atom.
+    The identity-basement filling sum over descent-free fillings at
+    q = 0: each contributes x^f t^coinv times (1 - t) for every cell
+    differing from its left neighbour, because such a filling has
+    maj = 0 and every repeat factor is 1 at q = 0.  At t = 0 this is the
+    Demazure atom.
     """
     shape = WeakComposition(shape)
     n = len(shape)
     nv = n if nvars is None else int(nvars)
     if nv != n:
         raise ValueError("identity basement needs one variable per row")
-
-    def weight(f) -> QtPoly:
-        w = QtPoly({(0, coinv(f)): 1})
-        for s in f.cells():
-            if f.entry(*s) != f.entry(s[0], s[1] - 1):
-                w = w * _ONE_MINUS_T
-        return w
-
-    fillings = enumerate_fillings(shape, rule="id", nvars=nv, descentless=True)
-    return XPoly(nv, ((f.exponents(), weight(f)) for f in fillings))
+    return _filling_sum(shape, "id", nv, descentless=True).specialize(q=0)
 
 
 def hall_littlewood_qsym(a, n: int) -> XPoly:
@@ -133,32 +143,26 @@ def hall_littlewood_p(l, n: int) -> XPoly:
 def hall_littlewood_p_oracle(l, n: int) -> XPoly:
     """Hall-Littlewood polynomial by antisymmetrized division.
 
-    Computes sum over permutations w of sign(w) w(x^l prod_{i<j}
-    (x_i - t x_j)), divides exactly by the Vandermonde determinant and
-    by the multiplicity factor, all in exact arithmetic.  Independent
-    of every filling-based path.
+    Builds rho = prod_{i<j} (x_i - t x_j) once, sums sign(w) w(x^l rho)
+    over the permutations w by permuting exponent vectors, and divides
+    exactly by the Vandermonde determinant (rho at t = 1) and by the
+    multiplicity factor, all in exact arithmetic.  Independent of every
+    filling-based path.
     """
     l = Partition(l)
     if n < len(l):
         return XPoly.zero(n)
-    exps = tuple(l) + (0,) * (n - len(l))
-
-    def signed_term(w) -> XPoly:
-        term = XPoly.monomial(n, _permute(exps, w))
-        for i in range(n):
-            for j in range(i + 1, n):
-                xi = XPoly.variable(n, w[i] + 1)
-                xj = XPoly.variable(n, w[j] + 1)
-                term = term * (xi - xj * QtPoly.t())
-        return term * _sign(w)
-
-    num = XPoly(n, (
-        pair for w in itertools.permutations(range(n)) for pair in signed_term(w).items()
-    ))
-    vandermonde = XPoly.one(n)
+    rho = XPoly.one(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            vandermonde = vandermonde * (XPoly.variable(n, i) - XPoly.variable(n, j))
+            rho = rho * (XPoly.variable(n, i) - XPoly.variable(n, j) * QtPoly.t())
+    base = XPoly.monomial(n, tuple(l) + (0,) * (n - len(l))) * rho
+    signed = []
+    for w in itertools.permutations(range(n)):
+        sign = _sign(w)
+        signed.extend((_permute(e, w), c * sign) for e, c in base.items())
+    num = XPoly._trusted(n, signed)
+    vandermonde = rho.specialize(t=1)
     quotient = num.div_exact(vandermonde)
     mult: dict[int, int] = {0: n - len(l)}
     for p in l:
@@ -269,12 +273,7 @@ def j_fundamental_classes(mu):
                     if all(j in s_set for j in range(lo, hi)):
                         equal_cells.add((i, k))
                 majv = sum(leg(mu, s) + 1 for s in desc_cells if s not in equal_cells)
-                w = QtPoly({(majv, coinv_f): 1})
-                for s in cells:
-                    if s in equal_cells:
-                        w = w * _repeat_factor(mu, s)
-                    else:
-                        w = w * _ONE_MINUS_T
+                w = QtPoly({(majv, coinv_f): 1}) * _cell_factors(mu, equal_cells)
                 terms.append((composition_of(frozenset(range(1, m)) - s_set, m), w))
         word = standard_filling_reading_word(mu, rows)
         yield word, rows, QSymExpr("M", terms)

@@ -264,6 +264,8 @@ class XPoly:
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], QtPoly] | Iterable | None = None):
         self.n = int(n)
+        if self.n < 0:
+            raise ValueError(f"negative variable count {self.n}")
         self._terms = _accumulate(
             (self._exponents(exps), QtPoly.coerce(c)) for exps, c in _pairs(terms)
         )

@@ -1,5 +1,6 @@
 import math
 
+import qschur.macdonald as macdonald
 from qschur.compositions import (
     compositions_of_partition,
     enumerate_compositions,
@@ -17,6 +18,7 @@ from qschur.fillings import (
 )
 from qschur.macdonald import (
     hall_littlewood_p,
+    hall_littlewood_p_oracle,
     hall_littlewood_qsym_m,
     j_fundamental_classes,
     macdonald_integral_form,
@@ -198,6 +200,36 @@ def test_j_fundamental_classes_partition_the_sum():
             total = total + expr
         assert len(words) == math.factorial(m)
         assert m_to_f(total) == macdonald_j_fundamental(lam)
+
+
+def test_cell_factors_built_once_per_repeat_set(monkeypatch):
+    # the factors depend on the repeat set alone, so the filling sum
+    # builds them once per repeat set and not once per filling
+    built = []
+    cell_factors = macdonald._cell_factors
+
+    def counted(shape, repeats):
+        built.append(frozenset(repeats))
+        return cell_factors(shape, repeats)
+
+    monkeypatch.setattr(macdonald, "_cell_factors", counted)
+    macdonald_integral_form((2, 2, 1), "const", 5)
+    fillings = list(enumerate_fillings((2, 2, 1), "const", 5))
+    repeat_sets = {
+        frozenset(s for s in f.cells() if f.entry(*s) == f.entry(s[0], s[1] - 1))
+        for f in fillings
+    }
+    assert len(fillings) > len(repeat_sets)
+    assert sorted(built, key=sorted) == sorted(repeat_sets, key=sorted)
+
+
+def test_descentless_form_and_oracle_beyond_suite_bounds():
+    # suites macdonald and hall-littlewood stop at 4 cells
+    for g in [(2, 2, 1), (0, 3, 2), (1, 1, 3), (3, 0, 2), (3, 2, 1), (2, 2, 2), (1, 3, 2), (0, 2, 4)]:
+        assert ns_hall_littlewood(g) == macdonald_integral_form(g, "id").specialize(q=0)
+    for lam in enumerate_partitions(5):
+        if len(lam) <= 4:
+            assert hall_littlewood_p(lam, 4) == hall_littlewood_p_oracle(lam, 4)
 
 
 def test_base_square_example():

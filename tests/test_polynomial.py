@@ -124,6 +124,8 @@ def test_constructors_reject_bad_terms():
         QtPoly([((0, -2), 1)])
     with pytest.raises(ValueError, match="negative exponent"):
         QtPoly.q(-1)
+    with pytest.raises(ValueError, match="negative variable count"):
+        XPoly(-1)
 
 
 _exponent = st.integers(0, 2)
