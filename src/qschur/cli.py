@@ -291,10 +291,7 @@ def main(argv=None) -> int:
                      "others); name the suite instead of 'all'")
     try:
         rc = args.func(args)
-    except (DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # DomainError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return rc or 0

@@ -55,6 +55,7 @@ def _filling_sum(shape, rule: str, nvars: int, descentless: bool) -> XPoly:
     The fillings are grouped by repeat set and exponent vector, the
     q^maj t^coinv inside each group are counted, and each group pays its
     factor product once; the factors depend on the repeat set alone.
+    The descentless sum is taken at q = 0, where every repeat factor is 1.
     """
     groups: dict = {}
     for f in enumerate_fillings(shape, rule=rule, nvars=nvars, descentless=descentless):
@@ -64,7 +65,10 @@ def _filling_sum(shape, rule: str, nvars: int, descentless: bool) -> XPoly:
         stats[key] = stats.get(key, 0) + 1
     terms = []
     for repeats, by_exponents in groups.items():
-        factor = _cell_factors(shape, repeats)
+        if descentless:
+            factor = _ONE_MINUS_T ** (shape.size - len(repeats))
+        else:
+            factor = _cell_factors(shape, repeats)
         terms.extend((e, QtPoly._trusted(stats.items()) * factor) for e, stats in by_exponents.items())
     return XPoly(nvars, terms)
 
@@ -102,7 +106,7 @@ def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
     nv = n if nvars is None else int(nvars)
     if nv != n:
         raise ValueError("identity basement needs one variable per row")
-    return _filling_sum(shape, "id", nv, descentless=True).specialize(q=0)
+    return _filling_sum(shape, "id", nv, descentless=True)
 
 
 def hall_littlewood_qsym(a, n: int) -> XPoly:

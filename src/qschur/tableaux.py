@@ -1,11 +1,12 @@
 """Reverse tableaux, composition tableaux, and the maps between them.
 
-A reverse tableau fills a partition (or skew) diagram with rows weakly
-decreasing and columns strictly decreasing.  A composition tableau
-fills a composition diagram with weakly decreasing rows, a strictly
-increasing first column, and a triple condition on the zero-padded
-rectangle.  Composition tableaux correspond to augmented fillings with
-identity basement by deleting the basement and the empty rows.
+A reverse tableau fills a partition diagram with rows weakly decreasing
+and columns strictly decreasing.  A composition tableau fills a
+composition diagram with weakly decreasing rows, a strictly increasing
+first column, and a triple condition on the zero-padded rectangle.
+Composition tableaux correspond to augmented fillings with identity
+basement by deleting the basement and the empty rows.  Both kinds share
+one body: storage, equality, rendering, JSON and the descent set.
 """
 from __future__ import annotations
 
@@ -75,9 +76,13 @@ def vertical_strip(s: SkewShape) -> bool:
 
 
 class _Tableau:
-    """Rows of positive entries, and the statistics read off them."""
+    """Rows of positive entries, and the statistics read off them.  A
+    tableau equals only a tableau of its own kind with the same rows."""
 
     __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable[Iterable[int]] = ()):
+        self.rows = _freeze(rows)
 
     @property
     def size(self) -> int:
@@ -93,94 +98,56 @@ class _Tableau:
     def weight(self) -> WeakComposition:
         return content(self.entries())
 
-
-class ReverseTableau(_Tableau):
-    """Rows weakly decreasing, columns strictly decreasing.
-
-    ``inner`` gives a skew inner shape; row i holds the entries of
-    columns inner[i]..inner[i]+len(rows[i])-1 (0-based).
-    """
-
-    __slots__ = ("inner",)
-
-    def __init__(self, rows: Iterable[Iterable[int]] = (), inner: Iterable[int] = ()):
-        self.rows = _freeze(rows)
-        self.inner = tuple(int(v) for v in inner)
-
-    def shape(self) -> Partition:
-        if self.inner:
-            raise ValueError("skew tableau has no straight shape")
-        return Partition(len(r) for r in self.rows)
-
-    def outer_shape(self) -> tuple[int, ...]:
-        inner = self.inner + (0,) * (len(self.rows) - len(self.inner))
-        return tuple(m + len(r) for m, r in zip(inner, self.rows))
-
     def __eq__(self, other):
-        if not isinstance(other, ReverseTableau):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.rows == other.rows and self.inner == other.inner
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.rows, self.inner))
+        return hash(self.rows)
 
     def __str__(self):
-        inner = self.inner + (0,) * (len(self.rows) - len(self.inner))
-        return "\n".join(
-            ". " * m + " ".join(str(v) for v in r) for m, r in zip(inner, self.rows)
-        )
+        return "\n".join(" ".join(str(v) for v in r) for r in self.rows)
 
     def __repr__(self):
-        return f"ReverseTableau({list(map(list, self.rows))})"
+        return f"{type(self).__name__}({list(map(list, self.rows))})"
 
     def to_json(self) -> dict:
-        d = {"shape": list(self.outer_shape()), "rows": [list(r) for r in self.rows]}
-        if self.inner:
-            d["inner"] = list(self.inner)
-        return d
+        return {"shape": [len(r) for r in self.rows], "rows": [list(r) for r in self.rows]}
+
+
+class ReverseTableau(_Tableau):
+    """Rows weakly decreasing, columns strictly decreasing."""
+
+    __slots__ = ()
+
+    def shape(self) -> Partition:
+        return Partition(len(r) for r in self.rows)
 
 
 def is_reversetableau(t: ReverseTableau) -> bool:
-    """Check the two defining conditions (rows weak, columns strict)."""
-    inner = t.inner + (0,) * (len(t.rows) - len(t.inner))
-    outer = t.outer_shape()
-    for i in range(1, len(outer)):
-        if outer[i] > outer[i - 1] or inner[i] > inner[i - 1]:
-            return False
-        if i < len(t.inner) and t.inner[i] > outer[i]:
-            return False
+    """Check the two defining conditions (rows weak, columns strict) on a
+    partition diagram of positive entries."""
+    lengths = [len(r) for r in t.rows]
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
+        return False
     for r in t.rows:
-        if any(a < b for a, b in zip(r, r[1:])):
+        if any(v < 1 for v in r) or any(a < b for a, b in zip(r, r[1:])):
             return False
-    grid: dict[tuple[int, int], int] = {}
-    for i, (m, row) in enumerate(zip(inner, t.rows)):
-        for off, v in enumerate(row):
-            if v < 1:
-                return False
-            grid[(i, m + off)] = v
-    for (i, j), v in grid.items():
-        if (i + 1, j) in grid and grid[(i + 1, j)] >= v:
-            return False
-    return True
+    return all(a > b for above, below in zip(t.rows, t.rows[1:]) for a, b in zip(above, below))
 
 
-def _descents(t: _Tableau, inner: tuple[int, ...]) -> frozenset[int]:
-    """Values i such that i+1 is not strictly left of i, row i of ``t``
-    starting in column inner[i] (standard input)."""
+def _descents(t: _Tableau) -> frozenset[int]:
+    """Values i such that i+1 is not strictly left of i (standard input)."""
     if not t.is_standard():
         raise ValueError("descent set requires a standard tableau")
-    col = {}
-    for i, row in enumerate(t.rows):
-        off = inner[i] if i < len(inner) else 0
-        for j, v in enumerate(row):
-            col[v] = off + j
-    n = t.size
-    return frozenset(i for i in range(1, n) if not col[i + 1] < col[i])
+    col = {v: j for row in t.rows for j, v in enumerate(row)}
+    return frozenset(i for i in range(1, t.size) if not col[i + 1] < col[i])
 
 
-def rt_descents(t: ReverseTableau) -> frozenset[int]:
-    """Values i such that i+1 is not strictly left of i (standard input)."""
-    return _descents(t, t.inner)
+# the column refill keeps every entry in its column, so a standard reverse
+# tableau and its composition tableau have one descent set
+rt_descents = comt_descents = _descents
 
 
 def standardize(t: ReverseTableau) -> ReverseTableau:
@@ -189,8 +156,6 @@ def standardize(t: ReverseTableau) -> ReverseTableau:
     Reading order is right to left within rows, top row first; the
     entry read first in its value class receives the smaller label.
     """
-    if t.inner:
-        raise ValueError("standardize expects a straight shape")
     cells = [
         (v, i, -j, (i, j))
         for i, row in enumerate(t.rows)
@@ -213,29 +178,12 @@ class CompositionTableau(_Tableau):
     __slots__ = ()
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
-        self.rows = _freeze(rows)
-        if any(len(r) == 0 for r in self.rows):
+        super().__init__(rows)
+        if not all(self.rows):  # an empty row is an empty tuple
             raise ValueError("composition tableau rows must be nonempty")
 
     def shape(self) -> Composition:
         return Composition(len(r) for r in self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, CompositionTableau):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __str__(self):
-        return "\n".join(" ".join(str(v) for v in r) for r in self.rows)
-
-    def __repr__(self):
-        return f"CompositionTableau({list(map(list, self.rows))})"
-
-    def to_json(self) -> dict:
-        return {"shape": list(self.shape()), "rows": [list(r) for r in self.rows]}
 
 
 def is_comt(t: CompositionTableau) -> bool:
@@ -266,11 +214,6 @@ def is_comt(t: CompositionTableau) -> bool:
                 if vjk != 0 and vjk >= padded(i, k) and vjk <= padded(i, k - 1):
                     return False
     return True
-
-
-def comt_descents(t: CompositionTableau) -> frozenset[int]:
-    """Values i such that i+1 is not strictly left of i (standard input)."""
-    return _descents(t, ())
 
 
 # -- correspondence with augmented fillings -----------------------------
@@ -311,25 +254,16 @@ def rt_to_ssaf(t: ReverseTableau, n: int | None = None) -> AugmentedFilling:
     the placement keeps the row weakly decreasing.  Column multisets
     are preserved.
     """
-    if t.inner:
-        raise ValueError("expects a straight shape")
     if n is None:
         n = max(t.entries(), default=0)
-    width = len(t.rows[0]) if t.rows else 0
     rows: list[list[int]] = [[] for _ in range(n)]
-    for k in range(width):
-        column = [row[k] for row in t.rows if len(row) > k]
+    for k, column in enumerate(columns(t.rows)):
         for v in column:
-            placed = False
             for i in range(n):
-                if len(rows[i]) != k:
-                    continue
-                left = i + 1 if k == 0 else rows[i][k - 1]
-                if v <= left:
+                if len(rows[i]) == k and v <= (i + 1 if k == 0 else rows[i][k - 1]):
                     rows[i].append(v)
-                    placed = True
                     break
-            if not placed:
+            else:
                 raise ValueError(f"no admissible row for entry {v} in column {k + 1}")
     shape = WeakComposition(len(r) for r in rows)
     return AugmentedFilling(shape, rows, rule="id", nvars=n)

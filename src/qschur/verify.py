@@ -65,6 +65,7 @@ from .tableaux import (
     enumerate_ssafs,
     enumerate_standard_reverse_tableaux,
     is_comt,
+    rt_descents,
     rt_to_ssaf,
     ssaf_to_comt,
     ssaf_to_rt,
@@ -101,7 +102,8 @@ def suite_core(max_size: int = 6) -> SuiteResult:
 def suite_tableaux(max_size: int = 5, max_entry: int | None = None) -> SuiteResult:
     """Composition tableaux of size <= max_size with entries <= max_entry
     (default max_size + 1) against their fillings and reverse tableaux,
-    and the count and column refill of standard reverse tableaux."""
+    and the count, column refill and descent set of standard reverse
+    tableaux."""
     if max_entry is None:
         max_entry = max_size + 1
     cases, fails = 0, []
@@ -140,6 +142,8 @@ def suite_tableaux(max_size: int = 5, max_entry: int | None = None) -> SuiteResu
                 f = rt_to_ssaf(t)
                 if ssaf_to_rt(f) != t:
                     fails.append(f"column refill round trip broken for {t.rows}")
+                if comt_descents(ssaf_to_comt(f)) != rt_descents(t):
+                    fails.append(f"column refill changed the descent set of {t.rows}")
                 for j in range(max(lam)):
                     col_t = sorted(row[j] for row in t.rows if len(row) > j)
                     col_f = sorted(r[j] for r in f.rows if len(r) > j)

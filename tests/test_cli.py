@@ -3,6 +3,8 @@ import json
 import pytest
 
 from qschur.cli import main
+from qschur.pieri import pieri_col
+from qschur.qsym import qschur_polynomial
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +56,15 @@ def test_matrix_text_deterministic(capsys):
     rc2, out2, _ = run_cli(capsys, "matrix", "--basis", "F", "--n", "4")
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_pieri_col(capsys):
+    rc, out, _ = run_cli(capsys, "pieri-col", "(1,3)", "2")
+    assert rc == 0
+    assert out.strip() == str(pieri_col((1, 3), 2))
+    rc, out, err = run_cli(capsys, "pieri-col", "(1,3)", "0")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_product(capsys):
@@ -147,6 +158,17 @@ def test_in_s_malformed(tmp_path, capsys, data, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_in_s_unreadable_file(tmp_path, capsys):
+    path = tmp_path / "expr.json"
+    rc, out, err = run_cli(capsys, "in-s", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "No such file" in err
+    path.write_text("S(1,3) + S(2,2)")
+    rc, out, err = run_cli(capsys, "in-s", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: Expecting value")
+
+
 def test_guard(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "e-poly", "--shape", "(9,9,9)", "--vars", "3")
     assert rc == 1
@@ -218,6 +240,12 @@ def test_j_fund(capsys):
     terms = {tuple(t["composition"]): t["coeff"] for t in data["terms"]}
     # (1-t)(1-t^2) on the single fundamental term
     assert set(terms) == {(1, 1)}
+
+
+def test_l_alpha(capsys):
+    rc, out, _ = run_cli(capsys, "l-alpha", "--shape", "1,3", "--vars", "5", "--spec", "t=0")
+    assert rc == 0
+    assert out.strip() == str(qschur_polynomial((1, 3), 5))
 
 
 def test_hl_p(capsys):

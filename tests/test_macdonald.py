@@ -223,6 +223,22 @@ def test_cell_factors_built_once_per_repeat_set(monkeypatch):
     assert sorted(built, key=sorted) == sorted(repeat_sets, key=sorted)
 
 
+def test_descentless_sum_builds_no_q_factor(monkeypatch):
+    # the descentless sum is taken at q = 0, where every repeat factor
+    # (1 - q^(leg+1) t^(arm+1)) is 1, so no factor with a q term is built
+    built = []
+    cell_factors = macdonald._cell_factors
+
+    def counted(shape, repeats):
+        built.append(frozenset(repeats))
+        return cell_factors(shape, repeats)
+
+    monkeypatch.setattr(macdonald, "_cell_factors", counted)
+    p = hall_littlewood_p((2, 2, 1), 4)
+    assert built == []
+    assert p and all(qe == 0 for _, c in p.items() for (qe, _te), _coeff in c.items())
+
+
 def test_descentless_form_and_oracle_beyond_suite_bounds():
     # suites macdonald and hall-littlewood stop at 4 cells
     for g in [(2, 2, 1), (0, 3, 2), (1, 1, 3), (3, 0, 2), (3, 2, 1), (2, 2, 2), (1, 3, 2), (0, 2, 4)]:

@@ -31,12 +31,8 @@ def test_is_reversetableau():
     assert is_reversetableau(ReverseTableau([[3, 1], [2]]))
     assert not is_reversetableau(ReverseTableau([[1, 2]]))
     assert not is_reversetableau(ReverseTableau([[2, 2], [2]]))
-
-
-def test_is_reversetableau_skew():
-    # outer (3,2), inner (1,): row 0 fills columns 1..2, row 1 fills 0..1
-    assert is_reversetableau(ReverseTableau([[2, 1], [3, 1]], inner=(1,)))
-    assert not is_reversetableau(ReverseTableau([[2, 1], [3, 2]], inner=(1,)))
+    assert not is_reversetableau(ReverseTableau([[3], [2, 1]]))  # not a partition
+    assert not is_reversetableau(ReverseTableau([[2, 0]]))
 
 
 def test_json_round_trip_fields():
@@ -44,8 +40,20 @@ def test_json_round_trip_fields():
     assert t.to_json() == {"shape": [1, 2], "rows": [[1], [3, 2]]}
     rt = ReverseTableau([[3, 1], [2]])
     assert rt.to_json() == {"shape": [2, 1], "rows": [[3, 1], [2]]}
-    skew = ReverseTableau([[2, 1]], inner=(1,))
-    assert skew.to_json()["inner"] == [1]
+
+
+def test_both_tableau_kinds_share_one_body():
+    rt = ReverseTableau([[3, 1], [2]])
+    ct = CompositionTableau([[3, 1], [2]])
+    assert repr(rt) == "ReverseTableau([[3, 1], [2]])"
+    assert repr(ct) == "CompositionTableau([[3, 1], [2]])"
+    assert str(rt) == str(ct) == "3 1\n2"
+    assert hash(rt) == hash(ct) == hash(((3, 1), (2,)))
+    # equal rows, different kinds: a tableau equals only its own kind
+    assert rt != ct and ct != rt
+    assert rt == ReverseTableau([(3, 1), (2,)]) and ct == CompositionTableau([(3, 1), (2,)])
+    assert len({rt, ct}) == 2
+    assert rt_descents is comt_descents
 
 
 def test_rt_descents():
@@ -76,6 +84,8 @@ def test_is_comt():
     assert not is_comt(CompositionTableau([[2], [1]]))
     # the triple condition on the padded rectangle
     assert not is_comt(CompositionTableau([[2], [3, 2]]))
+    with pytest.raises(ValueError, match="rows must be nonempty"):
+        CompositionTableau([[1], []])
 
 
 def test_comt_descents():
