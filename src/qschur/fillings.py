@@ -11,11 +11,15 @@ column 0 of every row.  The basement entries are set by a rule:
 The attack relation, triple types, the inversion test with its
 tie-break, and the arm/leg cell statistics are shared by every
 consumer (validity of augmented fillings, the combinatorial formulas
-with general basements, and their specializations).
+with general basements, and their specializations).  Each shape's
+geometry is built once into a table over the diagram's positions, row
+by row with each row's basement first; a filling keeps its entries by
+position, and every statistic reads them through that table.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 from .compositions import WeakComposition, content
 
@@ -42,11 +46,11 @@ class AugmentedFilling:
     it defaults to the number of rows.
     """
 
-    __slots__ = ("shape", "rows", "rule", "nvars")
+    __slots__ = ("shape", "rows", "rule", "nvars", "_vec")
 
     def __init__(self, shape, rows, rule: str = "id", nvars: int | None = None):
         self.shape = WeakComposition(shape)
-        self.rows = tuple(tuple(int(v) for v in r) for r in rows)
+        self.rows = tuple(tuple(map(int, r)) for r in rows)
         if len(self.rows) != len(self.shape):
             raise ValueError("row count does not match shape")
         for g, r in zip(self.shape, self.rows):
@@ -56,18 +60,42 @@ class AugmentedFilling:
             raise ValueError(f"unknown basement rule: {rule!r}")
         self.rule = rule
         self.nvars = len(self.shape) if nvars is None else int(nvars)
+        entries = [v for r in self.rows for v in r]
+        if entries and not (min(entries) >= 1 and max(entries) <= self.nvars):
+            raise ValueError(f"an entry of {self.rows} is outside [1, {self.nvars}]")
+        self._vec = None
+
+    @classmethod
+    def _trusted(cls, shape: WeakComposition, rows, rule: str, nvars: int, vec=None):
+        """A filling from valid parts; ``vec`` holds its entries by
+        position, or is None to build them on first read."""
+        self = object.__new__(cls)
+        self.shape, self.rows, self.rule, self.nvars, self._vec = shape, rows, rule, nvars, vec
+        return self
+
+    def _values(self) -> tuple[int, ...]:
+        """Entries by diagram position, basement cells included."""
+        if self._vec is None:
+            n = self.n
+            self._vec = tuple(
+                v
+                for i, row in enumerate(self.rows, start=1)
+                for v in (basement_entry(self.rule, i, n, self.nvars), *row)
+            )
+        return self._vec
 
     @property
     def n(self) -> int:
         return len(self.shape)
 
     def entry(self, i: int, j: int) -> int:
-        if j == 0:
-            return basement_entry(self.rule, i, self.n, self.nvars)
-        return self.rows[i - 1][j - 1]
+        p = _diagram(self.shape).pos.get((i, j))
+        if p is None:
+            raise ValueError(f"cell {(i, j)} outside the augmented diagram of {tuple(self.shape)}")
+        return self._values()[p]
 
     def cells(self) -> list[Cell]:
-        return [(i, j) for i in range(1, self.n + 1) for j in range(1, self.shape[i - 1] + 1)]
+        return list(_diagram(self.shape).cells)
 
     def weight(self) -> WeakComposition:
         """Entry multiplicities (basement excluded), up to the largest entry."""
@@ -168,26 +196,6 @@ def attack_pairs(shape) -> list[tuple[Cell, Cell]]:
     return pairs
 
 
-def is_non_attacking(f: AugmentedFilling) -> bool:
-    for a, b in attack_pairs(f.shape):
-        if f.entry(*a) == f.entry(*b):
-            return False
-    return True
-
-
-# -- descents ----------------------------------------------------------
-
-
-def descent_cells(f: AugmentedFilling) -> list[Cell]:
-    """Cells whose entry exceeds the entry immediately to the left."""
-    return [(i, j) for (i, j) in f.cells() if f.entry(i, j) > f.entry(i, j - 1)]
-
-
-def maj(f: AugmentedFilling) -> int:
-    """Sum of leg+1 over the descent cells."""
-    return sum(leg(f.shape, s) + 1 for s in descent_cells(f))
-
-
 # -- triples -----------------------------------------------------------
 
 
@@ -215,11 +223,67 @@ def triples(shape) -> list[tuple[Cell, Cell, Cell]]:
     return out
 
 
-def _tie_key(f: AugmentedFilling, cell: Cell) -> tuple[int, int, int]:
-    # reading order top to bottom, right to left breaks ties: the entry
-    # read first counts as the smaller one
-    i, j = cell
-    return (f.entry(i, j), i, -j)
+# -- the diagram table ---------------------------------------------------
+
+
+class _Diagram(NamedTuple):
+    pos: dict[Cell, int]  # every cell, basement included
+    basements: tuple[int, ...]  # position of each row's basement cell
+    cells: tuple[Cell, ...]  # the non-basement cells in row order
+    cell_pos: tuple[int, ...]
+    leg1: tuple[int, ...]  # leg+1 of each cell
+    arm1: tuple[int, ...]  # arm+1 of each cell
+    attacks: tuple[tuple[int, int], ...]
+    triples: tuple[tuple[int, int, int], ...]
+    rank: tuple[int, ...]  # tie-break rank of each position
+
+
+@lru_cache(maxsize=1024)
+def _diagram(shape: tuple[int, ...]) -> _Diagram:
+    """The geometry of the augmented diagram of ``shape``, by position.
+
+    Positions run over the rows in order, each row starting with its
+    basement cell, so a cell's left neighbour is the position before it.
+    """
+    every = [(i, j) for i, g in enumerate(shape, start=1) for j in range(g + 1)]
+    pos = {c: p for p, c in enumerate(every)}
+    cells = tuple(c for c in every if c[1])
+    return _Diagram(
+        pos=pos,
+        basements=tuple(pos[(i, 0)] for i in range(1, len(shape) + 1)),
+        cells=cells,
+        cell_pos=tuple(pos[c] for c in cells),
+        leg1=tuple(leg(shape, c) + 1 for c in cells),
+        arm1=tuple(arm(shape, c) + 1 for c in cells),
+        attacks=tuple((pos[a], pos[b]) for a, b in attack_pairs(shape)),
+        triples=tuple((pos[a], pos[b], pos[c]) for a, b, c in triples(shape)),
+        # reading order top to bottom, right to left breaks ties: the
+        # entry read first counts as the smaller one
+        rank=tuple(pos[(i, 0)] + shape[i - 1] - j for i, j in every),
+    )
+
+
+def _repeats(f: AugmentedFilling) -> tuple[Cell, ...]:
+    """The cells whose entry equals their left neighbour's."""
+    d = _diagram(f.shape)
+    v = f._values()
+    return tuple(c for c, p in zip(d.cells, d.cell_pos) if v[p] == v[p - 1])
+
+
+# -- statistics --------------------------------------------------------
+
+
+def is_non_attacking(f: AugmentedFilling) -> bool:
+    v = f._values()
+    return all(v[a] != v[b] for a, b in _diagram(f.shape).attacks)
+
+
+def maj(f: AugmentedFilling) -> int:
+    """Sum of leg+1 over the descent cells, the cells whose entry exceeds
+    the entry immediately to the left."""
+    d = _diagram(f.shape)
+    v = f._values()
+    return sum(l1 for p, l1 in zip(d.cell_pos, d.leg1) if v[p] > v[p - 1])
 
 
 def is_inversion_triple(f: AugmentedFilling, a: Cell, b: Cell, c: Cell) -> bool:
@@ -228,16 +292,17 @@ def is_inversion_triple(f: AugmentedFilling, a: Cell, b: Cell, c: Cell) -> bool:
     With the tie-break applied, the triple is an inversion exactly when
     at least two of a<c, c<b, b<a hold.
     """
-    ka, kb, kc = _tie_key(f, a), _tie_key(f, b), _tie_key(f, c)
-    count = (ka < kc) + (kc < kb) + (kb < ka)
-    return count >= 2
+    d = _diagram(f.shape)
+    ka, kb, kc = (f.entry(*s) * len(d.rank) + d.rank[d.pos[s]] for s in (a, b, c))
+    return (ka < kc) + (kc < kb) + (kb < ka) >= 2
 
 
 def coinv(f: AugmentedFilling) -> int:
     """Number of triples that are not inversion triples."""
-    return sum(
-        0 if is_inversion_triple(f, a, b, c) else 1 for a, b, c in triples(f.shape)
-    )
+    d = _diagram(f.shape)
+    # entry first, then tie-break rank, as one integer
+    k = [v * len(d.rank) + r for v, r in zip(f._values(), d.rank)]
+    return sum((k[a] < k[c]) + (k[c] < k[b]) + (k[b] < k[a]) < 2 for a, b, c in d.triples)
 
 
 # -- enumeration -------------------------------------------------------
@@ -254,59 +319,37 @@ def enumerate_fillings(
     shape = WeakComposition(shape)
     n = len(shape)
     nv = n if nvars is None else int(nvars)
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, shape[i - 1] + 1)]
-    order = {c: idx for idx, c in enumerate(cells)}
+    if rule not in BASEMENT_RULES:
+        raise ValueError(f"unknown basement rule: {rule!r}")
+    d = _diagram(shape)
+    values = [0] * len(d.rank)
+    for i, p in enumerate(d.basements, start=1):
+        values[p] = basement_entry(rule, i, n, nv)
+    # per cell: the earlier positions it attacks, basement cells among
+    # them; a basement cell is never the later one of an attacking pair
+    mates: list[list[int]] = [[] for _ in values]
+    for a, b in d.attacks:
+        mates[max(a, b)].append(min(a, b))
+    spans = [(p + 1, p + 1 + g) for p, g in zip(d.basements, shape)]
+    free = d.cell_pos
 
-    # per cell: earlier cells it must differ from, and basement values to avoid
-    mates: list[list[int]] = [[] for _ in cells]
-    fixed: list[set[int]] = [set() for _ in cells]
-    for a, b in attack_pairs(shape):
-        if b[1] == 0:
-            fixed[order[a]].add(basement_entry(rule, b[0], n, nv))
-            continue
-        ia, ib = order[a], order[b]
-        if ia < ib:
-            mates[ib].append(ia)
-        else:
-            mates[ia].append(ib)
-
-    values: list[int] = [0] * len(cells)
-
-    def rec(pos: int) -> Iterator[AugmentedFilling]:
-        if pos == len(cells):
-            rows = []
-            it = iter(values)
-            for g in shape:
-                rows.append(tuple(next(it) for _ in range(g)))
-            yield AugmentedFilling(shape, rows, rule=rule, nvars=nv)
+    def rec(k: int) -> Iterator[AugmentedFilling]:
+        if k == len(free):
+            vec = tuple(values)
+            rows = tuple(vec[a:b] for a, b in spans)
+            yield AugmentedFilling._trusted(shape, rows, rule, nv, vec)
             return
-        i, j = cells[pos]
-        if descentless:
-            left = (
-                basement_entry(rule, i, n, nv) if j == 1 else values[order[(i, j - 1)]]
-            )
-            top = min(nv, left)
-        else:
-            top = nv
-        banned = fixed[pos]
+        p = free[k]
+        banned = {values[m] for m in mates[p]}
+        top = min(nv, values[p - 1]) if descentless else nv
         for v in range(1, top + 1):
-            if v in banned:
-                continue
-            if any(values[m] == v for m in mates[pos]):
-                continue
-            values[pos] = v
-            yield from rec(pos + 1)
-        values[pos] = 0
+            if v not in banned:
+                values[p] = v
+                yield from rec(k + 1)
 
     yield from rec(0)
 
 
 def is_ssaf_filling(f: AugmentedFilling) -> bool:
     """Non-attacking, descent-free, all triples inversion triples."""
-    if f.rule != "id":
-        return False
-    if not is_non_attacking(f):
-        return False
-    if descent_cells(f):
-        return False
-    return all(is_inversion_triple(f, a, b, c) for a, b, c in triples(f.shape))
+    return f.rule == "id" and is_non_attacking(f) and maj(f) == 0 and coinv(f) == 0

@@ -4,10 +4,13 @@ quasisymmetric sums, the Hall-Littlewood decomposition, and the
 fundamental-basis expansion of the symmetric integral form.
 
 Everything is a weighted sum over non-attacking fillings of an
-augmented diagram.  The basement rule selects the family: identity
-gives the integral nonsymmetric form, reversed (applied to the
-reversed shape) its mirror variant, and a constant basement gives the
-symmetric integral form of the sorted shape.
+augmented diagram, weighed by one helper: x^f q^maj t^coinv times the
+cell factors of the filling's repeat set.  The basement rule selects
+the family: identity gives the integral nonsymmetric form, reversed
+(applied to the reversed shape) its mirror variant, and a constant
+basement gives the symmetric integral form of the sorted shape.  The
+diagram's geometry (legs, arms, attacks, triples) is read from
+``fillings``.
 """
 from __future__ import annotations
 
@@ -18,16 +21,15 @@ from .compositions import (
     Partition,
     WeakComposition,
     compositions_of_partition,
-    composition_of,
     expand_to_weak,
 )
 from .fillings import (
     AugmentedFilling,
-    arm,
-    attack_pairs,
+    _diagram,
+    _repeats,
     coinv,
     enumerate_fillings,
-    leg,
+    is_non_attacking,
     maj,
 )
 from .polynomial import QtPoly, XPoly
@@ -39,38 +41,35 @@ _ONE_MINUS_T = QtPoly({(0, 0): 1, (0, 1): -1})
 def _cell_factors(shape, repeats) -> QtPoly:
     """Product over the cells of (1 - q^(leg+1) t^(arm+1)) for a cell in
     ``repeats`` (it repeats its left neighbour) and (1 - t) otherwise."""
+    d = _diagram(shape)
     w = QtPoly.one()
-    for s in ((i, k) for i, g in enumerate(shape, start=1) for k in range(1, g + 1)):
-        if s in repeats:
-            w = w * QtPoly({(0, 0): 1, (leg(shape, s) + 1, arm(shape, s) + 1): -1})
-        else:
-            w = w * _ONE_MINUS_T
+    for s, l1, a1 in zip(d.cells, d.leg1, d.arm1):
+        w = w * (QtPoly({(0, 0): 1, (l1, a1): -1}) if s in repeats else _ONE_MINUS_T)
     return w
 
 
-def _filling_sum(shape, rule: str, nvars: int, descentless: bool) -> XPoly:
-    """Sum of x^f q^maj t^coinv times the cell factors of the filling's
-    repeat set, over the non-attacking fillings.
+def _weigh(shape, fillings, descentless: bool = False) -> list:
+    """The ``(exponents, coefficient)`` terms of the sum over ``fillings`` of
+    x^f q^maj t^coinv times the cell factors of the filling's repeat set.
 
     The fillings are grouped by repeat set and exponent vector, the
-    q^maj t^coinv inside each group are counted, and each group pays its
-    factor product once; the factors depend on the repeat set alone.
-    The descentless sum is taken at q = 0, where every repeat factor is 1.
+    q^maj t^coinv inside each group are counted, and each repeat set
+    pays its factor product once; the factors depend on it alone.
+    A descentless sum is taken at q = 0, where every repeat factor is 1.
     """
     groups: dict = {}
-    for f in enumerate_fillings(shape, rule=rule, nvars=nvars, descentless=descentless):
-        repeats = frozenset(s for s in f.cells() if f.entry(*s) == f.entry(s[0], s[1] - 1))
-        stats = groups.setdefault(repeats, {}).setdefault(f.exponents(), {})
+    terms = []
+    for f in fillings:
+        stats = groups.setdefault(_repeats(f), {}).setdefault(f.exponents(), {})
         key = (maj(f), coinv(f))
         stats[key] = stats.get(key, 0) + 1
-    terms = []
     for repeats, by_exponents in groups.items():
         if descentless:
             factor = _ONE_MINUS_T ** (shape.size - len(repeats))
         else:
             factor = _cell_factors(shape, repeats)
         terms.extend((e, QtPoly._trusted(stats.items()) * factor) for e, stats in by_exponents.items())
-    return XPoly(nvars, terms)
+    return terms
 
 
 def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = None) -> XPoly:
@@ -89,7 +88,7 @@ def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = Non
     nv = n if nvars is None else int(nvars)
     if basement in ("id", "rev") and nv != n:
         raise ValueError("identity/reversed basements need one variable per row")
-    return _filling_sum(shape, basement, nv, descentless=False)
+    return XPoly(nv, _weigh(shape, enumerate_fillings(shape, basement, nv)))
 
 
 def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
@@ -106,7 +105,8 @@ def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
     nv = n if nvars is None else int(nvars)
     if nv != n:
         raise ValueError("identity basement needs one variable per row")
-    return _filling_sum(shape, "id", nv, descentless=True)
+    fillings = enumerate_fillings(shape, "id", nv, descentless=True)
+    return XPoly(nv, _weigh(shape, fillings, descentless=True))
 
 
 def hall_littlewood_qsym(a, n: int) -> XPoly:
@@ -224,83 +224,38 @@ def j_fundamental_classes(mu):
     """Per-permutation pieces of the fundamental expansion.
 
     Every filling with a constant basement standardizes (relabelling
-    equal entries in reading order) to a standard filling; grouping the
-    full weighted sum by that standard filling is exact because the
-    tie-broken entry comparisons, and hence all triple orientations,
-    are constant on each group.  A group is indexed by the merge sets
-    of adjacent labels that sit in reading order at mutually
-    non-attacking cells; each merge set contributes a monomial term
-    whose cells repeating their left neighbour carry
-    (1 - q^(leg+1) t^(arm+1)) and all others (1 - t), with q^maj
-    counting only the surviving strict descents.
+    equal entries in reading order: columns right to left, top to
+    bottom) to a standard filling σ, so the weighted sum splits into
+    one group per σ.  The group of σ holds its merges: σ with labels i
+    and i + 1 given one value for each i of a merge set, where i is
+    read before i + 1, kept when the merged filling is non-attacking.
+    Each merge is weighed as in the filling sum, and its packed content
+    is the composition of its monomial term.
 
     Yields (reading word, standard rows, M-expansion of the group).
     """
     mu = Partition(mu)
     m = mu.size
-    cells = [(i, k) for i, g in enumerate(mu, start=1) for k in range(1, g + 1)]
-    rank = {c: (-c[1], c[0]) for c in cells}
-    attacks = set()
-    for a, b in attack_pairs(mu):
-        if a[1] != 0 and b[1] != 0:
-            attacks.add(frozenset((a, b)))
     for values in itertools.permutations(range(1, m + 1)):
-        f = dict(zip(cells, values))
-        rows = tuple(
-            tuple(f[(i, k)] for k in range(1, g + 1))
-            for i, g in enumerate(mu, start=1)
-        )
-        filling = AugmentedFilling(mu, rows, rule="const", nvars=m)
-        coinv_f = coinv(filling)
-        cell_of = {v: c for c, v in f.items()}
-        mergeable = [
-            i
-            for i in range(1, m)
-            if rank[cell_of[i]] < rank[cell_of[i + 1]]
-            and frozenset((cell_of[i], cell_of[i + 1])) not in attacks
-        ]
-        desc_cells = [
-            (i, k) for (i, k) in cells if k >= 2 and f[(i, k)] > f[(i, k - 1)]
-        ]
-        terms: list[tuple[Composition, QtPoly]] = []
-        for r in range(len(mergeable) + 1):
-            for chosen in itertools.combinations(mergeable, r):
-                s_set = set(chosen)
-                if not _runs_non_attacking(s_set, m, cell_of, attacks):
-                    continue
-                equal_cells = set()
-                for (i, k) in cells:
-                    if k < 2:
-                        continue
-                    a, b = f[(i, k - 1)], f[(i, k)]
-                    lo, hi = min(a, b), max(a, b)
-                    if all(j in s_set for j in range(lo, hi)):
-                        equal_cells.add((i, k))
-                majv = sum(leg(mu, s) + 1 for s in desc_cells if s not in equal_cells)
-                w = QtPoly({(majv, coinv_f): 1}) * _cell_factors(mu, equal_cells)
-                terms.append((composition_of(frozenset(range(1, m)) - s_set, m), w))
+        it = iter(values)
+        rows = tuple(tuple(next(it) for _ in range(g)) for g in mu)
         word = standard_filling_reading_word(mu, rows)
-        yield word, rows, QSymExpr("M", terms)
+        place = {v: k for k, v in enumerate(word)}
+        mergeable = [i for i in range(1, m) if place[i] < place[i + 1]]
+        merges = (
+            _merge(mu, rows, m, set(chosen))
+            for r in range(len(mergeable) + 1)
+            for chosen in itertools.combinations(mergeable, r)
+        )
+        yield word, rows, QSymExpr("M", _weigh(mu, filter(is_non_attacking, merges)))
 
 
-def _runs_non_attacking(s_set, m, cell_of, attacks) -> bool:
-    # cells of a merged label run share one value, so they must be
-    # pairwise non-attacking, not just consecutively
-    # s_set lies in 1..m-1, so the last step (i = m) closes the last run
-    run: list[int] = []
-    for i in range(1, m + 1):
-        if i in s_set:
-            if not run:
-                run = [i, i + 1]
-            else:
-                run.append(i + 1)
-        else:
-            if len(run) > 2:
-                for x, y in itertools.combinations(run, 2):
-                    if frozenset((cell_of[x], cell_of[y])) in attacks:
-                        return False
-            run = []
-    return True
+def _merge(shape, rows, m: int, merged: set) -> AugmentedFilling:
+    """The standard filling ``rows`` of 1..m with labels i and i + 1
+    sharing a value for each i in ``merged``, over the packed alphabet."""
+    value = list(itertools.accumulate((i not in merged for i in range(m)), initial=0))
+    packed = tuple(tuple(value[v] for v in row) for row in rows)
+    return AugmentedFilling._trusted(shape, packed, "const", m - len(merged))
 
 
 def macdonald_j_fundamental(mu) -> QSymExpr:

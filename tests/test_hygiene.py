@@ -1,7 +1,7 @@
 """Static checks on the source tree: no dead imports, no duplicate
-function bodies and no oracle calls in the library outside ``verify``,
-every exported name is used somewhere, and every property suite is run
-by some test."""
+function bodies, no oracle calls in the library outside ``verify`` and
+no diagram geometry derived outside ``fillings``, every exported name
+is used somewhere, and every property suite is run by some test."""
 import ast
 from collections import defaultdict
 from pathlib import Path
@@ -71,15 +71,14 @@ def test_library_has_no_duplicate_function_bodies():
     assert not duplicates, duplicates
 
 
-def _oracle_calls(path: Path) -> list[str]:
-    """Calls in the file to a function whose name ends in ``_oracle``."""
+def _calls(path: Path) -> list[tuple[str, str]]:
+    """(place, name) of every call in the file to a named function."""
     calls = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            if name.endswith("_oracle"):
-                calls.append(f"{path.name}:{node.lineno} {name}")
+            calls.append((f"{path.name}:{node.lineno}", name))
     return calls
 
 
@@ -87,7 +86,20 @@ def test_only_verify_calls_oracles():
     # brute-force oracles referee the library; no library path runs one
     modules = sorted(p for p in LIBRARY.glob("*.py") if p.name != "verify.py")
     assert modules
-    calls = [call for path in modules for call in _oracle_calls(path)]
+    calls = [
+        f"{place} {name}" for path in modules for place, name in _calls(path)
+        if name.endswith("_oracle")
+    ]
+    assert not calls, calls
+
+
+def test_only_fillings_derives_the_diagram_geometry():
+    # every other module reads legs, arms, attacks and triples from the
+    # table fillings.py builds once per shape
+    geometry = {"leg", "arm", "attack_pairs", "triples"}
+    modules = sorted(p for p in LIBRARY.glob("*.py") if p.name != "fillings.py")
+    assert modules
+    calls = [f"{place} {name}" for path in modules for place, name in _calls(path) if name in geometry]
     assert not calls, calls
 
 

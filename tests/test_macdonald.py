@@ -1,5 +1,9 @@
 import math
+from collections import Counter
 
+import pytest
+
+import qschur.fillings as fillings
 import qschur.macdonald as macdonald
 from qschur.compositions import (
     compositions_of_partition,
@@ -34,6 +38,7 @@ from qschur.qsym import (
     monomial_qsym_poly,
     qschur_in_fundamental,
     qsym_to_poly,
+    qsym_unit,
     schur_in_monomial_oracle,
 )
 from qschur.tableaux import enumerate_ssafs
@@ -62,6 +67,62 @@ def test_maj_coinv_pinned():
     f = AugmentedFilling((1, 2, 0), [[1], [2, 3], []])
     assert maj(f) == 1
     assert coinv(f) == 1
+
+
+def test_filling_entries_and_cells_are_checked():
+    # an entry outside [1, nvars] has no variable, and a cell outside the
+    # augmented diagram has no entry
+    for rows, nvars in (([[0]], None), ([[2]], None), ([[3]], 2), ([[-1]], 2)):
+        with pytest.raises(ValueError):
+            AugmentedFilling((1,), rows, nvars=nvars)
+    f = AugmentedFilling((1, 2), [[1], [2, 1]])
+    for cell in ((0, 1), (-1, 1), (1, 2), (2, 3), (3, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            f.entry(*cell)
+    assert [f.entry(2, j) for j in range(3)] == [2, 2, 1]
+
+
+def test_enumerated_fillings_match_the_public_constructor():
+    # the enumerator builds its fillings unchecked, entries by position
+    # included; each agrees with the validated construction of its rows
+    for n in range(1, 4):
+        for total in range(5):
+            for g in enumerate_weak_compositions(total, n):
+                for rule, nv in (("id", n), ("rev", n), ("const", n), ("const", n + 1)):
+                    for descentless in (False, True):
+                        for f in enumerate_fillings(g, rule, nv, descentless=descentless):
+                            built = AugmentedFilling(g, f.rows, rule, nv)
+                            assert f == built and hash(f) == hash(built)
+                            assert f.rows == built.rows
+                            assert (maj(f), coinv(f)) == (maj(built), coinv(built))
+
+
+def test_diagram_geometry_derived_once_per_shape(monkeypatch):
+    # every filling of a shape reads one table of its geometry, so the
+    # triples and attack pairs are derived once, not once per filling
+    calls = Counter()
+    for name in ("triples", "attack_pairs"):
+        def counted(shape, name=name, original=getattr(fillings, name)):
+            calls[name] += 1
+            return original(shape)
+
+        monkeypatch.setattr(fillings, name, counted)
+    fillings._diagram.cache_clear()
+    macdonald_integral_form((2, 2, 1), "const", 5)
+    assert calls["triples"] <= 1 and calls["attack_pairs"] <= 1
+
+
+def test_degenerate_inputs():
+    # the empty shape, rows of length 0 and too few variables
+    assert macdonald_integral_form((), "id") == XPoly.one(0)
+    assert macdonald_integral_form((0, 0), "id") == XPoly.one(2)
+    assert macdonald_integral_form((2,), "const", 0) == XPoly.zero(0)
+    assert ns_hall_littlewood(()) == XPoly.one(0)
+    assert hall_littlewood_p((), 2) == XPoly.one(2)
+    assert hall_littlewood_p((1,), 0) == XPoly.zero(0)
+    assert macdonald_j_fundamental(()) == qsym_unit("F")
+    assert list(j_fundamental_classes(())) == [((), (), qsym_unit("M"))]
+    assert list(enumerate_fillings((1,), "const", 0)) == []
 
 
 def test_ssafs_have_zero_stats():
