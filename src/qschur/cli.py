@@ -109,11 +109,13 @@ def _specialized(p: XPoly, spec: str | None) -> XPoly:
 
 def cmd_expand(args):
     a = parse_composition(args.composition)
+    _check_guard(a.size, 0, args.force)
     expr = qschur_in_monomial(a) if args.basis == "M" else qschur_in_fundamental(a)
     _emit_qsym(args, expr)
 
 
 def cmd_matrix(args):
+    _check_guard(args.n, 0, args.force)
     comps = enumerate_compositions(args.n)
     mat = transition_matrix(args.basis, args.n)
     lines = []
@@ -134,15 +136,20 @@ def cmd_in_s(args):
     with open(args.expr_file) as fh:
         data = json.load(fh)
     expr = QSymExpr.from_json(data)
+    _check_guard(max((comp.size for comp in expr.terms), default=0), 0, args.force)
     _emit_qsym(args, express_in_qschur(expr))
 
 
 def cmd_pieri_row(args):
-    _emit_qsym(args, pieri_row(parse_composition(args.composition), args.k))
+    a = parse_composition(args.composition)
+    _check_guard(a.size + args.k, 0, args.force)
+    _emit_qsym(args, pieri_row(a, args.k))
 
 
 def cmd_pieri_col(args):
-    _emit_qsym(args, pieri_col(parse_composition(args.composition), args.k))
+    a = parse_composition(args.composition)
+    _check_guard(a.size + args.k, 0, args.force)
+    _emit_qsym(args, pieri_col(a, args.k))
 
 
 def cmd_product(args):
@@ -215,25 +222,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand an S element over M or F")
     p.add_argument("--basis", choices=("M", "F"), required=True)
     p.add_argument("composition")
+    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("matrix", help="transition matrix from S to M or F")
     p.add_argument("--basis", choices=("M", "F"), required=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("in-s", help="rewrite an M/F expression file over S")
     p.add_argument("expr_file")
+    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_in_s)
 
     p = sub.add_parser("pieri-row", help="multiply by a one-row S element")
     p.add_argument("composition")
     p.add_argument("k", type=int)
+    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_pieri_row)
 
     p = sub.add_parser("pieri-col", help="multiply by a one-column S element")
     p.add_argument("composition")
     p.add_argument("k", type=int)
+    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_pieri_col)
 
     p = sub.add_parser("product", help="product of two S elements")

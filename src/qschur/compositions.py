@@ -6,6 +6,7 @@ can index sparse coefficient maps directly.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -163,18 +164,32 @@ def triangle_cmp(a: Iterable[int], b: Iterable[int]) -> int:
 
 
 def enumerate_compositions(n: int) -> list[Composition]:
-    """All 2^(n-1) compositions of n, largest first in the triangle order."""
+    """All 2^(n-1) compositions of n, largest first in the triangle order.
+
+    Each degree is built and sorted once per process; every call returns
+    a fresh list."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return [Composition()]
+    return list(_compositions(n))
+
+
+@lru_cache(maxsize=None)
+def _compositions(n: int) -> tuple[Composition, ...]:
     comps = [composition_of(s, n) for s in _subsets(list(range(1, n)))]
     comps.sort(key=triangle_key, reverse=True)
-    return comps
+    return tuple(comps)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of n, lexicographically decreasing."""
+    """All partitions of n, lexicographically decreasing.
+
+    Each n is enumerated once per process; every call returns a fresh
+    list."""
+    return list(_partitions(n))
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[Partition, ...]:
     out: list[Partition] = []
 
     def rec(rest: int, largest: int, cur: list[int]):
@@ -187,7 +202,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
             cur.pop()
 
     rec(n, n, [])
-    return out
+    return tuple(out)
 
 
 def enumerate_weak_compositions(total: int, parts: int) -> list[WeakComposition]:

@@ -20,8 +20,10 @@ from .compositions import (
     quasi_shuffles,
     to_partition,
 )
+from .polynomial import QtPoly
 from .qsym import (
     QSymExpr,
+    _peel,
     express_in_qschur,
     qschur_in_monomial,
     qschur_polynomial,
@@ -138,20 +140,27 @@ def product_qschur(a, b) -> QSymExpr:
     """Product of two S elements, computed inside QSym.
 
     Expands both factors in the monomial basis, multiplies the monomial
-    functions by quasi-shuffle, and converts back.  Structure constants
-    can be negative.
+    functions by quasi-shuffle, and converts back.  The expansions and the
+    structure constants are integers, so the factor expansions are read as
+    ints and the product is summed and peeled as one integer vector; no
+    ``QtPoly`` is formed after that until each S coefficient is wrapped
+    once.  The matrices and the triangle orders it peels
+    against are cached, so a cold ``qschur product`` process pays for one
+    enumeration per degree.  Structure constants can be negative.
     """
     a, b = Composition(a), Composition(b)
     if a.size + b.size == 0:
         return qsym_unit("S", ())
-    in_m_a = qschur_in_monomial(a).terms.items()
-    in_m_b = qschur_in_monomial(b).terms.items()
-    return express_in_qschur(QSymExpr._trusted("M", (
-        (z, cx * cy * k)
-        for x, cx in in_m_a
-        for y, cy in in_m_b
-        for z, k in quasi_shuffles(x, y).items()
-    )))
+    in_m_a = [(x, c.constant()) for x, c in qschur_in_monomial(a).terms.items()]
+    in_m_b = [(y, c.constant()) for y, c in qschur_in_monomial(b).terms.items()]
+    vector: dict[Composition, int] = {}
+    for x, cx in in_m_a:
+        for y, cy in in_m_b:
+            for z, k in quasi_shuffles(x, y).items():
+                vector[z] = vector.get(z, 0) + cx * cy * k
+    return QSymExpr._trusted("S", (
+        (comp, QtPoly.const(c)) for comp, c in _peel("M", a.size + b.size, vector)
+    ))
 
 
 def product_qschur_oracle(a, b) -> QSymExpr:

@@ -327,28 +327,47 @@ def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
+def _peel(basis: str, n: int, vector: Mapping[Composition, int]) -> list[tuple[Composition, int]]:
+    """The integer S coefficients of a degree-n integer vector over M or F.
+
+    Over M and over F alike, S_a is the element of a plus smaller ones in
+    the triangle order.  So the vector is peeled from the largest
+    composition down: what is left of a coefficient is the S coefficient,
+    and that multiple of the matrix row is taken off the rest.
+    """
+    rest, out = dict(vector), []
+    comps = enumerate_compositions(n)
+    for i, (comp, row) in enumerate(zip(comps, transition_matrix(basis, n))):
+        c = rest.pop(comp, 0)
+        if c:
+            out.append((comp, c))
+            for b, k in zip(comps[i + 1:], row[i + 1:]):
+                if k:
+                    rest[b] = rest.get(b, 0) - c * k
+    return out
+
+
 def express_in_qschur(expr: QSymExpr) -> QSymExpr:
     """Rewrite an M- or F-expression over the S basis.
 
-    Over M and over F alike, S_a is the element of a plus smaller ones in
-    the triangle order.  So each degree is peeled in the input's basis from
-    the largest composition down: what is left of a coefficient is the S
-    coefficient, and that multiple of the matrix row is taken off the rest.
+    The change of basis is Z-linear, so the input is split into one
+    integer vector per degree and (q, t) exponent, each vector is peeled
+    in the input's own basis by :func:`_peel`, and each S coefficient is
+    built as a ``QtPoly`` once, from its integer parts.  The triangle
+    order of a degree comes from the cached ``enumerate_compositions``,
+    so a process sorts it once.
     """
     if expr.basis == "S":
         return expr
-    rest, out = dict(expr.terms), []
-    zero = QtPoly.zero()
-    for n in sorted({comp.size for comp in rest}):
-        comps = enumerate_compositions(n)
-        for i, (comp, row) in enumerate(zip(comps, transition_matrix(expr.basis, n))):
-            c = rest.pop(comp, zero)
-            if c:
-                out.append((comp, c))
-                for b, k in zip(comps[i + 1:], row[i + 1:]):
-                    if k:
-                        rest[b] = rest.get(b, zero) + c * -k
-    return QSymExpr._trusted("S", out)
+    vectors: dict[tuple[int, tuple[int, int]], dict[Composition, int]] = {}
+    for comp, c in expr.terms.items():
+        for qt, k in c.items():
+            vectors.setdefault((comp.size, qt), {})[comp] = k
+    parts: dict[Composition, list[tuple[tuple[int, int], int]]] = {}
+    for (n, qt), vector in vectors.items():
+        for comp, k in _peel(expr.basis, n, vector):
+            parts.setdefault(comp, []).append((qt, k))
+    return QSymExpr._trusted("S", ((comp, QtPoly._trusted(p)) for comp, p in parts.items()))
 
 
 # -- extraction from polynomials --------------------------------------------

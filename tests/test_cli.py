@@ -96,6 +96,31 @@ def test_guard_names_only_the_quantity_over_its_limit(capsys):
     assert "27 cells exceeds the limit of 8 and 7 variables exceeds the limit of 6" in err
 
 
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ("expand", "--basis", "M", "(5,4)"),
+        ("matrix", "--basis", "F", "--n", "9"),
+        ("pieri-row", "(4,3)", "2"),
+        ("pieri-col", "(4,3)", "2"),
+        ("in-s", "EXPR"),
+    ],
+)
+def test_guarded_verbs_refuse_nine_cells_unless_forced(tmp_path, capsys, verb):
+    # in-s counts the largest degree of its input: (1,3) and (5,4)
+    path = tmp_path / "expr.json"
+    terms = [{"composition": c, "coeff": [[0, 0, 1]]} for c in ([1, 3], [5, 4])]
+    path.write_text(json.dumps({"basis": "F", "terms": terms}))
+    verb = tuple(str(path) if arg == "EXPR" else arg for arg in verb)
+    rc, out, err = run_cli(capsys, *verb)
+    assert rc == 1 and out == ""
+    assert "enumeration guard: 9 cells exceeds the limit of 8" in err
+    assert "variables" not in err
+    rc, out, err = run_cli(capsys, *verb, "--force")
+    assert rc == 0, err
+    assert out.strip()
+
+
 def test_atom(capsys):
     rc, out, _ = run_cli(capsys, "atom", "--shape", "(1,0,2)")
     assert rc == 0

@@ -111,6 +111,18 @@ def test_enumerate_compositions_counts():
     assert len(enumerate_compositions(5)) == 16
 
 
+def test_enumerations_hand_out_fresh_lists():
+    # the enumerations are cached per process; a caller's edits stay its own
+    for enumerate_ in (enumerate_compositions, enumerate_partitions):
+        first = enumerate_(5)
+        expected = list(first)
+        first.append(Composition((9,)))
+        first.reverse()
+        assert enumerate_(5) == expected
+    with pytest.raises(ValueError):
+        enumerate_compositions(-1)
+
+
 def test_enumerate_partitions():
     assert enumerate_partitions(0) == [()]
     assert enumerate_partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]

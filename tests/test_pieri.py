@@ -20,7 +20,7 @@ from qschur.pieri import (
     strip_column_set,
     vertical_strips_over,
 )
-from qschur.polynomial import XPoly
+from qschur.polynomial import QtPoly, XPoly
 from qschur.qsym import QSymExpr, qsym_unit, schur_in_qschur
 
 
@@ -111,6 +111,15 @@ def test_product_builds_no_polynomial(monkeypatch):
     monkeypatch.setattr(XPoly, "__rmul__", forbidden)
     monkeypatch.setattr(qsym, "qschur_polynomial", forbidden)
     monkeypatch.setattr(pieri, "qschur_polynomial", forbidden)
+    assert product_qschur((2, 1), (2, 1)) == QSymExpr("S", SIGNED_SQUARE)
+
+
+def test_product_does_no_qtpoly_arithmetic(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product kernel did QtPoly arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(QtPoly, name, forbidden)
     assert product_qschur((2, 1), (2, 1)) == QSymExpr("S", SIGNED_SQUARE)
 
 

@@ -136,6 +136,25 @@ def test_express_is_independent_of_the_input_basis(e):
     assert express_in_qschur(e) == express_in_qschur(other)
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_expressions())
+def test_express_round_trips_through_the_fundamental_expansions(e):
+    """Sum coeff * qschur_in_fundamental(comp) over the S result; this
+    refills tableaux and never peels."""
+    back = QSymExpr("F")
+    for comp, c in express_in_qschur(e).terms.items():
+        back = back + qschur_in_fundamental(comp).scale(c)
+    assert back == (m_to_f(e) if e.basis == "M" else e)
+
+
+def test_express_keeps_the_exponents_that_do_not_cancel():
+    # the q^0 part F(1,3) + F(2,2) is S(1,3), so it peels to zero at (2,2),
+    # while the q part q*F(1,3) does not
+    q = QtPoly.q()
+    e = QSymExpr("F", {(1, 3): 1 + q, (2, 2): 1})
+    assert express_in_qschur(e) == QSymExpr("S", {(1, 3): 1 + q, (2, 2): -q, (1, 2, 1): q})
+
+
 def test_xpoly_to_monomial():
     assert xpoly_to_monomial(qschur_polynomial((1, 2), 3)) == QSymExpr(
         "M", {(1, 2): 1, (1, 1, 1): 1}
