@@ -195,6 +195,10 @@ def cmd_j_fund(args):
 
 
 def cmd_verify(args):
+    if args.max_size is not None:
+        # the first bound counts cells; hl-chain also runs that many variables
+        nvars = args.max_size if args.suite == "hl-chain" else 0
+        _check_guard(args.max_size, nvars, args.force)
     rc = 0
     for name, cases, fails in run_suite(args.suite, args.max_size):
         for msg in fails:
@@ -290,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named property suite")
     p.add_argument("suite")
     p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     return parser

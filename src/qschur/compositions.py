@@ -218,13 +218,11 @@ def enumerate_weak_compositions(total: int, parts: int) -> list[WeakComposition]
 
 
 def compositions_of_partition(l: Iterable[int]) -> list[Composition]:
-    """All distinct rearrangements of the parts of ``l``."""
+    """All distinct rearrangements of the parts of ``l``, largest first in
+    the triangle order: they share one sorted partition, so that is the
+    lexicographic order."""
     l = tuple(p for p in l if p != 0)
-    return sorted(
-        (Composition(p) for p in set(itertools.permutations(l))),
-        key=triangle_key,
-        reverse=True,
-    )
+    return [Composition(p) for p in sorted(set(itertools.permutations(l)), reverse=True)]
 
 
 def expand_to_weak(a: Iterable[int], n: int) -> list[WeakComposition]:
@@ -248,7 +246,13 @@ def quasi_shuffles(x: Iterable[int], y: Iterable[int]) -> dict[Composition, int]
     their sum, so M_x * M_y is the sum of k * M_z over the returned
     ``{z: k}``.
     """
-    x, y = Composition(x), Composition(y)
+    counts = _quasi_shuffles(Composition(x), Composition(y))
+    return {Composition(z): k for z, k in counts.items()}
+
+
+def _quasi_shuffles(x: tuple[int, ...], y: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """:func:`quasi_shuffles` of two valid compositions, keyed by plain
+    tuples (equal and hashing equal to the compositions they spell)."""
     counts: dict[tuple[int, ...], int] = {}
 
     def rec(i: int, j: int, prefix: tuple[int, ...]):
@@ -261,7 +265,7 @@ def quasi_shuffles(x: Iterable[int], y: Iterable[int]) -> dict[Composition, int]
         rec(i + 1, j + 1, prefix + (x[i] + y[j],))
 
     rec(0, 0, ())
-    return {Composition(z): k for z, k in counts.items()}
+    return counts
 
 
 def _parse_parts(text: str, kind: str) -> list[int]:

@@ -15,9 +15,10 @@ from typing import Iterable
 from .compositions import (
     Composition,
     Partition,
+    _compositions,
+    _quasi_shuffles,
     compositions_of_partition,
     enumerate_partitions,
-    quasi_shuffles,
     to_partition,
 )
 from .polynomial import QtPoly
@@ -25,9 +26,9 @@ from .qsym import (
     QSymExpr,
     _peel,
     express_in_qschur,
-    qschur_in_monomial,
     qschur_polynomial,
     qsym_unit,
+    transition_matrix,
     xpoly_to_monomial,
 )
 from .tableaux import SkewShape, horizontal_strip, vertical_strip
@@ -35,35 +36,37 @@ from .tableaux import SkewShape, horizontal_strip, vertical_strip
 
 def rem(a, s: int) -> Composition | None:
     """Subtract 1 from the rightmost part equal to s, or return None."""
-    a = Composition(a)
-    if s < 1:
-        raise ValueError("part size must be positive")
-    for i in range(len(a) - 1, -1, -1):
-        if a[i] == s:
-            parts = list(a)
-            parts[i] = s - 1
-            return Composition(p for p in parts if p)
-    return None
+    return _removed(a, (s,))
 
 
 def row_op(a, s: Iterable[int]) -> Composition | None:
     """Apply rem for each element of the set, largest first."""
-    cur = Composition(a)
-    for v in sorted(set(s), reverse=True):
-        cur = rem(cur, v)
-        if cur is None:
-            return None
-    return cur
+    return _removed(a, sorted(set(s), reverse=True))
 
 
 def col_op(a, ms: Iterable[int]) -> Composition | None:
     """Apply rem for each element of the multiset, smallest first."""
-    cur = Composition(a)
-    for v in sorted(ms):
-        cur = rem(cur, v)
-        if cur is None:
+    return _removed(a, sorted(ms))
+
+
+def _removed(a, sizes: Iterable[int]) -> Composition | None:
+    parts = _remove_cells(Composition(a), sizes)
+    return None if parts is None else Composition(parts)
+
+
+def _remove_cells(parts: tuple[int, ...], sizes: Iterable[int]) -> tuple[int, ...] | None:
+    """rem for each size in turn on a plain tuple of positive parts; a
+    part that reaches 0 is dropped, and a missing size gives None."""
+    for s in sizes:
+        if s < 1:
+            raise ValueError("part size must be positive")
+        for i in range(len(parts) - 1, -1, -1):
+            if parts[i] == s:
+                parts = parts[:i] + ((s - 1,) if s > 1 else ()) + parts[i + 1:]
+                break
+        else:
             return None
-    return cur
+    return parts
 
 
 # -- strip generation -------------------------------------------------------
@@ -110,57 +113,63 @@ def strip_column_multiset(mu, lam) -> tuple[int, ...]:
 # -- Pieri expansions --------------------------------------------------------
 
 
-def _pieri(a, n: int, strips_over, strip_columns, op) -> QSymExpr:
+def _pieri(a, n: int, strips_over, strip_columns, largest_first: bool) -> QSymExpr:
     """Sum of the compositions whose sorted shape is a strip over that of
-    ``a`` and which ``op`` takes back to ``a`` along the strip columns."""
+    ``a`` and which rem, applied along the strip columns in the given
+    order, takes back to ``a``."""
     a = Composition(a)
     if n < 1:
         raise ValueError("n must be positive")
     lam = to_partition(a)
-    terms = {}
+    terms = []
     for mu in strips_over(lam, n):
-        cols = strip_columns(mu, lam)
-        for b in compositions_of_partition(mu):
-            if op(b, cols) == a:
-                terms[b] = 1
-    return QSymExpr("S", terms)
+        sizes = sorted(strip_columns(mu, lam), reverse=largest_first)
+        terms += [b for b in compositions_of_partition(mu) if _remove_cells(b, sizes) == a]
+    return QSymExpr._trusted("S", ((b, QtPoly.one()) for b in terms))
 
 
 def pieri_row(a, n: int) -> QSymExpr:
     """Expansion of (single row of size n) times the S element of ``a``."""
-    return _pieri(a, n, horizontal_strips_over, strip_column_set, row_op)
+    return _pieri(a, n, horizontal_strips_over, strip_column_set, True)
 
 
 def pieri_col(a, n: int) -> QSymExpr:
     """Expansion of (single column of size n) times the S element of ``a``."""
-    return _pieri(a, n, vertical_strips_over, strip_column_multiset, col_op)
+    return _pieri(a, n, vertical_strips_over, strip_column_multiset, False)
 
 
 def product_qschur(a, b) -> QSymExpr:
     """Product of two S elements, computed inside QSym.
 
-    Expands both factors in the monomial basis, multiplies the monomial
-    functions by quasi-shuffle, and converts back.  The expansions and the
-    structure constants are integers, so the factor expansions are read as
-    ints and the product is summed and peeled as one integer vector; no
-    ``QtPoly`` is formed after that until each S coefficient is wrapped
-    once.  The matrices and the triangle orders it peels
-    against are cached, so a cold ``qschur product`` process pays for one
-    enumeration per degree.  Structure constants can be negative.
+    Reads both factors' monomial expansions off their rows of the cached
+    ``transition_matrix("M", n)``, multiplies the monomial functions by
+    quasi-shuffle, and converts back.  The expansions and the structure
+    constants are integers, so ``cx * cy * k`` is summed over the
+    quasi-shuffles into one integer vector keyed by plain tuples and
+    peeled over M; a ``Composition`` and a ``QtPoly`` are built only for
+    each S term of the result.  The matrices and triangle orders are
+    cached, so a cold ``qschur product`` process builds the M matrices
+    of |a|, |b| and |a|+|b| once.  Structure constants can be negative.
     """
     a, b = Composition(a), Composition(b)
     if a.size + b.size == 0:
         return qsym_unit("S", ())
-    in_m_a = [(x, c.constant()) for x, c in qschur_in_monomial(a).terms.items()]
-    in_m_b = [(y, c.constant()) for y, c in qschur_in_monomial(b).terms.items()]
-    vector: dict[Composition, int] = {}
-    for x, cx in in_m_a:
+    in_m_b = _monomial_row(b)
+    vector: dict[tuple[int, ...], int] = {}
+    for x, cx in _monomial_row(a):
         for y, cy in in_m_b:
-            for z, k in quasi_shuffles(x, y).items():
+            for z, k in _quasi_shuffles(x, y).items():
                 vector[z] = vector.get(z, 0) + cx * cy * k
     return QSymExpr._trusted("S", (
         (comp, QtPoly.const(c)) for comp, c in _peel("M", a.size + b.size, vector)
     ))
+
+
+def _monomial_row(a: Composition) -> list[tuple[Composition, int]]:
+    """The nonzero entries of row ``a`` of the M transition matrix."""
+    comps = _compositions(a.size)
+    row = transition_matrix("M", a.size)[comps.index(a)]
+    return [(c, k) for c, k in zip(comps, row) if k]
 
 
 def product_qschur_oracle(a, b) -> QSymExpr:

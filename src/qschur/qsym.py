@@ -312,23 +312,28 @@ def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
 
     Refills each standard reverse tableau of size n once; a refill of shape
     a adds 1 to row a at its descent composition, or over M at every
-    refinement of it."""
+    refinement of it.  The columns a descent composition adds to are
+    listed once per build, since many tableaux share one."""
     if basis_to not in ("M", "F"):
         raise ValueError("basis_to must be 'M' or 'F'")
     comps = enumerate_compositions(n)
     index = {c: i for i, c in enumerate(comps)}
     rows = [[0] * len(comps) for _ in comps]
+    columns: dict[Composition, list[int]] = {}
     for lam in enumerate_partitions(n):
         for t in map(rt_to_comt, enumerate_standard_reverse_tableaux(lam)):
             b = composition_of(comt_descents(t), n)
+            if b not in columns:
+                columns[b] = [index[c] for c in (refinements(b) if basis_to == "M" else (b,))]
             row = rows[index[t.shape()]]
-            for c in refinements(b) if basis_to == "M" else (b,):
-                row[index[c]] += 1
+            for j in columns[b]:
+                row[j] += 1
     return tuple(map(tuple, rows))
 
 
-def _peel(basis: str, n: int, vector: Mapping[Composition, int]) -> list[tuple[Composition, int]]:
-    """The integer S coefficients of a degree-n integer vector over M or F.
+def _peel(basis: str, n: int, vector: Mapping[tuple[int, ...], int]) -> list[tuple[Composition, int]]:
+    """The integer S coefficients of a degree-n integer vector over M or F,
+    keyed by compositions or by the plain tuples that spell them.
 
     Over M and over F alike, S_a is the element of a plus smaller ones in
     the triangle order.  So the vector is peeled from the largest

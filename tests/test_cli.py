@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qschur import cli
 from qschur.cli import main
 from qschur.pieri import pieri_col
 from qschur.qsym import qschur_polynomial
@@ -248,6 +249,28 @@ def test_verify_suite(capsys):
 def test_verify_unknown_suite(capsys):
     rc, _, err = run_cli(capsys, "verify", "nonsense")
     assert rc == 1
+
+
+def test_verify_guards_max_size(capsys, monkeypatch):
+    # the first bound counts cells; hl-chain also runs that many variables
+    rc, out, err = run_cli(capsys, "verify", "product", "--max-size", "9")
+    assert rc == 1 and out == ""
+    assert "enumeration guard: 9 cells exceeds the limit of 8" in err
+    rc, out, err = run_cli(capsys, "verify", "hl-chain", "--max-size", "7")
+    assert rc == 1 and out == ""
+    assert "enumeration guard: 7 variables exceeds the limit of 6" in err
+    calls = []
+
+    def fake_run_suite(name, max_size=None):
+        calls.append((name, max_size))
+        return [(name, 1, [])]
+
+    monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+    for suite, size in (("product", "9"), ("hl-chain", "7")):
+        rc, out, _ = run_cli(capsys, "verify", suite, "--max-size", size, "--force")
+        assert rc == 0
+        assert out.strip() == f"suite {suite}: all checks passed (1 cases)"
+    assert calls == [("product", 9), ("hl-chain", 7)]
 
 
 def test_out_file(tmp_path, capsys):

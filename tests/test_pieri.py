@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qschur import pieri, qsym, tableaux
 from qschur.compositions import (
+    Composition,
     compositions_of_partition,
     enumerate_compositions,
     enumerate_partitions,
@@ -30,6 +32,10 @@ def test_rem():
     assert rem((1, 2, 3), 5) is None
     assert rem((1,), 1) == ()
     assert rem((2, 1, 2), 2) == (2, 1, 1)
+    assert type(rem((1, 2, 3), 3)) is Composition and type(rem((1,), 1)) is Composition
+    for bad in (((1, 2), 0), ((1, 0), 1), ((1, -2), 1)):
+        with pytest.raises(ValueError):
+            rem(*bad)
 
 
 def test_row_and_col_ops():
@@ -40,6 +46,13 @@ def test_row_and_col_ops():
     assert col_op((1, 1), (1, 1)) == ()
     assert col_op((1, 1), (1, 1)) is not None
     assert row_op((1, 2), {3}) is None
+    assert type(row_op((2, 2), set())) is Composition and type(col_op((1, 1), (1, 1))) is Composition
+    # a size below 1 raises once it is reached, as it did for rem
+    with pytest.raises(ValueError):
+        col_op((1, 2), (0, 3))
+    with pytest.raises(ValueError):
+        row_op((1, 2), {0, 2})
+    assert row_op((1, 2), {0, 3}) is None
 
 
 def test_strips():
@@ -115,11 +128,26 @@ def test_product_builds_no_polynomial(monkeypatch):
 
 
 def test_product_does_no_qtpoly_arithmetic(monkeypatch):
+    """Every pair with |a| + |b| <= 5, (1,3) x (1,) among them: its factor
+    S(1,3) = F(1,3) + F(2,2) shares refinements, which f_to_m would add as
+    QtPolys."""
+    pairs = [
+        (a, b)
+        for total in range(6)
+        for m in range(total + 1)
+        for a in enumerate_compositions(m)
+        for b in enumerate_compositions(total - m)
+    ]
+    expected = [product_qschur(a, b) for a, b in pairs]
+
     def forbidden(*args, **kwargs):
         raise AssertionError("the product kernel did QtPoly arithmetic")
 
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(QtPoly, name, forbidden)
+    assert ((1, 3), (1,)) in pairs
+    for (a, b), product in zip(pairs, expected):
+        assert product_qschur(a, b) == product, (a, b)
     assert product_qschur((2, 1), (2, 1)) == QSymExpr("S", SIGNED_SQUARE)
 
 
@@ -167,12 +195,12 @@ def test_expansions_enumerate_only_standard_reverse_tableaux(monkeypatch):
 
 def test_basis_change_takes_no_detour(monkeypatch):
     """The matrices are built from refills, not from the single-composition
-    expansions, and neither express nor the product converts M to F."""
+    expansions, and neither express nor the product converts between M
+    and F or expands a single composition."""
     def forbidden(*args, **kwargs):
         raise AssertionError("the basis change took a detour")
 
-    in_fundamental = qsym.qschur_in_fundamental
-    for name in ("m_to_f", "qschur_in_fundamental", "qschur_in_monomial"):
+    for name in ("f_to_m", "m_to_f", "qschur_in_fundamental", "qschur_in_monomial"):
         monkeypatch.setattr(qsym, name, forbidden)
     qsym.transition_matrix.cache_clear()
     try:
@@ -182,8 +210,6 @@ def test_basis_change_takes_no_detour(monkeypatch):
             "S", {(1, 3): 1, (2, 2): -1, (1, 1, 2): -1, (1, 1, 1, 1): 1}
         )
         qsym.transition_matrix("M", 6)
-        # the product expands its two factors over M, through F
-        monkeypatch.setattr(qsym, "qschur_in_fundamental", in_fundamental)
         assert product_qschur((2, 1), (2, 1)) == QSymExpr("S", SIGNED_SQUARE)
     finally:
         qsym.transition_matrix.cache_clear()
