@@ -30,7 +30,6 @@ from .fillings import AugmentedFilling, arm, coinv, enumerate_fillings, leg, maj
 from .tableaux import (
     CompositionTableau,
     ReverseTableau,
-    SkewShape,
     comt_descents,
     comt_to_ssaf,
     enumerate_comts,
@@ -38,7 +37,6 @@ from .tableaux import (
     enumerate_ssafs,
     enumerate_standard_comts,
     enumerate_standard_reverse_tableaux,
-    horizontal_strip,
     is_comt,
     is_reversetableau,
     rt_descents,
@@ -47,7 +45,6 @@ from .tableaux import (
     ssaf_to_comt,
     ssaf_to_rt,
     standardize,
-    vertical_strip,
 )
 from .insertion import (
     InsertionResult,
@@ -101,7 +98,6 @@ from .macdonald import (
     macdonald_j_fundamental,
     ns_hall_littlewood,
     standard_filling_reading_word,
-    triple_base,
 )
 
 __version__ = "0.1.0"

@@ -89,7 +89,8 @@ def skyline_insert(t: CompositionTableau, k: int) -> InsertionResult:
     filled position bumps when its entry is smaller than the carried
     value and the carried value fits under the entry to its left.  A
     value carried past column 2 starts a new row of length one, placed
-    so the first column stays strictly increasing.
+    so the first column stays strictly increasing (ValueError if it
+    cannot: the input was not a composition tableau).
     """
     if k < 1:
         raise ValueError("entries are positive integers")
@@ -114,7 +115,7 @@ def skyline_insert(t: CompositionTableau, k: int) -> InsertionResult:
         while pos < len(rows) and rows[pos][0] < cur:
             pos += 1
         if pos < len(rows) and rows[pos][0] == cur:
-            raise AssertionError("new row would break the first column")
+            raise ValueError("not a composition tableau: the new row would break the first column")
         rows.insert(pos, [cur])
         placed = (pos, 0)
         touched = [(i if i < pos else i + 1, j) for i, j in touched]
@@ -129,7 +130,7 @@ def skyline_uninsert(t: CompositionTableau, length: int) -> tuple[CompositionTab
 
     The last cell of the lowest row of that length is removed and the
     bumping chain is rewound; returns the smaller tableau and the value
-    whose insertion reproduces the input.
+    whose insertion reproduces the input (ValueError if it does not).
     """
     rows = [list(r) for r in t.rows]
     i0 = None
@@ -160,7 +161,7 @@ def skyline_uninsert(t: CompositionTableau, length: int) -> tuple[CompositionTab
     smaller = CompositionTableau(rows)
     redo = skyline_insert(smaller, cur)
     if redo.result != t:
-        raise AssertionError("uninsertion failed to invert the insertion")
+        raise ValueError("not the result of an insertion: re-inserting does not give the input")
     return smaller, cur
 
 

@@ -206,20 +206,6 @@ def standard_filling_reading_word(mu, rows) -> tuple[int, ...]:
     return tuple(word)
 
 
-def triple_base(f: "AugmentedFilling", a, b, c):
-    """Base square of a triple: the cell holding the middle entry, or
-    the smallest entry when a basement square participates."""
-    named = [(f.entry(*s), s) for s in (a, b, c)]
-    named.sort()
-    if a[1] == 0 or b[1] == 0 or c[1] == 0:
-        choice = named[0][1]
-    else:
-        choice = named[1][1]
-    if choice[1] == 0:
-        raise ValueError("base square fell on the basement")
-    return choice
-
-
 def j_fundamental_classes(mu):
     """Per-permutation pieces of the fundamental expansion.
 

@@ -31,7 +31,6 @@ from .qsym import (
     transition_matrix,
     xpoly_to_monomial,
 )
-from .tableaux import SkewShape, horizontal_strip, vertical_strip
 
 
 def rem(a, s: int) -> Composition | None:
@@ -72,32 +71,30 @@ def _remove_cells(parts: tuple[int, ...], sizes: Iterable[int]) -> tuple[int, ..
 # -- strip generation -------------------------------------------------------
 
 
-def _strips_over(lam, n: int, is_strip) -> list[Partition]:
-    """Partitions of |lam| + n that contain ``lam`` and whose skew shape
-    over ``lam`` passes the strip predicate."""
+def _strips_over(lam, n: int, horizontal: bool) -> list[tuple[Partition, tuple[int, ...]]]:
+    """Partitions mu of |lam| + n that contain ``lam`` and whose cells
+    mu/lam share no column (horizontal) or no row (vertical), each with
+    the sorted columns of mu/lam."""
     lam = Partition(lam)
-    return [
-        mu
-        for mu in enumerate_partitions(lam.size + n)
-        if len(mu) >= len(lam)
-        and all(m >= l for m, l in zip(mu, lam))
-        and is_strip(SkewShape(mu, lam))
-    ]
+    strips = []
+    for mu in enumerate_partitions(lam.size + n):
+        grown = [m - l for m, l in zip(mu, tuple(lam) + (0,) * len(mu))]
+        if len(mu) < len(lam) or min(grown, default=0) < 0:
+            continue
+        columns = strip_column_multiset(mu, lam)
+        if (len(set(columns)) == n) if horizontal else (max(grown, default=0) <= 1):
+            strips.append((mu, columns))
+    return strips
 
 
 def horizontal_strips_over(lam, n: int) -> list[Partition]:
     """Partitions obtained from ``lam`` by adding an n-cell horizontal strip."""
-    return _strips_over(lam, n, horizontal_strip)
+    return [mu for mu, _ in _strips_over(lam, n, True)]
 
 
 def vertical_strips_over(lam, n: int) -> list[Partition]:
     """Partitions obtained from ``lam`` by adding an n-cell vertical strip."""
-    return _strips_over(lam, n, vertical_strip)
-
-
-def strip_column_set(mu, lam) -> frozenset[int]:
-    """Columns (1-based) occupied by the cells of mu/lam."""
-    return frozenset(strip_column_multiset(mu, lam))
+    return [mu for mu, _ in _strips_over(lam, n, False)]
 
 
 def strip_column_multiset(mu, lam) -> tuple[int, ...]:
@@ -113,29 +110,29 @@ def strip_column_multiset(mu, lam) -> tuple[int, ...]:
 # -- Pieri expansions --------------------------------------------------------
 
 
-def _pieri(a, n: int, strips_over, strip_columns, largest_first: bool) -> QSymExpr:
+def _pieri(a, n: int, horizontal: bool) -> QSymExpr:
     """Sum of the compositions whose sorted shape is a strip over that of
-    ``a`` and which rem, applied along the strip columns in the given
-    order, takes back to ``a``."""
+    ``a`` and which rem, applied along the strip's columns (largest first
+    for a row, whose columns are distinct), takes back to ``a``."""
     a = Composition(a)
     if n < 1:
         raise ValueError("n must be positive")
     lam = to_partition(a)
     terms = []
-    for mu in strips_over(lam, n):
-        sizes = sorted(strip_columns(mu, lam), reverse=largest_first)
+    for mu, columns in _strips_over(lam, n, horizontal):
+        sizes = columns[::-1] if horizontal else columns
         terms += [b for b in compositions_of_partition(mu) if _remove_cells(b, sizes) == a]
     return QSymExpr._trusted("S", ((b, QtPoly.one()) for b in terms))
 
 
 def pieri_row(a, n: int) -> QSymExpr:
     """Expansion of (single row of size n) times the S element of ``a``."""
-    return _pieri(a, n, horizontal_strips_over, strip_column_set, True)
+    return _pieri(a, n, True)
 
 
 def pieri_col(a, n: int) -> QSymExpr:
     """Expansion of (single column of size n) times the S element of ``a``."""
-    return _pieri(a, n, vertical_strips_over, strip_column_multiset, False)
+    return _pieri(a, n, False)
 
 
 def product_qschur(a, b) -> QSymExpr:

@@ -30,51 +30,6 @@ def _freeze(rows: Iterable[Iterable[int]]) -> Rows:
     return tuple(tuple(int(v) for v in r) for r in rows)
 
 
-class SkewShape:
-    """An outer partition with an inner partition removed."""
-
-    __slots__ = ("outer", "inner")
-
-    def __init__(self, outer, inner=()):
-        self.outer = Partition(outer)
-        self.inner = Partition(inner)
-        if len(self.inner) > len(self.outer) or any(
-            m > l for m, l in zip(self.inner, self.outer)
-        ):
-            raise ValueError(f"{tuple(self.inner)} not contained in {tuple(self.outer)}")
-
-    def cells(self) -> list[tuple[int, int]]:
-        out = []
-        for i, l in enumerate(self.outer):
-            m = self.inner[i] if i < len(self.inner) else 0
-            out.extend((i, j) for j in range(m, l))
-        return out
-
-    @property
-    def size(self) -> int:
-        return len(self.cells())
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewShape):
-            return NotImplemented
-        return self.outer == other.outer and self.inner == other.inner
-
-    def __repr__(self):
-        return f"SkewShape({tuple(self.outer)}, {tuple(self.inner)})"
-
-
-def horizontal_strip(s: SkewShape) -> bool:
-    """No two cells of the skew diagram share a column."""
-    cols = [j for _, j in s.cells()]
-    return len(cols) == len(set(cols))
-
-
-def vertical_strip(s: SkewShape) -> bool:
-    """No two cells of the skew diagram share a row."""
-    rows = [i for i, _ in s.cells()]
-    return len(rows) == len(set(rows))
-
-
 class _Tableau:
     """Rows of positive entries, and the statistics read off them.  A
     tableau equals only a tableau of its own kind with the same rows."""

@@ -299,8 +299,9 @@ def suite_macdonald(max_cells: int = 4, max_vars: int = 4) -> SuiteResult:
     """Specializations of the integral forms: identity basement at
     q = t = 0 is the Demazure atom, q = 0 is the descentless form (whose
     t = 0 value is the atom again), the constant basement at q = t = 0 is
-    the Schur polynomial; and the descentless fillings that are valid
-    are exactly the enumerated ones."""
+    the Schur polynomial; the constant basement form is symmetric, fixed
+    by every swap of adjacent variables; and the descentless fillings
+    that are valid are exactly the enumerated ones."""
     cases, fails = 0, []
     for n in range(1, max_vars + 1):
         for total in range(1, max_cells + 1):
@@ -319,6 +320,8 @@ def suite_macdonald(max_cells: int = 4, max_vars: int = 4) -> SuiteResult:
                 J = macdonald_integral_form(g, "const", n)
                 if J.specialize(q=0, t=0) != qsym_to_poly(schur_in_monomial_oracle(lam), n):
                     fails.append(f"constant basement specialization fails at {g}")
+                if any(J != J.swap_variables(i, i + 1) for i in range(1, n)):
+                    fails.append(f"constant basement form is not symmetric at {g}")
                 ssafs = {f.rows for f in enumerate_ssafs(g)}
                 described = {
                     f.rows

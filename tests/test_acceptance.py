@@ -192,6 +192,20 @@ def test_criterion_10_master_specializations(check_suite):
     _report(10, "master-formula specializations", started, 60.0)
 
 
+def triple_base(f, a, b, c):
+    """Base square of a triple: the cell holding the middle entry, or
+    the smallest entry when a basement square participates."""
+    named = [(f.entry(*s), s) for s in (a, b, c)]
+    named.sort()
+    if a[1] == 0 or b[1] == 0 or c[1] == 0:
+        choice = named[0][1]
+    else:
+        choice = named[1][1]
+    if choice[1] == 0:
+        raise ValueError("base square fell on the basement")
+    return choice
+
+
 def _printed_factor_product(mu, rows):
     """Per-permutation factor product with the printed statistics:
     each cell carries q^inv t^nondes - q^coinv t^(1+majc); inv/coinv
@@ -202,8 +216,7 @@ def _printed_factor_product(mu, rows):
     f = AugmentedFilling(mu, rows, rule="const", nvars=m)
     inv, coinv = {}, {}
     for a, b, c in triples(mu):
-        named = sorted((f.entry(*s), s) for s in (a, b, c))
-        base = named[0][1] if 0 in (a[1], b[1], c[1]) else named[1][1]
+        base = triple_base(f, a, b, c)
         if is_inversion_triple(f, a, b, c):
             inv[base] = inv.get(base, 0) + 1
         else:
@@ -219,6 +232,22 @@ def _printed_factor_product(mu, rows):
             - QtPoly.q(coinv.get((i, k), 0)) * QtPoly.t(1 + majc)
         )
     return prod
+
+
+def test_base_square_example():
+    f = AugmentedFilling((3, 3, 1), [[5, 6, 1], [2, 7, 4], [3]], rule="const", nvars=7)
+    by_entries = {}
+    for a, b, c in triples((3, 3, 1)):
+        key = frozenset((f.entry(*a), f.entry(*b), f.entry(*c)))
+        by_entries[key] = (a, b, c)
+    for entries, base_entry in [
+        ((5, 6, 7), 6),
+        ((1, 4, 6), 4),
+        ((2, 3, 8), 2),
+        ((3, 5, 8), 3),
+    ]:
+        trip = by_entries[frozenset(entries)]
+        assert f.entry(*triple_base(f, *trip)) == base_entry
 
 
 def test_criterion_11_fundamental_expansion_crosscheck(check_suite):

@@ -86,6 +86,16 @@ def test_skyline_trivial():
         skyline_uninsert(CompositionTableau([[1]]), 2)
 
 
+def test_non_tableau_inputs_raise_value_error():
+    # [[1], [2, 1]] breaks the triple condition: inserting 2 bumps a 1
+    # out of column 2, and the first column already holds a 1
+    with pytest.raises(ValueError, match="not a composition tableau"):
+        skyline_insert(CompositionTableau([[1], [2, 1]]), 2)
+    # [[1, 2]] increases along its row, so no insertion produces it
+    with pytest.raises(ValueError, match="not the result of an insertion"):
+        skyline_uninsert(CompositionTableau([[1, 2]]), 2)
+
+
 def test_commutation_trivial():
     assert commutation_check(CompositionTableau(), 3)
 

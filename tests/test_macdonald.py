@@ -29,7 +29,6 @@ from qschur.macdonald import (
     macdonald_j_fundamental,
     ns_hall_littlewood,
     standard_filling_reading_word,
-    triple_base,
 )
 from qschur.polynomial import QtPoly, XPoly
 from qschur.qsym import (
@@ -307,22 +306,6 @@ def test_descentless_form_and_oracle_beyond_suite_bounds():
     for lam in enumerate_partitions(5):
         if len(lam) <= 4:
             assert hall_littlewood_p(lam, 4) == hall_littlewood_p_oracle(lam, 4)
-
-
-def test_base_square_example():
-    f = AugmentedFilling((3, 3, 1), [[5, 6, 1], [2, 7, 4], [3]], rule="const", nvars=7)
-    by_entries = {}
-    for a, b, c in triples((3, 3, 1)):
-        key = frozenset((f.entry(*a), f.entry(*b), f.entry(*c)))
-        by_entries[key] = (a, b, c)
-    for entries, base_entry in [
-        ((5, 6, 7), 6),
-        ((1, 4, 6), 4),
-        ((2, 3, 8), 2),
-        ((3, 5, 8), 3),
-    ]:
-        trip = by_entries[frozenset(entries)]
-        assert f.entry(*triple_base(f, *trip)) == base_entry
 
 
 def test_reading_word_example():

@@ -19,7 +19,6 @@ from qschur.pieri import (
     rem,
     row_op,
     strip_column_multiset,
-    strip_column_set,
     vertical_strips_over,
 )
 from qschur.polynomial import QtPoly, XPoly
@@ -63,7 +62,12 @@ def test_strips():
     ]
     assert sorted(map(tuple, vertical_strips_over((1,), 2))) == [(1, 1, 1), (2, 1)]
     assert sorted(map(tuple, horizontal_strips_over((), 3))) == [(3,)]
-    assert strip_column_set((4, 1), (3, 1)) == {4}
+    assert strip_column_multiset((4, 1), (3, 1)) == (4,)
+    assert (4, 3, 2, 2) in horizontal_strips_over((3, 2, 2), 4)
+    assert (4, 3, 2, 2) in vertical_strips_over((4, 2, 1, 1), 3)
+    assert (2, 2) not in horizontal_strips_over((1,), 3)
+    for lam in [(4, 3, 2, 2), (2, 1), ()]:
+        assert horizontal_strips_over(lam, 0) == vertical_strips_over(lam, 0) == [lam]
     # a vertical strip over lam is a horizontal strip over lam' conjugated
     for size in range(7):
         for lam in enumerate_partitions(size):
@@ -77,6 +81,31 @@ def test_strips():
 
 def _conjugate(lam) -> tuple[int, ...]:
     return tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+
+
+def _diagram(lam) -> set[tuple[int, int]]:
+    return {(i, j) for i, part in enumerate(lam, start=1) for j in range(1, part + 1)}
+
+
+def test_strips_match_their_definition():
+    # mu/lam is a strip when mu's diagram holds lam's and the cells in
+    # between share no column (horizontal) or no row (vertical)
+    for size in range(7):
+        for lam in enumerate_partitions(size):
+            for n in range(4):
+                horizontal, vertical = [], []
+                for mu in enumerate_partitions(size + n):
+                    if not _diagram(lam) <= _diagram(mu):
+                        continue
+                    cells = _diagram(mu) - _diagram(lam)
+                    columns = sorted(j for _, j in cells)
+                    assert strip_column_multiset(mu, lam) == tuple(columns), (mu, lam)
+                    if len(set(columns)) == len(cells):
+                        horizontal.append(mu)
+                    if len({i for i, _ in cells}) == len(cells):
+                        vertical.append(mu)
+                assert horizontal_strips_over(lam, n) == horizontal, (lam, n)
+                assert vertical_strips_over(lam, n) == vertical, (lam, n)
 
 
 def test_pieri_row_worked_example():
@@ -266,6 +295,16 @@ def test_partition_covers_match_cell_additions():
             }
             classical = {tuple(mu) for mu in horizontal_strips_over(lam, 1)}
             assert {tuple(b) for b in covered} == classical
+
+
+def test_pieri_rules_beyond_suite_bounds():
+    # suite pieri stops at |a| <= 5; its oracle products are too slow at
+    # degree 9, but product_qschur is exact and fast there
+    cases = [(a, n) for a in enumerate_compositions(6) for n in (1, 2, 3)]
+    cases += [(a, 1) for a in enumerate_compositions(7)]
+    for a, n in cases:
+        assert pieri_row(a, n) == product_qschur((n,), a), (a, n)
+        assert pieri_col(a, n) == product_qschur((1,) * n, a), (a, n)
 
 
 # The exhaustive checks below are made by suite pieri, which criterion 03

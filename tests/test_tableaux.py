@@ -3,19 +3,18 @@ import pytest
 from qschur.compositions import collapse, composition_of, enumerate_partitions
 from qschur.fillings import AugmentedFilling, is_ssaf_filling
 from qschur.insertion import canonical_descent_tableau
+from qschur.pieri import horizontal_strips_over, vertical_strips_over
 from qschur.polynomial import XPoly
 from qschur.qsym import fundamental_qsym_poly
 from qschur.tableaux import (
     CompositionTableau,
     ReverseTableau,
-    SkewShape,
     comt_descents,
     comt_to_ssaf,
     enumerate_comts,
     enumerate_reverse_tableaux,
     enumerate_ssafs,
     enumerate_standard_comts,
-    horizontal_strip,
     is_comt,
     is_reversetableau,
     rt_descents,
@@ -23,7 +22,6 @@ from qschur.tableaux import (
     ssaf_to_comt,
     ssaf_to_rt,
     standardize,
-    vertical_strip,
 )
 
 
@@ -67,14 +65,16 @@ def test_rt_descents():
 
 
 def test_strips():
+    # mu/lam is a horizontal (vertical) strip exactly when mu is among the
+    # strips of size |mu| - |lam| over lam
     lam = (4, 3, 2, 2)
-    assert horizontal_strip(SkewShape(lam, (3, 2, 2)))
-    assert vertical_strip(SkewShape(lam, (4, 2, 1, 1)))
-    assert horizontal_strip(SkewShape(lam, lam))
-    assert vertical_strip(SkewShape(lam, lam))
-    assert not horizontal_strip(SkewShape((2, 2), (1,)))
-    with pytest.raises(ValueError):
-        SkewShape((2,), (3,))
+    assert lam in horizontal_strips_over((3, 2, 2), 4)
+    assert lam in vertical_strips_over((4, 2, 1, 1), 3)
+    assert horizontal_strips_over(lam, 0) == [lam]
+    assert vertical_strips_over(lam, 0) == [lam]
+    assert (2, 2) not in horizontal_strips_over((1,), 3)
+    # (2,) does not contain (3,), so no strip joins them
+    assert horizontal_strips_over((3,), -1) == vertical_strips_over((3,), -1) == []
 
 
 def test_is_comt():
