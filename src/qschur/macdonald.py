@@ -15,6 +15,7 @@ diagram's geometry (legs, arms, attacks, triples) is read from
 from __future__ import annotations
 
 import itertools
+import math
 
 from .compositions import (
     Composition,
@@ -35,41 +36,59 @@ from .fillings import (
 from .polynomial import QtPoly, XPoly
 from .qsym import QSymExpr, m_to_f, xpoly_to_monomial
 
-_ONE_MINUS_T = QtPoly({(0, 0): 1, (0, 1): -1})
+
+def _one_minus_t_power(k: int) -> dict:
+    """(1 - t)^k as a ``{(q_exp, t_exp): int}`` dict: a signed binomial row."""
+    return {(0, j): (-1) ** j * math.comb(k, j) for j in range(k + 1)}
 
 
-def _cell_factors(shape, repeats) -> QtPoly:
+def _cell_factors(shape, repeats) -> dict:
     """Product over the cells of (1 - q^(leg+1) t^(arm+1)) for a cell in
-    ``repeats`` (it repeats its left neighbour) and (1 - t) otherwise."""
+    ``repeats`` (it repeats its left neighbour) and (1 - t) otherwise, as
+    a ``{(q_exp, t_exp): int}`` dict."""
     d = _diagram(shape)
-    w = QtPoly.one()
+    w = _one_minus_t_power(shape.size - len(repeats))
     for s, l1, a1 in zip(d.cells, d.leg1, d.arm1):
-        w = w * (QtPoly({(0, 0): 1, (l1, a1): -1}) if s in repeats else _ONE_MINUS_T)
+        if s in repeats:
+            shifted = dict(w)
+            for (qe, te), c in w.items():
+                key = (qe + l1, te + a1)
+                shifted[key] = shifted.get(key, 0) - c
+            w = shifted
     return w
 
 
 def _weigh(shape, fillings, descentless: bool = False) -> list:
     """The ``(exponents, coefficient)`` terms of the sum over ``fillings`` of
-    x^f q^maj t^coinv times the cell factors of the filling's repeat set.
+    x^f q^maj t^coinv times the cell factors of the filling's repeat set,
+    one term per exponent vector.
 
     The fillings are grouped by repeat set and exponent vector, the
     q^maj t^coinv inside each group are counted, and each repeat set
-    pays its factor product once; the factors depend on it alone.
-    A descentless sum is taken at q = 0, where every repeat factor is 1.
+    builds its factor product once; the factors depend on it alone.
+    Each group's counts times its factors are added straight into one
+    integer ``{(q_exp, t_exp): int}`` dict per exponent vector, wrapped
+    as a ``QtPoly`` once at the end.  A descentless sum is taken at
+    q = 0, where every repeat factor is 1.
     """
     groups: dict = {}
-    terms = []
     for f in fillings:
         stats = groups.setdefault(_repeats(f), {}).setdefault(f.exponents(), {})
         key = (maj(f), coinv(f))
         stats[key] = stats.get(key, 0) + 1
+    sums: dict = {}
     for repeats, by_exponents in groups.items():
         if descentless:
-            factor = _ONE_MINUS_T ** (shape.size - len(repeats))
+            factor = _one_minus_t_power(shape.size - len(repeats)).items()
         else:
-            factor = _cell_factors(shape, repeats)
-        terms.extend((e, QtPoly._trusted(stats.items()) * factor) for e, stats in by_exponents.items())
-    return terms
+            factor = _cell_factors(shape, repeats).items()
+        for e, stats in by_exponents.items():
+            acc = sums.setdefault(e, {})
+            for (m, c), count in stats.items():
+                for (qe, te), v in factor:
+                    key = (m + qe, c + te)
+                    acc[key] = acc.get(key, 0) + count * v
+    return [(e, QtPoly._trusted(acc.items())) for e, acc in sums.items()]
 
 
 def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = None) -> XPoly:
@@ -206,6 +225,25 @@ def standard_filling_reading_word(mu, rows) -> tuple[int, ...]:
     return tuple(word)
 
 
+def _standard_merges(mu: Partition):
+    """Per standard filling σ of ``mu``: its reading word, its rows, and
+    its non-attacking merges, σ with labels i and i + 1 given one value
+    for each i of a merge set, where i is read before i + 1."""
+    m = mu.size
+    for values in itertools.permutations(range(1, m + 1)):
+        it = iter(values)
+        rows = tuple(tuple(next(it) for _ in range(g)) for g in mu)
+        word = standard_filling_reading_word(mu, rows)
+        place = {v: k for k, v in enumerate(word)}
+        mergeable = [i for i in range(1, m) if place[i] < place[i + 1]]
+        merges = (
+            _merge(mu, rows, m, set(chosen))
+            for r in range(len(mergeable) + 1)
+            for chosen in itertools.combinations(mergeable, r)
+        )
+        yield word, rows, filter(is_non_attacking, merges)
+
+
 def j_fundamental_classes(mu):
     """Per-permutation pieces of the fundamental expansion.
 
@@ -221,19 +259,8 @@ def j_fundamental_classes(mu):
     Yields (reading word, standard rows, M-expansion of the group).
     """
     mu = Partition(mu)
-    m = mu.size
-    for values in itertools.permutations(range(1, m + 1)):
-        it = iter(values)
-        rows = tuple(tuple(next(it) for _ in range(g)) for g in mu)
-        word = standard_filling_reading_word(mu, rows)
-        place = {v: k for k, v in enumerate(word)}
-        mergeable = [i for i in range(1, m) if place[i] < place[i + 1]]
-        merges = (
-            _merge(mu, rows, m, set(chosen))
-            for r in range(len(mergeable) + 1)
-            for chosen in itertools.combinations(mergeable, r)
-        )
-        yield word, rows, QSymExpr("M", _weigh(mu, filter(is_non_attacking, merges)))
+    for word, rows, merges in _standard_merges(mu):
+        yield word, rows, QSymExpr("M", _weigh(mu, merges))
 
 
 def _merge(shape, rows, m: int, merged: set) -> AugmentedFilling:
@@ -247,11 +274,13 @@ def _merge(shape, rows, m: int, merged: set) -> AugmentedFilling:
 def macdonald_j_fundamental(mu) -> QSymExpr:
     """Fundamental-basis expansion of the symmetric integral form.
 
-    Sums the per-permutation groups of :func:`j_fundamental_classes`
-    and rewrites the total over the fundamental basis.  Exact in
-    Z[q,t]; evaluating the result in ``size`` variables agrees with the
-    constant-basement weighted filling sum.
+    Weighs the merges of every standard filling, the groups of
+    :func:`j_fundamental_classes` together, in one sum and rewrites the
+    total over the fundamental basis.  Exact in Z[q,t]; evaluating the
+    result in ``size`` variables agrees with the constant-basement
+    weighted filling sum.
     """
-    classes = j_fundamental_classes(mu)
-    return m_to_f(QSymExpr("M", (term for _, _, expr in classes for term in expr.terms.items())))
+    mu = Partition(mu)
+    merges = (f for _, _, group in _standard_merges(mu) for f in group)
+    return m_to_f(QSymExpr("M", _weigh(mu, merges)))
 

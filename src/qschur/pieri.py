@@ -10,6 +10,7 @@ legitimate result of removing the last cell.
 """
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable
 
 from .compositions import (
@@ -98,11 +99,13 @@ def vertical_strips_over(lam, n: int) -> list[Partition]:
 
 
 def strip_column_multiset(mu, lam) -> tuple[int, ...]:
-    """Columns of mu/lam with multiplicity, sorted."""
+    """Columns of mu/lam with multiplicity, sorted; ValueError if mu does
+    not contain lam."""
     mu, lam = Partition(mu), Partition(lam)
-    padded = tuple(lam) + (0,) * (len(mu) - len(lam))
     cols = []
-    for m, l in zip(mu, padded):
+    for m, l in zip_longest(mu, lam, fillvalue=0):
+        if m < l:
+            raise ValueError(f"{tuple(mu)} does not contain {tuple(lam)}")
         cols.extend(range(l + 1, m + 1))
     return tuple(sorted(cols))
 

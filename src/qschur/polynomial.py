@@ -9,6 +9,13 @@ Terms are checked only by the public constructors ``QtPoly(terms)`` and
 ``XPoly(n, terms)``, which take a mapping or ``(key, coefficient)`` pairs
 and sum equal keys; arithmetic builds its results through the private
 ``_trusted`` constructors, which sum without checking.
+
+Integer coefficients are summed by ``_accumulate`` and ``QtPoly``
+coefficients by ``_accumulate_qt``, which keeps a key's first
+coefficient as it is and merges the term dicts of the later ones into
+one integer dict, wrapped once.  ``XPoly.div_exact`` divides through
+the same ``_divide`` as ``QtPoly.div_exact``, on integer coefficients
+keyed by x exponents followed by the q and t exponents.
 """
 from __future__ import annotations
 
@@ -25,6 +32,28 @@ def _accumulate(pairs) -> dict:
             acc[k] += c
         else:
             acc[k] = c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _accumulate_qt(pairs) -> dict:
+    """Sum the ``QtPoly`` coefficients of equal keys and drop the zero sums.
+
+    A key's first coefficient is kept as it is; from its second on, the
+    term dicts are merged into one integer dict, wrapped once at the end.
+    """
+    acc: dict = {}
+    merged: dict = {}
+    for k, c in pairs:
+        if k in acc:
+            m = merged.get(k)
+            if m is None:
+                m = merged[k] = dict(acc[k]._terms)
+            for qt, v in c._terms.items():
+                m[qt] = m.get(qt, 0) + v
+        else:
+            acc[k] = c
+    for k, m in merged.items():
+        acc[k] = QtPoly._trusted(m.items())
     return {k: c for k, c in acc.items() if c}
 
 
@@ -257,6 +286,11 @@ def _power(name: str, e: int) -> str:
     return f"{name}^{e}"
 
 
+def _flat(terms: dict) -> dict:
+    """``exponents -> QtPoly`` terms as ``exponents + (q_exp, t_exp) -> int``."""
+    return {e + qt: c for e, poly in terms.items() for qt, c in poly._terms.items()}
+
+
 class XPoly:
     """Sparse polynomial in x_1..x_n with QtPoly coefficients."""
 
@@ -266,7 +300,7 @@ class XPoly:
         self.n = int(n)
         if self.n < 0:
             raise ValueError(f"negative variable count {self.n}")
-        self._terms = _accumulate(
+        self._terms = _accumulate_qt(
             (self._exponents(exps), QtPoly.coerce(c)) for exps, c in _pairs(terms)
         )
 
@@ -283,7 +317,7 @@ class XPoly:
         """Sum already valid ``(exponents, QtPoly)`` pairs unchecked."""
         self = object.__new__(cls)
         self.n = n
-        self._terms = _accumulate(pairs)
+        self._terms = _accumulate_qt(pairs)
         return self
 
     # -- constructors ------------------------------------------------
@@ -390,9 +424,18 @@ class XPoly:
         return XPoly._trusted(self.n, ((k, c.div_exact(d)) for k, c in self._terms.items()))
 
     def div_exact(self, other: "XPoly") -> "XPoly":
-        """Exact division by another XPoly (lex leading-term elimination)."""
+        """Exact division by another XPoly.
+
+        Both sides are flattened to integer coefficients keyed by x
+        exponents followed by (q_exp, t_exp) and divided by lex
+        leading-term elimination; lex order is a monomial order on
+        Z[x, q, t], so an exact quotient is the same one.
+        """
         other = self._coerce(other)
-        return XPoly._trusted(self.n, _divide(self._terms, other._terms, QtPoly.div_exact))
+        quotient: dict = {}
+        for k, c in _divide(_flat(self._terms), _flat(other._terms), _int_div_exact):
+            quotient.setdefault(k[:-2], []).append((k[-2:], c))
+        return XPoly._trusted(self.n, ((e, QtPoly._trusted(p)) for e, p in quotient.items()))
 
     # -- rendering -----------------------------------------------------
 

@@ -26,7 +26,7 @@ from .compositions import (
     reversal,
     triangle_key,
 )
-from .polynomial import QtPoly, XPoly, _accumulate, _pairs, _signed_join
+from .polynomial import QtPoly, XPoly, _accumulate_qt, _pairs, _signed_join
 from .tableaux import (
     comt_descents,
     enumerate_reverse_tableaux,
@@ -62,7 +62,7 @@ class QSymExpr:
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
-        self.terms = _accumulate(
+        self.terms = _accumulate_qt(
             (Composition(comp), QtPoly.coerce(c)) for comp, c in _pairs(terms)
         )
 
@@ -71,7 +71,7 @@ class QSymExpr:
         """Sum already valid ``(Composition, QtPoly)`` pairs unchecked."""
         self = object.__new__(cls)
         self.basis = basis
-        self.terms = _accumulate(pairs)
+        self.terms = _accumulate_qt(pairs)
         return self
 
     # -- algebra -------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -297,6 +298,66 @@ def test_descentless_sum_builds_no_q_factor(monkeypatch):
     p = hall_littlewood_p((2, 2, 1), 4)
     assert built == []
     assert p and all(qe == 0 for _, c in p.items() for (qe, _te), _coeff in c.items())
+
+
+def test_filling_sums_do_no_qtpoly_arithmetic(monkeypatch):
+    # the weight and the sums above it add integer dicts; a QtPoly is
+    # only wrapped, never added or multiplied
+    cases = [
+        (macdonald_integral_form, ((2, 1, 1), "id")),
+        (macdonald_integral_form, ((0, 2, 2), "rev")),
+        (macdonald_integral_form, ((1, 0, 2), "id")),
+        (macdonald_integral_form, ((2, 2, 1), "const", 5)),
+        (macdonald_integral_form, ((3, 1), "const", 4)),
+        (macdonald_j_fundamental, ((2, 1, 1),)),
+        (macdonald_j_fundamental, ((2, 2),)),
+        (hall_littlewood_p, ((2, 1, 1), 4)),
+    ]
+    expected = [fn(*args) for fn, args in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a filling sum did QtPoly arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(QtPoly, name, forbidden)
+    for (fn, args), out in zip(cases, expected):
+        assert fn(*args) == out, args
+
+
+def _conjugate(lam) -> tuple[int, ...]:
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+
+
+def _c(lam, q, t):
+    """prod over the cells s of lam of (1 - q^a(s) t^(l(s)+1))."""
+    conj = _conjugate(lam)
+    out = 1
+    for i, g in enumerate(lam):
+        for j in range(g):
+            out = out * (1 - q ** (g - j - 1) * t ** (conj[j] - i))
+    return out
+
+
+def _elementary(k: int, n: int) -> XPoly:
+    return XPoly(n, ((tuple(int(i in s) for i in range(n)), 1) for s in combinations(range(n), k)))
+
+
+def test_integral_form_at_q_equals_t_and_at_q_one():
+    # J = c P with P(q = t) the Schur polynomial and P(q = 1) the
+    # elementary e_lam', checked against the symmetrization oracle at
+    # t = 0 and products of e_k: neither goes through a filling weight
+    t = QtPoly.t()
+    shapes = [lam for size in range(1, 6) for lam in enumerate_partitions(size)]
+    assert len(shapes) == 18
+    for lam in shapes:
+        n = lam.size
+        j = macdonald_integral_form(lam, "const", n)
+        schur = hall_littlewood_p_oracle(lam, n).specialize(t=0)
+        assert j.specialize(q=2, t=2) == schur * _c(lam, 2, 2), lam
+        e = XPoly.one(n)
+        for k in _conjugate(lam):
+            e = e * _elementary(k, n)
+        assert j.specialize(q=1) == e * _c(lam, 1, t), lam
 
 
 def test_descentless_form_and_oracle_beyond_suite_bounds():

@@ -77,6 +77,10 @@ def test_strips():
                 conjugated = sorted(_conjugate(mu) for mu in horizontal)
                 assert vertical == conjugated, (lam, n)
     assert strip_column_multiset((2, 1, 1), (1,)) == (1, 1, 2)
+    # mu must contain lam, in every row and in its number of rows
+    for mu, lam in [((2,), (3,)), ((1,), (1, 1))]:
+        with pytest.raises(ValueError, match="does not contain"):
+            strip_column_multiset(mu, lam)
 
 
 def _conjugate(lam) -> tuple[int, ...]:

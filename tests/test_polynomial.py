@@ -77,6 +77,25 @@ def test_xpoly_div_exact():
         (x1 * x2).div_exact(x1 + x2)
 
 
+def test_xpoly_div_exact_does_no_qtpoly_arithmetic(monkeypatch):
+    # the division runs on integer coefficients keyed by x, q and t exponents
+    q, t = QtPoly.q(), QtPoly.t()
+    x1, x2, x3 = (XPoly.variable(3, i) for i in (1, 2, 3))
+    divisor = (x1 - x2 * t) * (x2 - x3 * q) + 2
+    quotient = x1 ** 2 * (1 - q * t) + x3 * t - 3
+    product = divisor * quotient
+    non_exact = product + t
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the division did QtPoly arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(QtPoly, name, forbidden)
+    assert product.div_exact(divisor) == quotient
+    with pytest.raises(ValueError, match="not exact"):
+        non_exact.div_exact(divisor)
+
+
 def test_xpoly_div_scalar_exact():
     x1 = XPoly.variable(1, 1)
     t = QtPoly.t()
