@@ -140,16 +140,10 @@ def cmd_in_s(args):
     _emit_qsym(args, express_in_qschur(expr))
 
 
-def cmd_pieri_row(args):
+def cmd_pieri(args):
     a = parse_composition(args.composition)
     _check_guard(a.size + args.k, 0, args.force)
-    _emit_qsym(args, pieri_row(a, args.k))
-
-
-def cmd_pieri_col(args):
-    a = parse_composition(args.composition)
-    _check_guard(a.size + args.k, 0, args.force)
-    _emit_qsym(args, pieri_col(a, args.k))
+    _emit_qsym(args, args.rule(a, args.k))
 
 
 def cmd_product(args):
@@ -226,42 +220,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand an S element over M or F")
     p.add_argument("--basis", choices=("M", "F"), required=True)
     p.add_argument("composition")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("matrix", help="transition matrix from S to M or F")
     p.add_argument("--basis", choices=("M", "F"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("in-s", help="rewrite an M/F expression file over S")
     p.add_argument("expr_file")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_in_s)
 
-    p = sub.add_parser("pieri-row", help="multiply by a one-row S element")
-    p.add_argument("composition")
-    p.add_argument("k", type=int)
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_pieri_row)
-
-    p = sub.add_parser("pieri-col", help="multiply by a one-column S element")
-    p.add_argument("composition")
-    p.add_argument("k", type=int)
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_pieri_col)
+    for name, rule, line in (("pieri-row", pieri_row, "row"), ("pieri-col", pieri_col, "column")):
+        p = sub.add_parser(name, help=f"multiply by a one-{line} S element")
+        p.add_argument("composition")
+        p.add_argument("k", type=int)
+        p.set_defaults(func=cmd_pieri, rule=rule)
 
     p = sub.add_parser("product", help="product of two S elements")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("atom", help="Demazure atom of a weak shape")
     p.add_argument("--shape", required=True)
     p.add_argument("--vars", type=int)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_atom)
 
     p = sub.add_parser("e-poly", help="integral form over a chosen basement")
@@ -269,34 +252,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", type=int)
     p.add_argument("--basement", choices=("id", "rev", "const"), default="id")
     p.add_argument("--spec", help="specialize, e.g. q=0,t=1")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_e_poly)
 
     p = sub.add_parser("l-alpha", help="quasisymmetric Hall-Littlewood polynomial")
     p.add_argument("--shape", required=True)
     p.add_argument("--vars", type=int)
     p.add_argument("--spec", help="specialize, e.g. t=1")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_l_alpha)
 
     p = sub.add_parser("hl-p", help="Hall-Littlewood polynomial of a partition")
     p.add_argument("--shape", required=True)
     p.add_argument("--vars", type=int)
     p.add_argument("--spec", help="specialize, e.g. t=0")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_hl_p)
 
     p = sub.add_parser("j-fund", help="fundamental expansion of the integral form")
     p.add_argument("--shape", required=True)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_j_fund)
 
     p = sub.add_parser("verify", help="run a named property suite")
     p.add_argument("suite")
     p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_verify)
 
+    # every verb runs under the enumeration guard
+    for p in sub.choices.values():
+        p.add_argument("--force", action="store_true")
     return parser
 
 

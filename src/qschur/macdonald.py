@@ -180,10 +180,13 @@ def hall_littlewood_p_oracle(l, n: int) -> XPoly:
         for j in range(i + 1, n + 1):
             rho = rho * (XPoly.variable(n, i) - XPoly.variable(n, j) * QtPoly.t())
     base = XPoly.monomial(n, tuple(l) + (0,) * (n - len(l))) * rho
-    signed = []
-    for w in itertools.permutations(range(n)):
-        sign = _sign(w)
-        signed.extend((_permute(e, w), c * sign) for e, c in base.items())
+    terms = list(base.items())
+    negated = [(e, -c) for e, c in terms]
+    signed = [
+        (_permute(e, w), c)
+        for w in itertools.permutations(range(n))
+        for e, c in (terms if _sign(w) > 0 else negated)
+    ]
     num = XPoly._trusted(n, signed)
     vandermonde = rho.specialize(t=1)
     quotient = num.div_exact(vandermonde)

@@ -185,6 +185,4 @@ def product_qschur_oracle(a, b) -> QSymExpr:
     if n == 0:
         return qsym_unit("S", ())
     p = qschur_polynomial(a, n) * qschur_polynomial(b, n)
-    if not p:
-        return QSymExpr("S")
     return express_in_qschur(xpoly_to_monomial(p))

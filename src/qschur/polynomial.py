@@ -85,18 +85,12 @@ def _pow(base, e: int, one):
     return out
 
 
-def _int_div_exact(a: int, b: int) -> int:
-    if a % b:
-        raise ValueError("polynomial division is not exact")
-    return a // b
+def _divide(num: dict, den: dict) -> list:
+    """Quotient pairs of ``num`` by ``den`` (exponent tuple -> int maps) by
+    leading-term elimination in lex order.
 
-
-def _divide(num: dict, den: dict, div_coefficient) -> list:
-    """Quotient pairs of ``num`` by ``den`` (exponent tuple -> coefficient
-    maps) by leading-term elimination in lex order.
-
-    The remainder is a dict updated in place; ``div_coefficient`` divides
-    coefficients exactly.  Raises ValueError if the division is not exact.
+    The remainder is a dict updated in place.  Raises ValueError if the
+    division is not exact.
     """
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
@@ -106,10 +100,10 @@ def _divide(num: dict, den: dict, div_coefficient) -> list:
     quot = []
     while rem:
         rk = max(rem)
-        if any(a < b for a, b in zip(rk, dk)):
+        c, r = divmod(rem[rk], dc)
+        if r or any(a < b for a, b in zip(rk, dk)):
             raise ValueError("polynomial division is not exact")
         k = tuple(a - b for a, b in zip(rk, dk))
-        c = div_coefficient(rem[rk], dc)
         quot.append((k, c))
         for ek, ec in den.items():
             key = tuple(map(add, k, ek))
@@ -253,7 +247,7 @@ class QtPoly:
     def div_exact(self, other) -> "QtPoly":
         """Exact division; raises ValueError if the division is not exact."""
         other = QtPoly.coerce(other)
-        return QtPoly._trusted(_divide(self._terms, other._terms, _int_div_exact))
+        return QtPoly._trusted(_divide(self._terms, other._terms))
 
     # -- rendering -----------------------------------------------------
 
@@ -284,6 +278,11 @@ def _power(name: str, e: int) -> str:
     if e == 1:
         return name
     return f"{name}^{e}"
+
+
+def _check_index(n: int, i: int):
+    if not 1 <= i <= n:
+        raise ValueError(f"variable index {i} is outside 1..{n}")
 
 
 def _flat(terms: dict) -> dict:
@@ -333,6 +332,7 @@ class XPoly:
     @classmethod
     def variable(cls, n: int, i: int) -> "XPoly":
         """The variable x_i (1-based)."""
+        _check_index(n, i)
         exps = [0] * n
         exps[i - 1] = 1
         return cls(n, {tuple(exps): QtPoly.one()})
@@ -410,6 +410,8 @@ class XPoly:
 
     def swap_variables(self, i: int, j: int) -> "XPoly":
         """Exchange x_i and x_j (1-based)."""
+        _check_index(self.n, i)
+        _check_index(self.n, j)
 
         def swapped():
             for exps, c in self._terms.items():
@@ -433,7 +435,7 @@ class XPoly:
         """
         other = self._coerce(other)
         quotient: dict = {}
-        for k, c in _divide(_flat(self._terms), _flat(other._terms), _int_div_exact):
+        for k, c in _divide(_flat(self._terms), _flat(other._terms)):
             quotient.setdefault(k[:-2], []).append((k[-2:], c))
         return XPoly._trusted(self.n, ((e, QtPoly._trusted(p)) for e, p in quotient.items()))
 

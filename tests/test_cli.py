@@ -215,6 +215,9 @@ def test_domain_error(capsys):
     rc, _, err = run_cli(capsys, "hl-p", "--shape", "(1,1)", "--vars", "2", "--spec", "q=x")
     assert rc == 1
     assert "--spec q must be an integer, got 'x'" in err
+    rc, out, err = run_cli(capsys, "e-poly", "--shape", "(1)", "--spec", "r=1")
+    assert rc == 1 and out == ""
+    assert "unknown parameter 'r'" in err
     for verb in (("e-poly", "--shape", "(1)", "--basement", "const"), ("hl-p", "--shape", "()")):
         rc, out, err = run_cli(capsys, *verb, "--vars", "-1")
         assert rc == 1 and out == ""

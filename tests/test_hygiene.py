@@ -1,8 +1,10 @@
 """Static checks on the source tree: no dead imports, no duplicate
 function bodies, no oracle calls in the library outside ``verify`` and
 no diagram geometry derived outside ``fillings``, every exported name
-is used somewhere, and every property suite is run by some test."""
+is used somewhere, and every property suite is run by some test, each
+(suite, bounds) pair by exactly one."""
 import ast
+import inspect
 from collections import defaultdict
 from pathlib import Path
 
@@ -127,23 +129,46 @@ def test_every_export_is_used():
     assert exported <= used, sorted(exported - used)
 
 
-def _suites_named_in(path: Path) -> set[str]:
-    # suite names passed to check_suite(...) or listed in a parametrize(...)
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if not isinstance(node, ast.Call):
+def _suite_runs(path: Path):
+    """(suite, bounds, place) of every check_suite call in the file's
+    test functions, the bounds completed with the suite's defaults.  A
+    suite named by a parametrized argument is run once per listed value."""
+    for func in ast.parse(path.read_text()).body:
+        if not isinstance(func, ast.FunctionDef):
             continue
-        func = node.func
-        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if callee in ("check_suite", "parametrize"):
-            for arg in node.args:
-                names.update(
-                    n.value for n in ast.walk(arg)
-                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
-                )
-    return names
+        parametrized = {
+            ast.literal_eval(dec.args[0]): dec.args[1]
+            for dec in func.decorator_list
+            if isinstance(dec, ast.Call) and getattr(dec.func, "attr", None) == "parametrize"
+        }
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_suite"):
+                continue
+            first = node.args[0]
+            if isinstance(first, ast.Name):
+                names = ast.literal_eval(parametrized[first.id])
+            else:
+                names = [ast.literal_eval(first)]
+            bounds = {kw.arg: ast.literal_eval(kw.value) for kw in node.keywords}
+            for name in names:
+                bound = inspect.signature(SUITES[name]).bind(**bounds)
+                bound.apply_defaults()
+                yield name, tuple(bound.arguments.items()), f"{path.name}:{node.lineno}"
+
+
+def _all_suite_runs():
+    return [run for path in sorted(TESTS.glob("test_*.py")) for run in _suite_runs(path)]
 
 
 def test_every_suite_is_run_by_a_test():
-    named = set().union(*(_suites_named_in(p) for p in TESTS.glob("test_*.py")))
+    named = {name for name, _, _ in _all_suite_runs()}
     assert set(SUITES) <= named, sorted(set(SUITES) - named)
+
+
+def test_each_suite_run_is_made_once():
+    # a second call with the same suite and bounds checks the same cases again
+    places = defaultdict(list)
+    for name, bounds, where in _all_suite_runs():
+        places[name, bounds].append(where)
+    repeated = {run: where for run, where in places.items() if len(where) > 1}
+    assert not repeated, repeated

@@ -75,6 +75,10 @@ def test_filling_entries_and_cells_are_checked():
     for rows, nvars in (([[0]], None), ([[2]], None), ([[3]], 2), ([[-1]], 2)):
         with pytest.raises(ValueError):
             AugmentedFilling((1,), rows, nvars=nvars)
+    for rows, rule, message in (([[1], [1]], "id", "row count"), ([[1, 1]], "id", "length"),
+                                ([[1]], "diag", "unknown basement rule")):
+        with pytest.raises(ValueError, match=message):
+            AugmentedFilling((1,), rows, rule)
     f = AugmentedFilling((1, 2), [[1], [2, 1]])
     for cell in ((0, 1), (-1, 1), (1, 2), (2, 3), (3, 0), (2, -1)):
         with pytest.raises(ValueError):
@@ -174,23 +178,6 @@ def test_hl_qsym_is_quasisymmetric():
     for m in range(1, 5):
         for a in enumerate_compositions(m):
             hall_littlewood_qsym_m(a, m + 1)  # extraction verifies quasisymmetry
-
-
-def test_l13_expansion():
-    one, t = QtPoly.one(), QtPoly.t()
-    got = hall_littlewood_qsym_m((1, 3), 5)
-    expected = QSymExpr(
-        "M",
-        {
-            (1, 3): one,
-            (2, 2): one - t,
-            (2, 1, 1): one - t,
-            (1, 2, 1): one - t,
-            (1, 1, 2): QtPoly.const(2) - 2 * t,
-            (1, 1, 1, 1): (QtPoly.const(2) + t) * (one - t) * (one - t),
-        },
-    )
-    assert got == expected
 
 
 def test_l13_differs_from_printed_fixture():
@@ -372,50 +359,3 @@ def test_descentless_form_and_oracle_beyond_suite_bounds():
 def test_reading_word_example():
     word = standard_filling_reading_word((3, 3, 1), ((5, 6, 1), (2, 7, 4), (3,)))
     assert word == (1, 4, 6, 7, 5, 2, 3)
-
-
-# The exhaustive checks below are made by suites macdonald (criterion 10),
-# hl-chain (criterion 08), hall-littlewood (criterion 09) and j-fundamental
-# (criterion 11) at the criteria's bounds; check_suite runs each once per
-# session.
-
-
-def test_integral_form_specializations(check_suite):
-    """Identity basement at q=t=0 is the Demazure atom and constant basement
-    at q=t=0 the Schur polynomial, <= 4 cells in <= 4 variables."""
-    check_suite("macdonald", max_cells=4, max_vars=4)
-
-
-def test_ns_hall_littlewood(check_suite):
-    """The descentless form is E at q=0 and the atom at t=0, <= 4 cells in
-    <= 4 variables."""
-    check_suite("macdonald", max_cells=4, max_vars=4)
-
-
-def test_descentless_fillings_match_ssafs(check_suite):
-    """The valid descentless fillings are exactly the enumerated ones, <= 4
-    cells in <= 4 variables."""
-    check_suite("macdonald", max_cells=4, max_vars=4)
-
-
-def test_hl_qsym_specialization_chain(check_suite):
-    """The quasisymmetric Hall-Littlewood form is the quasisymmetric Schur
-    polynomial at t=0 and the monomial one at t=1, |a| <= 4."""
-    check_suite("hl-chain", max_size=4)
-
-
-def test_hall_littlewood_symmetric(check_suite):
-    """Hall-Littlewood polynomials of shapes <= 4 are symmetric in <= 4 variables."""
-    check_suite("hl-chain", max_size=4)
-
-
-def test_hall_littlewood_oracle(check_suite):
-    """Hall-Littlewood polynomials equal the symmetrization oracle, shapes <= 4
-    in <= 3 variables."""
-    check_suite("hall-littlewood", max_size=4, max_vars=3)
-
-
-def test_j_fundamental_matches_integral_form(check_suite):
-    """The fundamental expansion of J evaluates to the constant-basement sum,
-    shapes <= 4."""
-    check_suite("j-fundamental", max_size=4)

@@ -30,6 +30,9 @@ def test_qtpoly_div_exact():
     assert a.div_exact(1 - t) == (1 - q * t) * (1 + t + t ** 2)
     with pytest.raises(ValueError):
         (1 - t ** 2).div_exact(1 - q)
+    # the leading terms divide, their coefficients do not
+    with pytest.raises(ValueError, match="not exact"):
+        QtPoly.const(3).div_exact(QtPoly.const(2))
 
 
 def test_qtpoly_str():
@@ -66,6 +69,9 @@ def test_xpoly_swap_variables():
     assert p.swap_variables(1, 2) == x2 ** 2 * x1 + x3
     sym = x1 * x2 + x1 * x3 + x2 * x3
     assert sym.swap_variables(1, 2) == sym
+    for i, j in ((0, 1), (1, 4), (4, 4)):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            p.swap_variables(i, j)
 
 
 def test_xpoly_div_exact():
@@ -75,6 +81,8 @@ def test_xpoly_div_exact():
     assert p.div_exact(vdm) == (x1 + x2) * (x1 + 2 * x2)
     with pytest.raises(ValueError):
         (x1 * x2).div_exact(x1 + x2)
+    with pytest.raises(ValueError, match="not exact"):
+        (3 * x1).div_exact(2 * x1)
 
 
 def test_xpoly_div_exact_does_no_qtpoly_arithmetic(monkeypatch):
@@ -145,6 +153,9 @@ def test_constructors_reject_bad_terms():
         QtPoly.q(-1)
     with pytest.raises(ValueError, match="negative variable count"):
         XPoly(-1)
+    for i in (0, 4):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            XPoly.variable(3, i)
 
 
 _exponent = st.integers(0, 2)
