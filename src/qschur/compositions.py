@@ -131,7 +131,9 @@ def refinements(a: Iterable[int]) -> list[Composition]:
     free = [i for i in range(1, n) if i not in forced]
     out = []
     for extra in _subsets(free):
-        out.append(composition_of(forced | set(extra), n))
+        # the cuts lie in [n-1], so the parts are positive
+        cuts = [0, *sorted(forced.union(extra)), n]
+        out.append(tuple.__new__(Composition, [hi - lo for lo, hi in zip(cuts, cuts[1:])]))
     return out
 
 

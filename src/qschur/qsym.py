@@ -9,14 +9,13 @@ an expression is rewritten over S exactly by peeling leading terms.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Mapping
 
 from .compositions import (
     Composition,
     Partition,
     WeakComposition,
-    composition_of,
     compositions_of_partition,
     enumerate_compositions,
     enumerate_partitions,
@@ -24,17 +23,11 @@ from .compositions import (
     format_composition,
     refinements,
     reversal,
+    to_partition,
     triangle_key,
 )
 from .polynomial import QtPoly, XPoly, _accumulate_qt, _pairs, _signed_join
-from .tableaux import (
-    comt_descents,
-    enumerate_reverse_tableaux,
-    enumerate_ssafs,
-    enumerate_standard_comts,
-    enumerate_standard_reverse_tableaux,
-    rt_to_comt,
-)
+from .tableaux import _refill, enumerate_reverse_tableaux, enumerate_ssafs
 
 BASES = ("M", "F", "S")
 
@@ -244,15 +237,19 @@ def qschur_in_monomial(a) -> QSymExpr:
 
 
 def qschur_in_fundamental(a) -> QSymExpr:
-    """Fundamental expansion: count standard composition tableaux, the
-    column refills of standard reverse tableaux, by descent composition."""
+    """Fundamental expansion: count the standard reverse tableaux of
+    λ(a) whose column refill has shape a, by descent composition.
+
+    One pass over those tableaux, as plain lists, reads each one's refill
+    shape and descent mask (:func:`_refill_counts`)."""
     a = Composition(a)
-    n = a.size
-    counts: dict[Composition, int] = {}
-    for t in enumerate_standard_comts(a):
-        b = composition_of(comt_descents(t), n)
-        counts[b] = counts.get(b, 0) + 1
-    return QSymExpr("F", counts)
+    comps = enumerate_compositions(a.size)
+    column = _descent_columns(comps)
+    return QSymExpr("F", {
+        comps[column[mask]]: k
+        for (shape, mask), k in _refill_counts(to_partition(a)).items()
+        if shape == a
+    })
 
 
 def demazure_atom(g, n: int | None = None) -> XPoly:
@@ -306,28 +303,73 @@ def schur_in_monomial_oracle(l) -> QSymExpr:
 # -- transition matrices ----------------------------------------------------
 
 
+def _refill_counts(lam: Partition) -> dict[tuple[tuple[int, ...], int], int]:
+    """Count the standard reverse tableaux of shape lam by the shape of
+    their column refill and their descent mask.
+
+    n, n-1, ..., 1 are placed as :func:`enumerate_standard_reverse_tableaux`
+    places them, on plain lists: a value appended to a row of length c
+    goes to the end of column c.  i is a descent, bit i - 1 of the mask,
+    when col(i+1) >= col(i); the refill keeps every entry in its column,
+    so the mask is its descent set too."""
+    n = lam.size
+    lengths = [0] * len(lam)
+    cols: list[list[int]] = [[] for _ in range(lam[0] if lam else 0)]
+    counts: dict[tuple[tuple[int, ...], int], int] = {}
+
+    def place(v: int, above: int, mask: int):
+        # above is the column of v + 1
+        if v == 0:
+            key = (tuple(len(r) for r in _refill(cols, n) if r), mask)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        for i, c in enumerate(lengths):
+            if c < lam[i] and (i == 0 or c < lengths[i - 1]):
+                lengths[i] = c + 1
+                cols[c].append(v)
+                place(v - 1, c, mask | (1 << (v - 1)) if above >= c else mask)
+                cols[c].pop()
+                lengths[i] = c
+
+    place(n, -1, 0)
+    return counts
+
+
+def _descent_columns(comps: list[Composition]) -> list[int]:
+    """Position in ``comps``, all compositions of one n, of the composition
+    whose partial sums are the bits of each descent mask 0..2^(n-1) - 1."""
+    column = [0] * len(comps)
+    for j, c in enumerate(comps):
+        column[sum(1 << (s - 1) for s in accumulate(c[:-1]))] = j
+    return column
+
+
 @lru_cache(maxsize=None)
 def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of S expansions over M or F, indexed by the triangle order.
 
-    Refills each standard reverse tableau of size n once; a refill of shape
-    a adds 1 to row a at its descent composition, or over M at every
-    refinement of it.  The columns a descent composition adds to are
-    listed once per build, since many tableaux share one."""
+    One pass over the standard reverse tableaux of size n, as plain lists,
+    gives each one's refill shape and descent mask
+    (:func:`_refill_counts`).  A refill of shape a adds 1 to row a at its
+    descent composition over F, and over M at every superset of its mask,
+    which is every refinement of that composition."""
     if basis_to not in ("M", "F"):
         raise ValueError("basis_to must be 'M' or 'F'")
     comps = enumerate_compositions(n)
     index = {c: i for i, c in enumerate(comps)}
+    column = _descent_columns(comps)
+    # the cuts a refinement may add: all n - 1 of them over M, none over F
+    cuts = len(comps) - 1 if basis_to == "M" else 0
     rows = [[0] * len(comps) for _ in comps]
-    columns: dict[Composition, list[int]] = {}
     for lam in enumerate_partitions(n):
-        for t in map(rt_to_comt, enumerate_standard_reverse_tableaux(lam)):
-            b = composition_of(comt_descents(t), n)
-            if b not in columns:
-                columns[b] = [index[c] for c in (refinements(b) if basis_to == "M" else (b,))]
-            row = rows[index[t.shape()]]
-            for j in columns[b]:
-                row[j] += 1
+        for (shape, mask), k in _refill_counts(lam).items():
+            row = rows[index[shape]]
+            free = sub = cuts & ~mask
+            while True:  # over every subset sub of free
+                row[column[mask | sub]] += k
+                if not sub:
+                    break
+                sub = (sub - 1) & free
     return tuple(map(tuple, rows))
 
 

@@ -211,17 +211,28 @@ def rt_to_ssaf(t: ReverseTableau, n: int | None = None) -> AugmentedFilling:
     """
     if n is None:
         n = max(t.entries(), default=0)
+    rows = _refill(columns(t.rows), n)
+    shape = WeakComposition(len(r) for r in rows)
+    return AugmentedFilling(shape, rows, rule="id", nvars=n)
+
+
+def _refill(cols: list[list[int]], n: int) -> list[list[int]]:
+    """The column refill of :func:`rt_to_ssaf` on plain lists: ``cols[k]``
+    lists column k top to bottom, and the n rows beside the basement
+    1..n are returned."""
     rows: list[list[int]] = [[] for _ in range(n)]
-    for k, column in enumerate(columns(t.rows)):
+    for k, column in enumerate(cols):
         for v in column:
-            for i in range(n):
-                if len(rows[i]) == k and v <= (i + 1 if k == 0 else rows[i][k - 1]):
-                    rows[i].append(v)
+            # basement entry i + 1 admits a first entry v only when i + 1 >= v,
+            # and a strictly decreasing first column leaves row v free
+            for i in range(max(v - 1, 0) if k == 0 else 0, n):
+                row = rows[i]
+                if len(row) == k and v <= (i + 1 if k == 0 else row[k - 1]):
+                    row.append(v)
                     break
             else:
                 raise ValueError(f"no admissible row for entry {v} in column {k + 1}")
-    shape = WeakComposition(len(r) for r in rows)
-    return AugmentedFilling(shape, rows, rule="id", nvars=n)
+    return rows
 
 
 def rt_to_comt(t: ReverseTableau) -> CompositionTableau:
@@ -313,7 +324,10 @@ def enumerate_comts(
 
 def enumerate_standard_comts(a: Iterable[int]) -> Iterator[CompositionTableau]:
     """All composition tableaux of shape ``a`` using 1..n exactly once:
-    the column refills of standard reverse tableaux that land on ``a``."""
+    the column refills of standard reverse tableaux that land on ``a``.
+
+    The library no longer calls it (the S expansions count refills on
+    plain lists); it stays as the public form of the bijection."""
     shape = Composition(a)
     for c in map(rt_to_comt, enumerate_standard_reverse_tableaux(to_partition(shape))):
         if c.shape() == shape:

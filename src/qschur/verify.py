@@ -193,6 +193,20 @@ def suite_insertion(max_size: int = 5, max_entry: int | None = None) -> SuiteRes
     return cases, fails
 
 
+def tableau_expansions(a) -> tuple[QSymExpr, QSymExpr]:
+    """The M and F expansions of S_a counted off the composition tableaux
+    of shape a with entries up to |a|: by weight, and the standard ones
+    by descent composition."""
+    n = sum(a)
+    by_weight, by_descents = Counter(), Counter()
+    for t in enumerate_comts(a, n):
+        if all(w := t.weight()):
+            by_weight[w] += 1
+        if t.is_standard():
+            by_descents[composition_of(comt_descents(t), n)] += 1
+    return QSymExpr("M", by_weight), QSymExpr("F", by_descents)
+
+
 def suite_bases(max_size: int = 6) -> SuiteResult:
     """The M and F expansions equal the composition tableau counts, the
     M/F coincidence shapes are classified exactly, the transition matrices
@@ -208,15 +222,10 @@ def suite_bases(max_size: int = 6) -> SuiteResult:
             in_m, in_f = qschur_in_monomial(a), qschur_in_fundamental(a)
             expansions["M"].append(in_m)
             expansions["F"].append(in_f)
-            by_weight, by_descents = Counter(), Counter()
-            for t in enumerate_comts(a, n):
-                if all(w := t.weight()):
-                    by_weight[w] += 1
-                if t.is_standard():
-                    by_descents[composition_of(comt_descents(t), n)] += 1
-            if in_m != QSymExpr("M", by_weight):
+            counted_m, counted_f = tableau_expansions(a)
+            if in_m != counted_m:
                 fails.append(f"monomial expansion disagrees with tableau counts at {tuple(a)}")
-            if in_f != QSymExpr("F", by_descents):
+            if in_f != counted_f:
                 fails.append(f"fundamental expansion disagrees with tableau counts at {tuple(a)}")
             if (in_m == qsym_unit("M", a)) != equals_monomial_shape(a):
                 fails.append(f"monomial coincidence misclassified at {tuple(a)}")

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qschur import qsym
 from qschur.compositions import Composition, enumerate_compositions, expand_to_weak
+from qschur.fillings import AugmentedFilling
 from qschur.polynomial import QtPoly, XPoly
 from qschur.qsym import (
     NotQuasisymmetricError,
@@ -22,7 +24,8 @@ from qschur.qsym import (
     transition_matrix,
     xpoly_to_monomial,
 )
-from qschur.tableaux import enumerate_comts
+from qschur.tableaux import CompositionTableau, enumerate_comts
+from qschur.verify import tableau_expansions
 
 
 def x(n, i):
@@ -149,6 +152,44 @@ def test_express_keeps_the_exponents_that_do_not_cancel():
     assert express_in_qschur(e) == QSymExpr("S", {(1, 3): 1 + q, (2, 2): -q, (1, 2, 1): q})
 
 
+def test_s_expansions_build_no_tableau_objects(monkeypatch):
+    """The matrices and both single-composition expansions count refills
+    on plain lists: no augmented filling or composition tableau is built."""
+    sizes = range(7)
+    comps = [a for n in sizes for a in enumerate_compositions(n)]
+    matrices = {(b, n): transition_matrix(b, n) for b in "FM" for n in sizes}
+    expansions = [(qschur_in_fundamental(a), qschur_in_monomial(a)) for a in comps]
+    qsym.transition_matrix.cache_clear()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an S expansion built a tableau object")
+
+    monkeypatch.setattr(AugmentedFilling, "__init__", forbidden)
+    monkeypatch.setattr(CompositionTableau, "__init__", forbidden)
+    try:
+        for (b, n), matrix in matrices.items():
+            assert transition_matrix(b, n) == matrix, (b, n)
+        for a, (in_f, in_m) in zip(comps, expansions):
+            assert qschur_in_fundamental(a) == in_f, a
+            assert qschur_in_monomial(a) == in_m, a
+    finally:
+        qsym.transition_matrix.cache_clear()
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.sampled_from((8, 8, 8, 9)).flatmap(lambda n: st.sampled_from(enumerate_compositions(n))))
+def test_expansions_match_tableau_counts_beyond_suite_bounds(a):
+    """Suite bases counts composition tableaux up to size 7.  A size-9
+    enumeration costs several size-8 ones, so a quarter of the draws
+    have size 9."""
+    comps = enumerate_compositions(a.size)
+    expansions = (qschur_in_monomial(a), qschur_in_fundamental(a))
+    for expansion, counted in zip(expansions, tableau_expansions(a)):
+        assert expansion == counted
+        row = transition_matrix(expansion.basis, a.size)[comps.index(a)]
+        assert QSymExpr(expansion.basis, zip(comps, row)) == expansion
+
+
 def test_xpoly_to_monomial():
     assert xpoly_to_monomial(qschur_polynomial((1, 2), 3)) == QSymExpr(
         "M", {(1, 2): 1, (1, 1, 1): 1}
@@ -179,8 +220,11 @@ def test_wrong_basis_raises():
     m, f, s = (qsym_unit(basis, (1, 2)) for basis in "MFS")
     with pytest.raises(ValueError, match="different bases"):
         m + f
+    # degrees 0 and 1 have one composition each, a negative degree none
+    for basis, n in (("F", 0), ("M", 0), ("M", 1)):
+        assert transition_matrix(basis, n) == ((1,),)
     for call in (lambda: f_to_m(m), lambda: m_to_f(f), lambda: qsym_to_poly(s, 3),
-                 lambda: transition_matrix("S", 3)):
+                 lambda: transition_matrix("S", 3), lambda: transition_matrix("F", -1)):
         with pytest.raises(ValueError):
             call()
 
