@@ -15,9 +15,15 @@ with general basements, and their specializations).  Each shape's
 geometry is built once into a table over the diagram's positions, row
 by row with each row's basement first; a filling keeps its entries by
 position, and every statistic reads them through that table.
+
+One placement walk places the entries of every non-attacking filling
+cell by cell.  ``enumerate_fillings`` builds a filling at each of its
+leaves; the filling sums instead read the statistics the walk adds up
+as it places entries (``_tally``), and build no filling.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -236,6 +242,8 @@ class _Diagram(NamedTuple):
     attacks: tuple[tuple[int, int], ...]
     triples: tuple[tuple[int, int, int], ...]
     rank: tuple[int, ...]  # tie-break rank of each position
+    mates: tuple[tuple[int, ...], ...]  # per cell, the earlier positions it attacks
+    closing: tuple[tuple[tuple[int, int, int], ...], ...]  # per cell, the triples it ends
 
 
 @lru_cache(maxsize=1024)
@@ -248,18 +256,25 @@ def _diagram(shape: tuple[int, ...]) -> _Diagram:
     every = [(i, j) for i, g in enumerate(shape, start=1) for j in range(g + 1)]
     pos = {c: p for p, c in enumerate(every)}
     cells = tuple(c for c in every if c[1])
+    cell_pos = tuple(pos[c] for c in cells)
+    attacks = tuple((pos[a], pos[b]) for a, b in attack_pairs(shape))
+    triple_pos = tuple((pos[a], pos[b], pos[c]) for a, b, c in triples(shape))
+    # a basement cell is never the later one of an attacking pair nor the
+    # last position of a triple, so each pair and triple is listed at a cell
     return _Diagram(
         pos=pos,
         basements=tuple(pos[(i, 0)] for i in range(1, len(shape) + 1)),
         cells=cells,
-        cell_pos=tuple(pos[c] for c in cells),
+        cell_pos=cell_pos,
         leg1=tuple(leg(shape, c) + 1 for c in cells),
         arm1=tuple(arm(shape, c) + 1 for c in cells),
-        attacks=tuple((pos[a], pos[b]) for a, b in attack_pairs(shape)),
-        triples=tuple((pos[a], pos[b], pos[c]) for a, b, c in triples(shape)),
+        attacks=attacks,
+        triples=triple_pos,
         # reading order top to bottom, right to left breaks ties: the
         # entry read first counts as the smaller one
         rank=tuple(pos[(i, 0)] + shape[i - 1] - j for i, j in every),
+        mates=tuple(tuple(min(a, b) for a, b in attacks if max(a, b) == p) for p in cell_pos),
+        closing=tuple(tuple(t for t in triple_pos if max(t) == p) for p in cell_pos),
     )
 
 
@@ -305,17 +320,67 @@ def coinv(f: AugmentedFilling) -> int:
     return sum((k[a] < k[c]) + (k[c] < k[b]) + (k[b] < k[a]) < 2 for a, b, c in d.triples)
 
 
-# -- enumeration -------------------------------------------------------
+# -- the placement walk ------------------------------------------------
 
 
-def enumerate_fillings(
-    shape, rule: str = "id", nvars: int | None = None, descentless: bool = False
-) -> Iterator[AugmentedFilling]:
-    """All non-attacking fillings with entries in [nvars].
+def _radices(d: _Diagram) -> tuple[int, int, int]:
+    """How the walk packs a filling's tallies into one integer, lowest
+    first: coinv, maj in units of ``maj_w``, the repeat mask (cell k is
+    bit k) in units of ``mask_w``, and the content, one digit to the base
+    ``base`` per entry value.  Each unit exceeds the largest sum of the
+    tallies below it."""
+    maj_w = len(d.triples) + 1
+    mask_w = maj_w * (sum(d.leg1) + 1)
+    return maj_w, mask_w, len(d.cells) + 1
 
-    With ``descentless=True`` only fillings whose rows weakly decrease
-    (reading off the basement) are produced.
+
+def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool) -> Iterator[int]:
+    """Place the entries of every non-attacking filling with entries in
+    [nv], cell by cell in position order, and yield once per filling while
+    ``values``, which comes with the basement entries set, holds it.
+
+    A filling's maj, coinv, repeat set and content are sums over its
+    cells, so each placement adds its share to one packed integer
+    (:func:`_radices`), and the filling's yield is that integer: leg+1
+    when the entry exceeds its left neighbour, the cell's bit when it
+    equals it, the entry's content digit, and one for each triple the
+    cell ends that is not an inversion triple, scored with the
+    ``entry * len(rank) + rank`` key of :func:`coinv`.  With
+    ``descentless`` no entry exceeds its left neighbour.
     """
+    free, rank, leg1, mates, closing = d.cell_pos, d.rank, d.leg1, d.mates, d.closing
+    last = len(free) - 1
+    maj_w, mask_w, base = _radices(d)
+    width = len(rank)
+    keys = [v * width + r for v, r in zip(values, rank)]
+    digit = [(mask_w << len(free)) * base ** (v - 1) for v in range(nv + 1)]
+
+    def place(k: int, below: int) -> Iterator[int]:
+        # below: the tallies of the cells before cell k
+        p = free[k]
+        left, r = values[p - 1], rank[p]
+        descent, repeat = leg1[k] * maj_w, mask_w << k
+        banned = {values[m] for m in mates[k]}
+        for v in range(1, (min(nv, left) if descentless else nv) + 1):
+            if v in banned:
+                continue
+            values[p] = v
+            keys[p] = v * width + r
+            add = below + digit[v] + (descent if v > left else repeat if v == left else 0)
+            for a, b, c in closing[k]:
+                ka, kb, kc = keys[a], keys[b], keys[c]
+                add += (ka < kc) + (kc < kb) + (kb < ka) < 2
+            if k < last:
+                yield from place(k + 1, add)
+            else:
+                yield add
+
+    return place(0, 0) if free else iter((0,))
+
+
+def _start(shape, rule: str, nvars: int | None) -> tuple[WeakComposition, int, _Diagram, list[int]]:
+    """The shape, alphabet size, diagram and basement-preset entry
+    vector of a walk."""
     shape = WeakComposition(shape)
     n = len(shape)
     nv = n if nvars is None else int(nvars)
@@ -325,29 +390,57 @@ def enumerate_fillings(
     values = [0] * len(d.rank)
     for i, p in enumerate(d.basements, start=1):
         values[p] = basement_entry(rule, i, n, nv)
-    # per cell: the earlier positions it attacks, basement cells among
-    # them; a basement cell is never the later one of an attacking pair
-    mates: list[list[int]] = [[] for _ in values]
-    for a, b in d.attacks:
-        mates[max(a, b)].append(min(a, b))
+    return shape, nv, d, values
+
+
+def enumerate_fillings(
+    shape, rule: str = "id", nvars: int | None = None, descentless: bool = False
+) -> Iterator[AugmentedFilling]:
+    """All non-attacking fillings with entries in [nvars], in the order of
+    the placement walk (:func:`_walk`), each built unchecked.
+
+    With ``descentless=True`` only fillings whose rows weakly decrease
+    (reading off the basement) are produced.
+    """
+    shape, nv, d, values = _start(shape, rule, nvars)
     spans = [(p + 1, p + 1 + g) for p, g in zip(d.basements, shape)]
-    free = d.cell_pos
+    for _ in _walk(d, values, nv, descentless):
+        vec = tuple(values)
+        yield AugmentedFilling._trusted(shape, tuple(vec[a:b] for a, b in spans), rule, nv, vec)
 
-    def rec(k: int) -> Iterator[AugmentedFilling]:
-        if k == len(free):
-            vec = tuple(values)
-            rows = tuple(vec[a:b] for a, b in spans)
-            yield AugmentedFilling._trusted(shape, rows, rule, nv, vec)
-            return
-        p = free[k]
-        banned = {values[m] for m in mates[p]}
-        top = min(nv, values[p - 1]) if descentless else nv
-        for v in range(1, top + 1):
-            if v not in banned:
-                values[p] = v
-                yield from rec(k + 1)
 
-    yield from rec(0)
+def _tally(shape, rule: str, nvars: int | None = None, descentless: bool = False) -> dict:
+    """The walk's fillings counted as ``{repeats: {exponents: {(maj,
+    coinv): count}}}``, the groups :func:`_group` makes of the same
+    fillings, with no filling built."""
+    shape, nv, d, values = _start(shape, rule, nvars)
+    maj_w, mask_w, base = _radices(d)
+    by_high: dict = {}
+    for packed, count in Counter(_walk(d, values, nv, descentless)).items():
+        high, low = divmod(packed, mask_w)
+        by_high.setdefault(high, {})[divmod(low, maj_w)] = count
+    groups: dict = {}
+    for high, stats in by_high.items():
+        content, mask = divmod(high, 1 << len(d.cells))
+        exponents = []
+        for _ in range(nv):
+            content, e = divmod(content, base)
+            exponents.append(e)
+        repeats = tuple(c for k, c in enumerate(d.cells) if mask >> k & 1)
+        groups.setdefault(repeats, {})[tuple(exponents)] = stats
+    return groups
+
+
+def _group(fillings) -> dict:
+    """Fillings counted as ``{repeats: {exponents: {(maj, coinv): count}}}``
+    by the per-filling definitions :func:`_repeats`, ``exponents``,
+    :func:`maj` and :func:`coinv`."""
+    groups: dict = {}
+    for f in fillings:
+        stats = groups.setdefault(_repeats(f), {}).setdefault(f.exponents(), {})
+        key = (maj(f), coinv(f))
+        stats[key] = stats.get(key, 0) + 1
+    return groups
 
 
 def is_ssaf_filling(f: AugmentedFilling) -> bool:

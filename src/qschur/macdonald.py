@@ -5,12 +5,17 @@ fundamental-basis expansion of the symmetric integral form.
 
 Everything is a weighted sum over non-attacking fillings of an
 augmented diagram, weighed by one helper: x^f q^maj t^coinv times the
-cell factors of the filling's repeat set.  The basement rule selects
-the family: identity gives the integral nonsymmetric form, reversed
-(applied to the reversed shape) its mirror variant, and a constant
-basement gives the symmetric integral form of the sorted shape.  The
-diagram's geometry (legs, arms, attacks, triples) is read from
-``fillings``.
+cell factors of the filling's repeat set.  The helper takes the
+fillings' counts by repeat set, exponent vector, maj and coinv.  The
+integral forms and the Hall-Littlewood sums take them from the
+placement walk of ``fillings``, which adds the statistics up as it
+places entries and builds no filling; the merges of the fundamental
+expansion are counted by the per-filling definitions.  The basement
+rule selects the family: identity gives the integral nonsymmetric
+form, reversed (applied to the reversed shape) its mirror variant, and
+a constant basement gives the symmetric integral form of the sorted
+shape.  The diagram's geometry (legs, arms, attacks, triples) is read
+from ``fillings``.
 """
 from __future__ import annotations
 
@@ -24,15 +29,7 @@ from .compositions import (
     compositions_of_partition,
     expand_to_weak,
 )
-from .fillings import (
-    AugmentedFilling,
-    _diagram,
-    _repeats,
-    coinv,
-    enumerate_fillings,
-    is_non_attacking,
-    maj,
-)
+from .fillings import AugmentedFilling, _diagram, _group, _tally, is_non_attacking
 from .polynomial import QtPoly, XPoly
 from .qsym import QSymExpr, m_to_f, xpoly_to_monomial
 
@@ -58,37 +55,41 @@ def _cell_factors(shape, repeats) -> dict:
     return w
 
 
-def _weigh(shape, fillings, descentless: bool = False) -> list:
-    """The ``(exponents, coefficient)`` terms of the sum over ``fillings`` of
-    x^f q^maj t^coinv times the cell factors of the filling's repeat set,
-    one term per exponent vector.
+def _weigh(shape, groups: dict, descentless: bool = False) -> list:
+    """The ``(exponents, coefficient)`` terms of a filling sum, from its
+    fillings' counts ``{repeats: {exponents: {(maj, coinv): count}}}``
+    (:func:`fillings._tally` or :func:`fillings._group`): x^exponents
+    q^maj t^coinv times the cell factors of the repeat set, one term per
+    exponent vector.
 
-    The fillings are grouped by repeat set and exponent vector, the
-    q^maj t^coinv inside each group are counted, and each repeat set
-    builds its factor product once; the factors depend on it alone.
-    Each group's counts times its factors are added straight into one
-    integer ``{(q_exp, t_exp): int}`` dict per exponent vector, wrapped
-    as a ``QtPoly`` once at the end.  A descentless sum is taken at
-    q = 0, where every repeat factor is 1.
+    Each repeat set builds its factor product once; the factors depend
+    on it alone.  Each group's counts times its factors are added
+    straight into one integer dict per exponent vector, q^a t^b keyed by
+    the integer a * span + b, and wrapped as a ``QtPoly`` once at the
+    end.  A descentless sum is taken at q = 0, where every repeat factor
+    is 1.
     """
-    groups: dict = {}
-    for f in fillings:
-        stats = groups.setdefault(_repeats(f), {}).setdefault(f.exponents(), {})
-        key = (maj(f), coinv(f))
-        stats[key] = stats.get(key, 0) + 1
+    d = _diagram(shape)
+    # larger than any t exponent: coinv plus the factors' t exponents
+    span = len(d.triples) + len(d.cells) + sum(d.arm1) + 1
     sums: dict = {}
     for repeats, by_exponents in groups.items():
         if descentless:
-            factor = _one_minus_t_power(shape.size - len(repeats)).items()
+            factor = _one_minus_t_power(shape.size - len(repeats))
         else:
-            factor = _cell_factors(shape, repeats).items()
+            factor = _cell_factors(shape, repeats)
+        shifts = [(qe * span + te, v) for (qe, te), v in factor.items()]
         for e, stats in by_exponents.items():
             acc = sums.setdefault(e, {})
             for (m, c), count in stats.items():
-                for (qe, te), v in factor:
-                    key = (m + qe, c + te)
+                at = m * span + c
+                for shift, v in shifts:
+                    key = at + shift
                     acc[key] = acc.get(key, 0) + count * v
-    return [(e, QtPoly._trusted(acc.items())) for e, acc in sums.items()]
+    return [
+        (e, QtPoly._trusted((divmod(key, span), v) for key, v in acc.items()))
+        for e, acc in sums.items()
+    ]
 
 
 def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = None) -> XPoly:
@@ -107,7 +108,7 @@ def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = Non
     nv = n if nvars is None else int(nvars)
     if basement in ("id", "rev") and nv != n:
         raise ValueError("identity/reversed basements need one variable per row")
-    return XPoly(nv, _weigh(shape, enumerate_fillings(shape, basement, nv)))
+    return XPoly(nv, _weigh(shape, _tally(shape, basement, nv)))
 
 
 def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
@@ -124,8 +125,7 @@ def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
     nv = n if nvars is None else int(nvars)
     if nv != n:
         raise ValueError("identity basement needs one variable per row")
-    fillings = enumerate_fillings(shape, "id", nv, descentless=True)
-    return XPoly(nv, _weigh(shape, fillings, descentless=True))
+    return XPoly(nv, _weigh(shape, _tally(shape, "id", nv, True), descentless=True))
 
 
 def hall_littlewood_qsym(a, n: int) -> XPoly:
@@ -263,7 +263,7 @@ def j_fundamental_classes(mu):
     """
     mu = Partition(mu)
     for word, rows, merges in _standard_merges(mu):
-        yield word, rows, QSymExpr("M", _weigh(mu, merges))
+        yield word, rows, QSymExpr("M", _weigh(mu, _group(merges)))
 
 
 def _merge(shape, rows, m: int, merged: set) -> AugmentedFilling:
@@ -285,5 +285,5 @@ def macdonald_j_fundamental(mu) -> QSymExpr:
     """
     mu = Partition(mu)
     merges = (f for _, _, group in _standard_merges(mu) for f in group)
-    return m_to_f(QSymExpr("M", _weigh(mu, merges)))
+    return m_to_f(QSymExpr("M", _weigh(mu, _group(merges))))
 

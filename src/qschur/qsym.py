@@ -16,6 +16,7 @@ from .compositions import (
     Composition,
     Partition,
     WeakComposition,
+    composition_of,
     compositions_of_partition,
     enumerate_compositions,
     enumerate_partitions,
@@ -232,8 +233,17 @@ def m_to_f(expr: QSymExpr) -> QSymExpr:
 
 
 def qschur_in_monomial(a) -> QSymExpr:
-    """Monomial expansion: the refinement sum of the fundamental one."""
-    return f_to_m(qschur_in_fundamental(a))
+    """Monomial expansion: a refill of shape a counts at every refinement
+    of its descent composition, every superset of its descent mask, as
+    in :func:`transition_matrix` over M."""
+    a = Composition(a)
+    n = a.size
+    cuts = (1 << max(n - 1, 0)) - 1
+    counts = [0] * (cuts + 1)  # by mask
+    for (shape, mask), k in _refill_counts(to_partition(a)).items():
+        if shape == a:
+            _add_at_supersets(counts, range(cuts + 1), mask, cuts, k)
+    return _from_masks("M", n, {mask: k for mask, k in enumerate(counts) if k})
 
 
 def qschur_in_fundamental(a) -> QSymExpr:
@@ -243,13 +253,19 @@ def qschur_in_fundamental(a) -> QSymExpr:
     One pass over those tableaux, as plain lists, reads each one's refill
     shape and descent mask (:func:`_refill_counts`)."""
     a = Composition(a)
-    comps = enumerate_compositions(a.size)
-    column = _descent_columns(comps)
-    return QSymExpr("F", {
-        comps[column[mask]]: k
-        for (shape, mask), k in _refill_counts(to_partition(a)).items()
-        if shape == a
+    return _from_masks("F", a.size, {
+        mask: k for (shape, mask), k in _refill_counts(to_partition(a)).items() if shape == a
     })
+
+
+def _from_masks(basis: str, n: int, counts: dict[int, int]) -> QSymExpr:
+    """The expression with coefficient k at the composition of n whose
+    partial sums are the bits of ``mask`` (bit i - 1 for the sum i), for
+    each ``mask: k`` of ``counts``."""
+    return QSymExpr._trusted(basis, (
+        (composition_of((i for i in range(1, n) if mask >> (i - 1) & 1), n), QtPoly.const(k))
+        for mask, k in counts.items()
+    ))
 
 
 def demazure_atom(g, n: int | None = None) -> XPoly:
@@ -344,6 +360,17 @@ def _descent_columns(comps: list[Composition]) -> list[int]:
     return column
 
 
+def _add_at_supersets(row: list[int], column, mask: int, cuts: int, k: int) -> None:
+    """Add k to ``row[column[m]]`` for every superset m of ``mask`` whose
+    extra bits are among those of ``cuts``."""
+    free = sub = cuts & ~mask
+    while True:  # over every subset sub of free
+        row[column[mask | sub]] += k
+        if not sub:
+            return
+        sub = (sub - 1) & free
+
+
 @lru_cache(maxsize=None)
 def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of S expansions over M or F, indexed by the triangle order.
@@ -363,13 +390,7 @@ def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
     rows = [[0] * len(comps) for _ in comps]
     for lam in enumerate_partitions(n):
         for (shape, mask), k in _refill_counts(lam).items():
-            row = rows[index[shape]]
-            free = sub = cuts & ~mask
-            while True:  # over every subset sub of free
-                row[column[mask | sub]] += k
-                if not sub:
-                    break
-                sub = (sub - 1) & free
+            _add_at_supersets(rows[index[shape]], column, mask, cuts, k)
     return tuple(map(tuple, rows))
 
 

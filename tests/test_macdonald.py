@@ -3,6 +3,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qschur.fillings as fillings
 import qschur.macdonald as macdonald
@@ -114,6 +115,55 @@ def test_diagram_geometry_derived_once_per_shape(monkeypatch):
     fillings._diagram.cache_clear()
     macdonald_integral_form((2, 2, 1), "const", 5)
     assert calls["triples"] <= 1 and calls["attack_pairs"] <= 1
+
+
+def _assert_walk_matches_the_definitions(g):
+    n = len(g)
+    for rule, nv in (("id", n), ("rev", n), ("const", n), ("const", n + 1)):
+        for descentless in (False, True):
+            tally = fillings._tally(g, rule, nv, descentless)
+            grouped = fillings._group(enumerate_fillings(g, rule, nv, descentless))
+            assert tally == grouped, (g, rule, nv, descentless)
+
+
+def test_walk_tally_matches_the_definitions():
+    # the walk counts maj, coinv, the repeat set and the content as it
+    # places entries; grouping its fillings by the per-filling
+    # definitions gives the same counts
+    shapes = [g for n in range(5) for total in range(6) for g in enumerate_weak_compositions(total, n)]
+    for g in shapes:
+        _assert_walk_matches_the_definitions(g)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(st.sampled_from([g for n in (2, 3, 4) for g in enumerate_weak_compositions(6, n)]))
+def test_walk_tally_matches_the_definitions_at_size_six(g):
+    _assert_walk_matches_the_definitions(g)
+
+
+def test_filling_sums_build_no_filling_object(monkeypatch):
+    # the integral forms and the Hall-Littlewood sums tally the walk's
+    # leaves; no AugmentedFilling is built on their path
+    cases = [
+        (macdonald_integral_form, ((2, 1, 1), "id")),
+        (macdonald_integral_form, ((0, 2, 2), "rev")),
+        (macdonald_integral_form, ((2, 2, 1), "const", 5)),
+        (macdonald_integral_form, ((3, 1), "const", 4)),
+        (ns_hall_littlewood, ((1, 0, 2),)),
+        (hall_littlewood_p, ((2, 1, 1), 4)),
+    ]
+    expected = [fn(*args) for fn, args in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a filling sum built a filling object")
+
+    monkeypatch.setattr(AugmentedFilling, "__init__", forbidden)
+    monkeypatch.setattr(AugmentedFilling, "_trusted", forbidden)
+    for (fn, args), out in zip(cases, expected):
+        assert fn(*args) == out, args
+    # with no rows no basement cell reads the rule, so it is checked first
+    with pytest.raises(ValueError, match="unknown basement rule"):
+        macdonald_integral_form((), "diag")
 
 
 def test_degenerate_inputs():

@@ -176,6 +176,16 @@ def test_s_expansions_build_no_tableau_objects(monkeypatch):
         qsym.transition_matrix.cache_clear()
 
 
+def test_monomial_expansion_is_the_refinement_sum_of_the_fundamental_one():
+    # in_M adds each refill count at every superset of its descent mask
+    # and never calls f_to_m; degree 0 keeps the empty composition
+    assert qschur_in_fundamental(()) == QSymExpr("F", {(): 1})
+    assert qschur_in_monomial(()) == QSymExpr("M", {(): 1})
+    for n in range(8):
+        for a in enumerate_compositions(n):
+            assert qschur_in_monomial(a) == f_to_m(qschur_in_fundamental(a)), a
+
+
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(st.sampled_from((8, 8, 8, 9)).flatmap(lambda n: st.sampled_from(enumerate_compositions(n))))
 def test_expansions_match_tableau_counts_beyond_suite_bounds(a):
