@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class WeakComposition(tuple):
@@ -113,33 +113,27 @@ def composition_of(s: Iterable[int], n: int) -> Composition:
 def coarsens(a: Iterable[int], b: Iterable[int]) -> bool:
     """True iff ``a`` can be obtained by summing adjacent parts of ``b``."""
     a, b = Composition(a), Composition(b)
-    if a.size != b.size:
-        return False
-    n = a.size
-    if n == 0:
-        return True
-    return subset_of(a, n) <= subset_of(b, n)
+    return a.size == b.size and subset_of(a, a.size) <= subset_of(b, a.size)
 
 
 def refinements(a: Iterable[int]) -> list[Composition]:
-    """All compositions obtained by splitting parts of ``a``."""
+    """All compositions obtained by splitting parts of ``a``: those whose
+    cut sets contain that of ``a``, read off its degree's table."""
     a = Composition(a)
     n = a.size
-    if n == 0:
-        return [a]
-    forced = subset_of(a, n)
-    free = [i for i in range(1, n) if i not in forced]
-    out = []
-    for extra in _subsets(free):
-        # the cuts lie in [n-1], so the parts are positive
-        cuts = [0, *sorted(forced.union(extra)), n]
-        out.append(tuple.__new__(Composition, [hi - lo for lo, hi in zip(cuts, cuts[1:])]))
-    return out
+    table = _degree(n)
+    mask = sum(1 << (s - 1) for s in subset_of(a, n))
+    return [table.order[table.by_mask[m]] for m in _supersets(mask, len(table.order) - 1)]
 
 
-def _subsets(items: list[int]) -> Iterator[tuple[int, ...]]:
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
+def _supersets(mask: int, cuts: int) -> Iterator[int]:
+    """Every m with mask <= m <= mask | cuts as bit sets."""
+    free = sub = cuts & ~mask
+    while True:  # over every subset sub of free
+        yield mask | sub
+        if not sub:
+            return
+        sub = (sub - 1) & free
 
 
 def triangle_key(a: Iterable[int]) -> tuple:
@@ -168,18 +162,40 @@ def triangle_cmp(a: Iterable[int], b: Iterable[int]) -> int:
 def enumerate_compositions(n: int) -> list[Composition]:
     """All 2^(n-1) compositions of n, largest first in the triangle order.
 
-    Each degree is built and sorted once per process; every call returns
-    a fresh list."""
+    Each degree is built and sorted once per process (:func:`_degree`);
+    every call returns a fresh list."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return list(_compositions(n))
+    return list(_degree(n).order)
+
+
+class _Degree(NamedTuple):
+    """The compositions of one n: ``order`` lists them largest first in
+    the triangle order, ``position`` maps each to its place there, and
+    ``by_mask[m]`` is the place of the one whose cut set is the bits of
+    m (bit i - 1 for the partial sum i).  ``runs`` maps each partition
+    to its rearrangements, one contiguous run of ``order``, since the
+    triangle order compares sorted partitions first."""
+
+    order: tuple[Composition, ...]
+    position: dict[Composition, int]
+    by_mask: tuple[int, ...]
+    runs: dict[Partition, list[Composition]]
 
 
 @lru_cache(maxsize=None)
-def _compositions(n: int) -> tuple[Composition, ...]:
-    comps = [composition_of(s, n) for s in _subsets(list(range(1, n)))]
-    comps.sort(key=triangle_key, reverse=True)
-    return tuple(comps)
+def _degree(n: int) -> _Degree:
+    masks = {
+        composition_of((i for i in range(1, n) if m >> (i - 1) & 1), n): m
+        for m in range(1 << max(n - 1, 0))
+    }
+    order = tuple(sorted(masks, key=triangle_key, reverse=True))
+    by_mask = [0] * len(order)
+    runs: dict[Partition, list[Composition]] = {}
+    for j, c in enumerate(order):
+        by_mask[masks[c]] = j
+        runs.setdefault(to_partition(c), []).append(c)
+    return _Degree(order, {c: j for j, c in enumerate(order)}, tuple(by_mask), runs)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -221,10 +237,9 @@ def enumerate_weak_compositions(total: int, parts: int) -> list[WeakComposition]
 
 def compositions_of_partition(l: Iterable[int]) -> list[Composition]:
     """All distinct rearrangements of the parts of ``l``, largest first in
-    the triangle order: they share one sorted partition, so that is the
-    lexicographic order."""
-    l = tuple(p for p in l if p != 0)
-    return [Composition(p) for p in sorted(set(itertools.permutations(l)), reverse=True)]
+    the triangle order: their partition's run in its degree's table."""
+    l = to_partition(l)
+    return list(_degree(l.size).runs[l])
 
 
 def expand_to_weak(a: Iterable[int], n: int) -> list[WeakComposition]:

@@ -16,7 +16,7 @@ from typing import Iterable
 from .compositions import (
     Composition,
     Partition,
-    _compositions,
+    _degree,
     _quasi_shuffles,
     compositions_of_partition,
     enumerate_partitions,
@@ -167,9 +167,9 @@ def product_qschur(a, b) -> QSymExpr:
 
 def _monomial_row(a: Composition) -> list[tuple[Composition, int]]:
     """The nonzero entries of row ``a`` of the M transition matrix."""
-    comps = _compositions(a.size)
-    row = transition_matrix("M", a.size)[comps.index(a)]
-    return [(c, k) for c, k in zip(comps, row) if k]
+    table = _degree(a.size)
+    row = transition_matrix("M", a.size)[table.position[a]]
+    return [(c, k) for c, k in zip(table.order, row) if k]
 
 
 def product_qschur_oracle(a, b) -> QSymExpr:

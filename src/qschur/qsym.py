@@ -9,16 +9,16 @@ an expression is rewritten over S exactly by peeling leading terms.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .compositions import (
     Composition,
     Partition,
     WeakComposition,
-    composition_of,
+    _degree,
+    _supersets,
     compositions_of_partition,
-    enumerate_compositions,
     enumerate_partitions,
     expand_to_weak,
     format_composition,
@@ -28,7 +28,7 @@ from .compositions import (
     triangle_key,
 )
 from .polynomial import QtPoly, XPoly, _accumulate_qt, _pairs, _signed_join
-from .tableaux import _refill, enumerate_reverse_tableaux, enumerate_ssafs
+from .tableaux import _refill, _standard_walk, enumerate_reverse_tableaux, enumerate_ssafs
 
 BASES = ("M", "F", "S")
 
@@ -234,16 +234,9 @@ def m_to_f(expr: QSymExpr) -> QSymExpr:
 
 def qschur_in_monomial(a) -> QSymExpr:
     """Monomial expansion: a refill of shape a counts at every refinement
-    of its descent composition, every superset of its descent mask, as
-    in :func:`transition_matrix` over M."""
-    a = Composition(a)
-    n = a.size
-    cuts = (1 << max(n - 1, 0)) - 1
-    counts = [0] * (cuts + 1)  # by mask
-    for (shape, mask), k in _refill_counts(to_partition(a)).items():
-        if shape == a:
-            _add_at_supersets(counts, range(cuts + 1), mask, cuts, k)
-    return _from_masks("M", n, {mask: k for mask, k in enumerate(counts) if k})
+    of its descent composition, every superset of its descent mask
+    (:func:`_row`)."""
+    return _expansion("M", Composition(a))
 
 
 def qschur_in_fundamental(a) -> QSymExpr:
@@ -252,19 +245,15 @@ def qschur_in_fundamental(a) -> QSymExpr:
 
     One pass over those tableaux, as plain lists, reads each one's refill
     shape and descent mask (:func:`_refill_counts`)."""
-    a = Composition(a)
-    return _from_masks("F", a.size, {
-        mask: k for (shape, mask), k in _refill_counts(to_partition(a)).items() if shape == a
-    })
+    return _expansion("F", Composition(a))
 
 
-def _from_masks(basis: str, n: int, counts: dict[int, int]) -> QSymExpr:
-    """The expression with coefficient k at the composition of n whose
-    partial sums are the bits of ``mask`` (bit i - 1 for the sum i), for
-    each ``mask: k`` of ``counts``."""
+def _expansion(basis: str, a: Composition) -> QSymExpr:
+    """Row a of ``transition_matrix(basis, |a|)`` as an expression, from
+    the refill counts of λ(a) alone."""
+    row = _row(basis, a.size, _refill_counts(to_partition(a))[a])
     return QSymExpr._trusted(basis, (
-        (composition_of((i for i in range(1, n) if mask >> (i - 1) & 1), n), QtPoly.const(k))
-        for mask, k in counts.items()
+        (c, QtPoly.const(k)) for c, k in zip(_degree(a.size).order, row) if k
     ))
 
 
@@ -319,79 +308,49 @@ def schur_in_monomial_oracle(l) -> QSymExpr:
 # -- transition matrices ----------------------------------------------------
 
 
-def _refill_counts(lam: Partition) -> dict[tuple[tuple[int, ...], int], int]:
-    """Count the standard reverse tableaux of shape lam by the shape of
-    their column refill and their descent mask.
-
-    n, n-1, ..., 1 are placed as :func:`enumerate_standard_reverse_tableaux`
-    places them, on plain lists: a value appended to a row of length c
-    goes to the end of column c.  i is a descent, bit i - 1 of the mask,
-    when col(i+1) >= col(i); the refill keeps every entry in its column,
-    so the mask is its descent set too."""
+def _refill_counts(lam: Partition) -> dict[tuple[int, ...], dict[int, int]]:
+    """Count the standard reverse tableaux of shape lam as ``{refill
+    shape: {descent mask: count}}``, from the one walk over them
+    (:func:`tableaux._standard_walk`).  The refill keeps every
+    entry in its column, so the mask is its descent set too."""
     n = lam.size
-    lengths = [0] * len(lam)
-    cols: list[list[int]] = [[] for _ in range(lam[0] if lam else 0)]
-    counts: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def place(v: int, above: int, mask: int):
-        # above is the column of v + 1
-        if v == 0:
-            key = (tuple(len(r) for r in _refill(cols, n) if r), mask)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        for i, c in enumerate(lengths):
-            if c < lam[i] and (i == 0 or c < lengths[i - 1]):
-                lengths[i] = c + 1
-                cols[c].append(v)
-                place(v - 1, c, mask | (1 << (v - 1)) if above >= c else mask)
-                cols[c].pop()
-                lengths[i] = c
-
-    place(n, -1, 0)
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    for cols, mask in _standard_walk(lam):
+        by_mask = counts.setdefault(tuple(len(r) for r in _refill(cols, n) if r), {})
+        by_mask[mask] = by_mask.get(mask, 0) + 1
     return counts
 
 
-def _descent_columns(comps: list[Composition]) -> list[int]:
-    """Position in ``comps``, all compositions of one n, of the composition
-    whose partial sums are the bits of each descent mask 0..2^(n-1) - 1."""
-    column = [0] * len(comps)
-    for j, c in enumerate(comps):
-        column[sum(1 << (s - 1) for s in accumulate(c[:-1]))] = j
-    return column
-
-
-def _add_at_supersets(row: list[int], column, mask: int, cuts: int, k: int) -> None:
-    """Add k to ``row[column[m]]`` for every superset m of ``mask`` whose
-    extra bits are among those of ``cuts``."""
-    free = sub = cuts & ~mask
-    while True:  # over every subset sub of free
-        row[column[mask | sub]] += k
-        if not sub:
-            return
-        sub = (sub - 1) & free
+def _row(basis: str, n: int, by_mask: dict[int, int]) -> list[int]:
+    """The S row over M or F, indexed by the triangle order of degree n,
+    of a shape whose refills count ``by_mask``: each count is added at
+    its mask's descent composition over F, and over M at every superset
+    of the mask, which is every refinement of that composition."""
+    table = _degree(n)
+    row = [0] * len(table.order)
+    # the cuts a refinement may add: all n - 1 of them over M, none over F
+    cuts = len(row) - 1 if basis == "M" else 0
+    for mask, k in by_mask.items():
+        for m in _supersets(mask, cuts):
+            row[table.by_mask[m]] += k
+    return row
 
 
 @lru_cache(maxsize=None)
 def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of S expansions over M or F, indexed by the triangle order.
 
-    One pass over the standard reverse tableaux of size n, as plain lists,
-    gives each one's refill shape and descent mask
-    (:func:`_refill_counts`).  A refill of shape a adds 1 to row a at its
-    descent composition over F, and over M at every superset of its mask,
-    which is every refinement of that composition."""
+    The refill counts of each λ ⊢ n (:func:`_refill_counts`) make the
+    rows of its shapes (:func:`_row`); every composition of n is the
+    refill shape of some tableau, so every row is made once."""
     if basis_to not in ("M", "F"):
         raise ValueError("basis_to must be 'M' or 'F'")
-    comps = enumerate_compositions(n)
-    index = {c: i for i, c in enumerate(comps)}
-    column = _descent_columns(comps)
-    # the cuts a refinement may add: all n - 1 of them over M, none over F
-    cuts = len(comps) - 1 if basis_to == "M" else 0
-    rows = [[0] * len(comps) for _ in comps]
+    position = _degree(n).position
+    rows = [()] * len(position)
     for lam in enumerate_partitions(n):
-        for (shape, mask), k in _refill_counts(lam).items():
-            _add_at_supersets(rows[index[shape]], column, mask, cuts, k)
-    return tuple(map(tuple, rows))
+        for shape, by_mask in _refill_counts(lam).items():
+            rows[position[shape]] = tuple(_row(basis_to, n, by_mask))
+    return tuple(rows)
 
 
 def _peel(basis: str, n: int, vector: Mapping[tuple[int, ...], int]) -> list[tuple[Composition, int]]:
@@ -404,7 +363,7 @@ def _peel(basis: str, n: int, vector: Mapping[tuple[int, ...], int]) -> list[tup
     and that multiple of the matrix row is taken off the rest.
     """
     rest, out = dict(vector), []
-    comps = enumerate_compositions(n)
+    comps = _degree(n).order
     for i, (comp, row) in enumerate(zip(comps, transition_matrix(basis, n))):
         c = rest.pop(comp, 0)
         if c:
@@ -422,8 +381,8 @@ def express_in_qschur(expr: QSymExpr) -> QSymExpr:
     integer vector per degree and (q, t) exponent, each vector is peeled
     in the input's own basis by :func:`_peel`, and each S coefficient is
     built as a ``QtPoly`` once, from its integer parts.  The triangle
-    order of a degree comes from the cached ``enumerate_compositions``,
-    so a process sorts it once.
+    order of a degree comes from its cached composition table, so a
+    process sorts it once.
     """
     if expr.basis == "S":
         return expr

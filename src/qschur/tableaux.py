@@ -82,9 +82,9 @@ class ReverseTableau(_Tableau):
 
 def is_reversetableau(t: ReverseTableau) -> bool:
     """Check the two defining conditions (rows weak, columns strict) on a
-    partition diagram of positive entries."""
+    partition diagram, which has no empty row, of positive entries."""
     lengths = [len(r) for r in t.rows]
-    if any(a < b for a, b in zip(lengths, lengths[1:])):
+    if 0 in lengths or any(a < b for a, b in zip(lengths, lengths[1:])):
         return False
     for r in t.rows:
         if any(v < 1 for v in r) or any(a < b for a, b in zip(r, r[1:])):
@@ -324,14 +324,13 @@ def enumerate_comts(
 
 def enumerate_standard_comts(a: Iterable[int]) -> Iterator[CompositionTableau]:
     """All composition tableaux of shape ``a`` using 1..n exactly once:
-    the column refills of standard reverse tableaux that land on ``a``.
-
-    The library no longer calls it (the S expansions count refills on
-    plain lists); it stays as the public form of the bijection."""
+    the column refills that land on ``a`` of the standard reverse tableaux
+    of the walk the S expansions count (:func:`_standard_walk`)."""
     shape = Composition(a)
-    for c in map(rt_to_comt, enumerate_standard_reverse_tableaux(to_partition(shape))):
-        if c.shape() == shape:
-            yield c
+    for cols, _ in _standard_walk(to_partition(shape)):
+        rows = [r for r in _refill(cols, shape.size) if r]
+        if tuple(map(len, rows)) == shape:
+            yield CompositionTableau(rows)
 
 
 def enumerate_ssafs(g: Iterable[int]) -> Iterator[AugmentedFilling]:
@@ -374,22 +373,35 @@ def enumerate_reverse_tableaux(
     yield from fill(0)
 
 
-def enumerate_standard_reverse_tableaux(
-    shape: Iterable[int],
-) -> Iterator[ReverseTableau]:
-    """All reverse tableaux of a partition shape using 1..n exactly once:
-    n, n-1, ..., 1 are placed in turn at the end of a row shorter than its
-    part and than the row above, so nothing is filtered."""
-    shape = Partition(shape)
-    rows: list[list[int]] = [[] for _ in shape]
+def enumerate_standard_reverse_tableaux(shape: Iterable[int]) -> Iterator[ReverseTableau]:
+    """All reverse tableaux of a partition shape using 1..n exactly once,
+    in the order of :func:`_standard_walk`."""
+    for cols, _ in _standard_walk(Partition(shape)):
+        yield top_justify(cols)
 
-    def place(v: int) -> Iterator[ReverseTableau]:
+
+def _standard_walk(shape: Partition) -> Iterator[tuple[list[list[int]], int]]:
+    """Place n, n-1, ..., 1 in turn at the end of a row shorter than its
+    part and than the row above, so nothing is filtered, and yield each
+    standard reverse tableau of ``shape`` as its columns and its descent
+    mask.  The columns are live lists, top to bottom, that the walk
+    changes after the yield: a value put at the end of a row of length c
+    ends column c.  i is a descent, bit i - 1 of the mask, when
+    col(i+1) >= col(i)."""
+    lengths = [0] * len(shape)
+    cols: list[list[int]] = [[] for _ in range(shape[0] if shape else 0)]
+
+    def place(v: int, above: int, mask: int) -> Iterator[tuple[list[list[int]], int]]:
+        # above is the column of v + 1
         if v == 0:  # every row is full
-            yield ReverseTableau(rows)
-        for i, row in enumerate(rows):
-            if len(row) < shape[i] and (i == 0 or len(row) < len(rows[i - 1])):
-                row.append(v)
-                yield from place(v - 1)
-                row.pop()
+            yield cols, mask
+            return
+        for i, c in enumerate(lengths):
+            if c < shape[i] and (i == 0 or c < lengths[i - 1]):
+                lengths[i] = c + 1
+                cols[c].append(v)
+                yield from place(v - 1, c, mask | (1 << (v - 1)) if above >= c else mask)
+                cols[c].pop()
+                lengths[i] = c
 
-    yield from place(shape.size)
+    return place(shape.size, -1, 0)

@@ -265,7 +265,9 @@ def suite_bases(max_size: int = 6) -> SuiteResult:
 
 def suite_product(max_size: int = 6) -> SuiteResult:
     """The quasi-shuffle product equals the polynomial product for every
-    pair of compositions of total size <= max_size."""
+    pair of compositions of total size <= max_size, and S_a times the
+    Schur function of a nonempty partition, the sum of the S elements of
+    its rearrangements, has nonnegative integer coefficients."""
     cases, fails = 0, []
     for m in range(0, max_size + 1):
         for k in range(0, max_size - m + 1):
@@ -274,6 +276,12 @@ def suite_product(max_size: int = 6) -> SuiteResult:
                     cases += 1
                     if product_qschur(a, b) != product_qschur_oracle(a, b):
                         fails.append(f"product disagrees with the oracle at {tuple(a)},{tuple(b)}")
+                for lam in enumerate_partitions(k) if k else ():
+                    cases += 1
+                    terms = [product_qschur(a, g) for g in compositions_of_partition(lam)]
+                    if any(not c.is_constant() or c.constant() < 0
+                           for c in sum(terms[1:], terms[0]).terms.values()):
+                        fails.append(f"negative coefficient in S{tuple(a)} times s{tuple(lam)}")
     return cases, fails
 
 

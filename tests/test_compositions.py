@@ -161,6 +161,13 @@ def test_refinements():
     assert refinements(()) == [()]
 
 
+def test_refinements_are_the_coarsening_order():
+    for n in range(9):
+        comps = enumerate_compositions(n)
+        for a in comps:
+            assert set(refinements(a)) == {b for b in comps if coarsens(a, b)}
+
+
 def test_validation():
     with pytest.raises(ValueError):
         Composition((1, 0, 2))
@@ -185,6 +192,12 @@ def test_parsing_and_formatting():
 def test_compositions_of_partition():
     assert [tuple(c) for c in compositions_of_partition((2, 1))] == [(2, 1), (1, 2)]
     assert compositions_of_partition((2, 2)) == [(2, 2)]
+    assert compositions_of_partition((1, 2)) == [(2, 1), (1, 2)]
+    assert compositions_of_partition(()) == [()]
+    for n in range(10):
+        for lam in enumerate_partitions(n):
+            reference = sorted(set(itertools.permutations(lam)), reverse=True)
+            assert compositions_of_partition(lam) == reference
 
 
 def _delannoy(k: int, l: int) -> int:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qschur.compositions import composition_of, enumerate_compositions, enumerate_partitions
 from qschur.insertion import (
@@ -15,6 +16,7 @@ from qschur.tableaux import (
     ReverseTableau,
     enumerate_reverse_tableaux,
     enumerate_standard_reverse_tableaux,
+    is_comt,
     is_reversetableau,
     rt_descents,
     rt_to_comt,
@@ -79,6 +81,24 @@ def test_skyline_trivial():
     assert skyline_uninsert(res.result, 1) == (CompositionTableau(), 7)
     with pytest.raises(ValueError):
         skyline_uninsert(CompositionTableau([[1]]), 2)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=6, max_size=12))
+def test_skyline_round_trip_of_a_word(word):
+    # words past the insertion suite's five-cell tableaux: insert every
+    # letter from the empty tableau, then uninsert them all, each at the
+    # length of the row its insertion augmented
+    t, steps = CompositionTableau(), []
+    for k in word:
+        res = skyline_insert(t, k)
+        assert is_comt(res.result) and res.result.size == t.size + 1
+        steps.append((t, k, len(res.result.rows[res.augmented_row])))
+        t = res.result
+    for before, k, length in reversed(steps):
+        t, letter = skyline_uninsert(t, length)
+        assert (t, letter) == (before, k)
+    assert t == CompositionTableau()
 
 
 def test_non_tableau_inputs_raise_value_error():

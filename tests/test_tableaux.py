@@ -14,6 +14,7 @@ from qschur.tableaux import (
     enumerate_reverse_tableaux,
     enumerate_ssafs,
     enumerate_standard_comts,
+    enumerate_standard_reverse_tableaux,
     is_comt,
     is_reversetableau,
     rt_descents,
@@ -21,7 +22,9 @@ from qschur.tableaux import (
     ssaf_to_comt,
     ssaf_to_rt,
     standardize,
+    top_justify,
 )
+from qschur.tableaux import _standard_walk
 
 
 def test_is_reversetableau():
@@ -30,6 +33,9 @@ def test_is_reversetableau():
     assert not is_reversetableau(ReverseTableau([[2, 2], [2]]))
     assert not is_reversetableau(ReverseTableau([[3], [2, 1]]))  # not a partition
     assert not is_reversetableau(ReverseTableau([[2, 0]]))
+    # a partition diagram has no empty row
+    assert not is_reversetableau(ReverseTableau([[]]))
+    assert not is_reversetableau(ReverseTableau([[2], []]))
 
 
 def test_json_round_trip_fields():
@@ -139,6 +145,21 @@ def test_enumerate_standard_comts():
         only = list(enumerate_standard_comts((n,)))
         assert [t.rows for t in only] == [(tuple(range(n, 0, -1)),)]
     assert len(list(enumerate_standard_comts((2, 1)))) == 1
+
+
+def test_standard_walk_is_the_filtered_reverse_tableaux():
+    # every standard reverse tableau of size <= 7 once, each with the
+    # bitmask of its descent set, in the order of the public enumerator
+    for n in range(8):
+        for lam in enumerate_partitions(n):
+            walked = [(top_justify(cols), mask) for cols, mask in _standard_walk(lam)]
+            tableaux = [t for t, _ in walked]
+            standard = [t for t in enumerate_reverse_tableaux(lam, n) if t.is_standard()]
+            assert len(set(tableaux)) == len(tableaux) == len(standard)
+            assert set(tableaux) == set(standard)
+            assert list(enumerate_standard_reverse_tableaux(lam)) == tableaux
+            for t, mask in walked:
+                assert mask == sum(1 << (i - 1) for i in rt_descents(t))
 
 
 def test_weights():
