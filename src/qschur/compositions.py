@@ -164,8 +164,6 @@ def enumerate_compositions(n: int) -> list[Composition]:
 
     Each degree is built and sorted once per process (:func:`_degree`);
     every call returns a fresh list."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return list(_degree(n).order)
 
 
@@ -185,17 +183,25 @@ class _Degree(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _degree(n: int) -> _Degree:
-    masks = {
-        composition_of((i for i in range(1, n) if m >> (i - 1) & 1), n): m
-        for m in range(1 << max(n - 1, 0))
-    }
-    order = tuple(sorted(masks, key=triangle_key, reverse=True))
-    by_mask = [0] * len(order)
-    runs: dict[Partition, list[Composition]] = {}
-    for j, c in enumerate(order):
-        by_mask[masks[c]] = j
-        runs.setdefault(to_partition(c), []).append(c)
-    return _Degree(order, {c: j for j, c in enumerate(order)}, tuple(by_mask), runs)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    # plain (parts, cut mask) pairs: those of k + 1 are those of k with a
+    # new last part 1 (a new cut at k) or with the last part grown
+    level = [((1,), 0)] if n else [((), 0)]
+    for k in range(1, n):
+        level = [pair for parts, m in level
+                 for pair in ((parts + (1,), m | 1 << (k - 1)), (parts[:-1] + (parts[-1] + 1,), m))]
+    # sorted once by the triangle key; each composition and partition is
+    # then wrapped once, unchecked, as every one is valid by construction
+    rows = sorted(((tuple(sorted(parts, reverse=True)), parts, m) for parts, m in level), reverse=True)
+    order, by_mask, runs = [], [0] * len(rows), {}
+    for j, (lam, parts, m) in enumerate(rows):
+        c = tuple.__new__(Composition, parts)
+        order.append(c)
+        by_mask[m] = j
+        runs.setdefault(lam, []).append(c)
+    runs = {tuple.__new__(Partition, lam): run for lam, run in runs.items()}
+    return _Degree(tuple(order), {c: j for j, c in enumerate(order)}, tuple(by_mask), runs)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:

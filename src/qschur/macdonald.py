@@ -16,6 +16,11 @@ form, reversed (applied to the reversed shape) its mirror variant, and
 a constant basement gives the symmetric integral form of the sorted
 shape.  The diagram's geometry (legs, arms, attacks, triples) is read
 from ``fillings``.
+
+The Hall-Littlewood oracle shares none of this: it applies the
+divided differences of a reduced word of the longest permutation to one
+flat integer polynomial, x^l prod_{i<j} (x_i - t x_j), which symmetrizes
+it and divides by the Vandermonde in one exact pass.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from .compositions import (
     expand_to_weak,
 )
 from .fillings import AugmentedFilling, _diagram, _group, _tally, is_non_attacking
-from .polynomial import QtPoly, XPoly
+from .polynomial import QtPoly, XPoly, _unflat
 from .qsym import QSymExpr, m_to_f, xpoly_to_monomial
 
 
@@ -164,32 +169,31 @@ def hall_littlewood_p(l, n: int) -> XPoly:
 
 
 def hall_littlewood_p_oracle(l, n: int) -> XPoly:
-    """Hall-Littlewood polynomial by antisymmetrized division.
+    """Hall-Littlewood polynomial by divided differences.
 
-    Builds rho = prod_{i<j} (x_i - t x_j) once, sums sign(w) w(x^l rho)
-    over the permutations w by permuting exponent vectors, and divides
-    exactly by the Vandermonde determinant (rho at t = 1) and by the
-    multiplicity factor, all in exact arithmetic.  Independent of every
-    filling-based path.
+    P_l = v_l(t)^-1 sum_w w(x^l prod_{i<j} (x_i - t x_j) / (x_i - x_j))
+    (Macdonald, Ch. III (2.1)), and sum_w w(f / a) = d_w0 f for the
+    Vandermonde a, where d_w0 = a^-1 sum_w sign(w) w is the product of
+    the n(n-1)/2 divided differences d_i of a reduced word of the
+    longest permutation.  So x^l prod_{i<j} (x_i - t x_j) is built as one
+    flat integer polynomial, d_i is applied term by term in closed form,
+    and the result is divided exactly by the multiplicity factor v_l(t).
+    The word is applied from the right end, d_(n-1), then d_(n-2) d_(n-1),
+    and so on, because the exponents are smallest there and d_i makes
+    |e_i - e_(i+1)| terms of a monomial.  No division by the Vandermonde,
+    no sum over permutations, and independent of every filling-based
+    path.
     """
     l = Partition(l)
     if n < len(l):
         return XPoly.zero(n)
-    rho = XPoly.one(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rho = rho * (XPoly.variable(n, i) - XPoly.variable(n, j) * QtPoly.t())
-    base = XPoly.monomial(n, tuple(l) + (0,) * (n - len(l))) * rho
-    terms = list(base.items())
-    negated = [(e, -c) for e, c in terms]
-    signed = [
-        (_permute(e, w), c)
-        for w in itertools.permutations(range(n))
-        for e, c in (terms if _sign(w) > 0 else negated)
-    ]
-    num = XPoly._trusted(n, signed)
-    vandermonde = rho.specialize(t=1)
-    quotient = num.div_exact(vandermonde)
+    f = {tuple(l) + (0,) * (n - len(l)) + (0, 0): 1}
+    for i in range(n):
+        for j in range(i + 1, n):
+            f = _times_x_minus_tx(f, i, j)
+    for low in range(n - 1, 0, -1):
+        for i in range(low, n):
+            f = _divided_difference(f, i)
     mult: dict[int, int] = {0: n - len(l)}
     for p in l:
         mult[p] = mult.get(p, 0) + 1
@@ -197,19 +201,46 @@ def hall_littlewood_p_oracle(l, n: int) -> XPoly:
     for m in mult.values():
         for k in range(1, m + 1):
             v = v * QtPoly({(0, e): 1 for e in range(k)})
-    return quotient.div_scalar_exact(v)
+    return _unflat(n, f).div_scalar_exact(v)
 
 
-def _permute(exps: tuple[int, ...], w) -> tuple[int, ...]:
-    out = [0] * len(exps)
-    for i, e in enumerate(exps):
-        out[w[i]] = e
-    return tuple(out)
+def _times_x_minus_tx(f: dict, i: int, j: int) -> dict:
+    """A flat polynomial (x exponents + (q_exp, t_exp) -> int) times
+    x_i - t x_j, indices 0-based."""
+    out: dict = {}
+    for k, c in f.items():
+        up = list(k)
+        up[i] += 1
+        key = tuple(up)
+        out[key] = out.get(key, 0) + c
+        up[i] -= 1
+        up[j] += 1
+        up[-1] += 1
+        key = tuple(up)
+        out[key] = out.get(key, 0) - c
+    return {k: c for k, c in out.items() if c}
 
 
-def _sign(w) -> int:
-    inv = sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
-    return -1 if inv % 2 else 1
+def _divided_difference(f: dict, i: int) -> dict:
+    """d_i f = (f - s_i f) / (x_i - x_(i+1)) of a flat polynomial
+    (x exponents + (q_exp, t_exp) -> int), i 1-based.
+
+    Term by term: x_i^a x_(i+1)^b with a > b maps to the sum of
+    x_i^u x_(i+1)^(a+b-1-u) over b <= u < a, with a = b to 0, and with
+    a < b to the negated image of its mirror x_i^b x_(i+1)^a.
+    """
+    out: dict = {}
+    for k, c in f.items():
+        a, b = k[i - 1], k[i]
+        if a == b:
+            continue
+        if a < b:
+            a, b, c = b, a, -c
+        head, tail = k[:i - 1], k[i + 1:]
+        for u in range(b, a):
+            key = head + (u, a + b - 1 - u) + tail
+            out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 # -- fundamental expansion of the symmetric integral form -------------------

@@ -290,6 +290,15 @@ def _flat(terms: dict) -> dict:
     return {e + qt: c for e, poly in terms.items() for qt, c in poly._terms.items()}
 
 
+def _unflat(n: int, flat) -> "XPoly":
+    """The ``XPoly`` in n variables of a flat polynomial's
+    ``(exponents + (q_exp, t_exp), int)`` pairs or mapping."""
+    grouped: dict = {}
+    for k, c in _pairs(flat):
+        grouped.setdefault(k[:-2], []).append((k[-2:], c))
+    return XPoly._trusted(n, ((e, QtPoly._trusted(p)) for e, p in grouped.items()))
+
+
 class XPoly:
     """Sparse polynomial in x_1..x_n with QtPoly coefficients."""
 
@@ -434,10 +443,7 @@ class XPoly:
         Z[x, q, t], so an exact quotient is the same one.
         """
         other = self._coerce(other)
-        quotient: dict = {}
-        for k, c in _divide(_flat(self._terms), _flat(other._terms)):
-            quotient.setdefault(k[:-2], []).append((k[-2:], c))
-        return XPoly._trusted(self.n, ((e, QtPoly._trusted(p)) for e, p in quotient.items()))
+        return _unflat(self.n, _divide(_flat(self._terms), _flat(other._terms)))
 
     # -- rendering -----------------------------------------------------
 

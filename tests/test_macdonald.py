@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +32,7 @@ from qschur.macdonald import (
     ns_hall_littlewood,
     standard_filling_reading_word,
 )
-from qschur.polynomial import QtPoly, XPoly
+from qschur.polynomial import QtPoly, XPoly, _unflat
 from qschur.qsym import (
     QSymExpr,
     m_to_f,
@@ -401,9 +401,95 @@ def test_descentless_form_and_oracle_beyond_suite_bounds():
     # suites macdonald and hall-littlewood stop at 4 cells
     for g in [(2, 2, 1), (0, 3, 2), (1, 1, 3), (3, 0, 2), (3, 2, 1), (2, 2, 2), (1, 3, 2), (0, 2, 4)]:
         assert ns_hall_littlewood(g) == macdonald_integral_form(g, "id").specialize(q=0)
-    for lam in enumerate_partitions(5):
-        if len(lam) <= 4:
-            assert hall_littlewood_p(lam, 4) == hall_littlewood_p_oracle(lam, 4)
+    cases = [(lam, n) for size, n in ((5, 4), (5, 5), (6, 4))
+             for lam in enumerate_partitions(size) if len(lam) <= n]
+    assert len(cases) == 6 + 16
+    for lam, n in cases:
+        assert hall_littlewood_p(lam, n) == hall_littlewood_p_oracle(lam, n), (lam, n)
+
+
+def _antisymmetrized_oracle(lam, n) -> XPoly:
+    """P_lam by the definition, sum_w sign(w) w(x^lam rho) over the n!
+    permutations with rho = prod_{i<j} (x_i - t x_j), divided exactly by
+    the Vandermonde (rho at t = 1) and by v_lam(t)."""
+    if n < len(lam):
+        return XPoly.zero(n)
+    rho = XPoly.one(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            rho = rho * (XPoly.variable(n, i) - XPoly.variable(n, j) * QtPoly.t())
+    base = XPoly.monomial(n, tuple(lam) + (0,) * (n - len(lam))) * rho
+    signed = XPoly.zero(n)
+    for w in permutations(range(n)):
+        inversions = sum(w[a] > w[b] for a, b in combinations(range(n), 2))
+        moved = XPoly(n, ((tuple(e[w[k]] for k in range(n)), c) for e, c in base.items()))
+        signed = signed - moved if inversions % 2 else signed + moved
+    v = QtPoly.one()
+    for m in Counter(tuple(lam) + (0,) * (n - len(lam))).values():
+        for k in range(1, m + 1):
+            v = v * sum((QtPoly.t(e) for e in range(k)), QtPoly.zero())
+    return signed.div_exact(rho.specialize(t=1)).div_scalar_exact(v)
+
+
+def test_oracle_matches_the_antisymmetrized_definition():
+    # the divided differences give the Vandermonde quotient exactly
+    cases = [(lam, n) for size in range(6) for lam in enumerate_partitions(size)
+             for n in range(len(lam), 5)]
+    cases += [((3, 2), 5), ((2, 2, 1), 5), ((), 0), ((), 2), ((1,), 0)]
+    for lam, n in cases:
+        assert hall_littlewood_p_oracle(lam, n) == _antisymmetrized_oracle(lam, n), (lam, n)
+    assert hall_littlewood_p_oracle((), 0) == XPoly.one(0)
+    assert hall_littlewood_p_oracle((), 2) == XPoly.one(2)
+    assert hall_littlewood_p_oracle((1,), 0) == XPoly.zero(0)
+
+
+def test_oracle_at_t_one_is_the_monomial_symmetric_polynomial():
+    for size in range(6):
+        for lam in enumerate_partitions(size):
+            for n in range(len(lam), 5):
+                padded = tuple(lam) + (0,) * (n - len(lam))
+                m = XPoly(n, {e: 1 for e in set(permutations(padded))})
+                assert hall_littlewood_p_oracle(lam, n).specialize(t=1) == m, (lam, n)
+
+
+def test_oracle_builds_no_filling_and_divides_by_no_polynomial(monkeypatch):
+    # the oracle referees the filling sums, so it shares none of their
+    # code, and its divided differences leave no Vandermonde to divide by
+    cases = [((3, 1), 4), ((2, 2, 1), 5), ((5,), 5)]
+    expected = [hall_littlewood_p_oracle(*args) for args in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle left its own arithmetic")
+
+    monkeypatch.setattr(AugmentedFilling, "__init__", forbidden)
+    monkeypatch.setattr(AugmentedFilling, "_trusted", forbidden)
+    monkeypatch.setattr(fillings, "_walk", forbidden)
+    monkeypatch.setattr(macdonald, "_tally", forbidden)
+    monkeypatch.setattr(XPoly, "div_exact", forbidden)
+    for args, out in zip(cases, expected):
+        assert hall_littlewood_p_oracle(*args) == out, args
+
+
+@st.composite
+def _flat_polynomials(draw):
+    """(n, flat polynomial): x exponents + (q_exp, t_exp) -> int."""
+    n = draw(st.integers(2, 4))
+    keys = st.tuples(*[st.integers(0, 4)] * (n + 2))
+    return n, draw(st.dictionaries(keys, st.integers(-3, 3).filter(bool), max_size=6))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_flat_polynomials(), st.data())
+def test_divided_difference_laws(poly, data):
+    n, f = poly
+    i = data.draw(st.integers(1, n - 1))
+    d = macdonald._divided_difference
+    x = XPoly.variable(n, i) - XPoly.variable(n, i + 1)
+    p = _unflat(n, f)
+    assert x * _unflat(n, d(f, i)) == p - p.swap_variables(i, i + 1)
+    assert d(d(f, i), i) == {}
+    if i + 1 < n:
+        assert d(d(d(f, i), i + 1), i) == d(d(d(f, i + 1), i), i + 1)
 
 
 def test_reading_word_example():
