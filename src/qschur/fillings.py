@@ -18,8 +18,8 @@ position, and every statistic reads them through that table.
 
 One placement walk places the entries of every non-attacking filling
 cell by cell.  ``enumerate_fillings`` builds a filling at each of its
-leaves; the filling sums instead read the statistics the walk adds up
-as it places entries (``_tally``), and build no filling.
+leaves; the filling sums instead count the packed statistics the walk
+adds up as it places entries (``_counts``), and build no filling.
 """
 from __future__ import annotations
 
@@ -278,13 +278,6 @@ def _diagram(shape: tuple[int, ...]) -> _Diagram:
     )
 
 
-def _repeats(f: AugmentedFilling) -> tuple[Cell, ...]:
-    """The cells whose entry equals their left neighbour's."""
-    d = _diagram(f.shape)
-    v = f._values()
-    return tuple(c for c, p in zip(d.cells, d.cell_pos) if v[p] == v[p - 1])
-
-
 # -- statistics --------------------------------------------------------
 
 
@@ -325,13 +318,14 @@ def coinv(f: AugmentedFilling) -> int:
 
 def _radices(d: _Diagram) -> tuple[int, int, int]:
     """How the walk packs a filling's tallies into one integer, lowest
-    first: coinv, maj in units of ``maj_w``, the repeat mask (cell k is
-    bit k) in units of ``mask_w``, and the content, one digit to the base
-    ``base`` per entry value.  Each unit exceeds the largest sum of the
-    tallies below it."""
-    maj_w = len(d.triples) + 1
-    mask_w = maj_w * (sum(d.leg1) + 1)
-    return maj_w, mask_w, len(d.cells) + 1
+    first: q^maj t^coinv as ``maj * span + coinv``, the repeat mask (cell
+    k is bit k) in units of ``mask_w``, and the content, one digit to the
+    base ``base`` per entry value.  ``span`` exceeds every t exponent of
+    a weighed term, coinv plus the cell factors' (``macdonald._weigh``),
+    so the low field is already the key of the term's q,t monomial.  Each
+    unit exceeds the largest sum of the tallies below it."""
+    span = len(d.triples) + len(d.cells) + sum(d.arm1) + 1
+    return span, span * (sum(d.leg1) + 1), len(d.cells) + 1
 
 
 def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool) -> Iterator[int]:
@@ -350,7 +344,7 @@ def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool) -> Iterato
     """
     free, rank, leg1, mates, closing = d.cell_pos, d.rank, d.leg1, d.mates, d.closing
     last = len(free) - 1
-    maj_w, mask_w, base = _radices(d)
+    span, mask_w, base = _radices(d)
     width = len(rank)
     keys = [v * width + r for v, r in zip(values, rank)]
     digit = [(mask_w << len(free)) * base ** (v - 1) for v in range(nv + 1)]
@@ -359,7 +353,7 @@ def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool) -> Iterato
         # below: the tallies of the cells before cell k
         p = free[k]
         left, r = values[p - 1], rank[p]
-        descent, repeat = leg1[k] * maj_w, mask_w << k
+        descent, repeat = leg1[k] * span, mask_w << k
         banned = {values[m] for m in mates[k]}
         for v in range(1, (min(nv, left) if descentless else nv) + 1):
             if v in banned:
@@ -409,38 +403,29 @@ def enumerate_fillings(
         yield AugmentedFilling._trusted(shape, tuple(vec[a:b] for a, b in spans), rule, nv, vec)
 
 
-def _tally(shape, rule: str, nvars: int | None = None, descentless: bool = False) -> dict:
-    """The walk's fillings counted as ``{repeats: {exponents: {(maj,
-    coinv): count}}}``, the groups :func:`_group` makes of the same
-    fillings, with no filling built."""
-    shape, nv, d, values = _start(shape, rule, nvars)
-    maj_w, mask_w, base = _radices(d)
-    by_high: dict = {}
-    for packed, count in Counter(_walk(d, values, nv, descentless)).items():
-        high, low = divmod(packed, mask_w)
-        by_high.setdefault(high, {})[divmod(low, maj_w)] = count
-    groups: dict = {}
-    for high, stats in by_high.items():
-        content, mask = divmod(high, 1 << len(d.cells))
-        exponents = []
-        for _ in range(nv):
-            content, e = divmod(content, base)
-            exponents.append(e)
-        repeats = tuple(c for k, c in enumerate(d.cells) if mask >> k & 1)
-        groups.setdefault(repeats, {})[tuple(exponents)] = stats
-    return groups
+def _counts(shape, rule: str, nvars: int | None = None, descentless: bool = False,
+            keep=None) -> Counter:
+    """The walk's fillings counted by their packed tallies
+    (:func:`_radices`), with no filling built; with ``keep``, only those
+    whose packed tallies it accepts."""
+    _, nv, d, values = _start(shape, rule, nvars)
+    leaves = _walk(d, values, nv, descentless)
+    return Counter(leaves if keep is None else filter(keep, leaves))
 
 
-def _group(fillings) -> dict:
-    """Fillings counted as ``{repeats: {exponents: {(maj, coinv): count}}}``
-    by the per-filling definitions :func:`_repeats`, ``exponents``,
-    :func:`maj` and :func:`coinv`."""
-    groups: dict = {}
+def _group(fillings) -> Counter:
+    """Fillings counted in the packed layout of :func:`_walk`, each
+    tally taken from its per-filling definition: the cells repeating
+    their left neighbour, ``exponents``, :func:`maj` and :func:`coinv`."""
+    counts: Counter = Counter()
     for f in fillings:
-        stats = groups.setdefault(_repeats(f), {}).setdefault(f.exponents(), {})
-        key = (maj(f), coinv(f))
-        stats[key] = stats.get(key, 0) + 1
-    return groups
+        d = _diagram(f.shape)
+        span, mask_w, base = _radices(d)
+        v = f._values()
+        mask = sum(1 << k for k, p in enumerate(d.cell_pos) if v[p] == v[p - 1])
+        content = sum(e * base ** i for i, e in enumerate(f.exponents()))
+        counts[((content << len(d.cells)) + mask) * mask_w + maj(f) * span + coinv(f)] += 1
+    return counts
 
 
 def is_ssaf_filling(f: AugmentedFilling) -> bool:

@@ -6,16 +6,18 @@ fundamental-basis expansion of the symmetric integral form.
 Everything is a weighted sum over non-attacking fillings of an
 augmented diagram, weighed by one helper: x^f q^maj t^coinv times the
 cell factors of the filling's repeat set.  The helper takes the
-fillings' counts by repeat set, exponent vector, maj and coinv.  The
-integral forms and the Hall-Littlewood sums take them from the
-placement walk of ``fillings``, which adds the statistics up as it
-places entries and builds no filling; the merges of the fundamental
-expansion are counted by the per-filling definitions.  The basement
-rule selects the family: identity gives the integral nonsymmetric
-form, reversed (applied to the reversed shape) its mirror variant, and
-a constant basement gives the symmetric integral form of the sorted
-shape.  The diagram's geometry (legs, arms, attacks, triples) is read
-from ``fillings``.
+fillings' counts in the placement walk's packed layout, one integer
+per filling holding its maj, coinv, repeat set and content.  The
+integral forms and the Hall-Littlewood sums take them from the walk of
+``fillings``, which adds the statistics up as it places entries and
+builds no filling, and so does the fundamental expansion, read off
+the walk in the M basis; the paper's per-permutation construction of
+that expansion stays as its referee.  The basement rule selects the
+family: identity gives the integral nonsymmetric form, reversed
+(applied to the reversed shape) its mirror variant, and a constant
+basement gives the symmetric integral form of the sorted shape.  The
+diagram's geometry (legs, arms, attacks, triples) is read from
+``fillings``.
 
 The Hall-Littlewood oracle shares none of this: it applies the
 divided differences of a reduced word of the longest permutation to one
@@ -32,9 +34,10 @@ from .compositions import (
     Partition,
     WeakComposition,
     compositions_of_partition,
+    enumerate_compositions,
     expand_to_weak,
 )
-from .fillings import AugmentedFilling, _diagram, _group, _tally, is_non_attacking
+from .fillings import AugmentedFilling, _counts, _diagram, _group, _radices, is_non_attacking
 from .polynomial import QtPoly, XPoly, _unflat
 from .qsym import QSymExpr, m_to_f, xpoly_to_monomial
 
@@ -60,40 +63,44 @@ def _cell_factors(shape, repeats) -> dict:
     return w
 
 
-def _weigh(shape, groups: dict, descentless: bool = False) -> list:
-    """The ``(exponents, coefficient)`` terms of a filling sum, from its
-    fillings' counts ``{repeats: {exponents: {(maj, coinv): count}}}``
-    (:func:`fillings._tally` or :func:`fillings._group`): x^exponents
-    q^maj t^coinv times the cell factors of the repeat set, one term per
-    exponent vector.
+def _weigh(shape, counts, nv: int, descentless: bool = False) -> list:
+    """The ``(exponents, coefficient)`` terms of a filling sum in ``nv``
+    variables, from its fillings' counts in the walk's packed layout
+    (:func:`fillings._counts` or :func:`fillings._group`): x^exponents
+    q^maj t^coinv times the cell factors of the repeat set.
 
-    Each repeat set builds its factor product once; the factors depend
-    on it alone.  Each group's counts times its factors are added
-    straight into one integer dict per exponent vector, q^a t^b keyed by
-    the integer a * span + b, and wrapped as a ``QtPoly`` once at the
+    The counts are grouped by repeat mask, so each repeat set builds its
+    factor product once; the factors depend on it alone.  A count's low
+    field keys q^maj t^coinv as ``maj * span + coinv``, so counts times
+    factor terms are added straight into one integer dict per content,
+    read as an exponent vector and wrapped as a ``QtPoly`` once at the
     end.  A descentless sum is taken at q = 0, where every repeat factor
     is 1.
     """
     d = _diagram(shape)
-    # larger than any t exponent: coinv plus the factors' t exponents
-    span = len(d.triples) + len(d.cells) + sum(d.arm1) + 1
+    span, mask_w, base = _radices(d)
+    by_mask: dict = {}
+    for packed, count in counts.items():
+        high, low = divmod(packed, mask_w)
+        content, mask = divmod(high, 1 << len(d.cells))
+        by_mask.setdefault(mask, []).append((content, low, count))
     sums: dict = {}
-    for repeats, by_exponents in groups.items():
+    for mask, tallies in by_mask.items():
+        repeats = tuple(s for k, s in enumerate(d.cells) if mask >> k & 1)
         if descentless:
             factor = _one_minus_t_power(shape.size - len(repeats))
         else:
             factor = _cell_factors(shape, repeats)
         shifts = [(qe * span + te, v) for (qe, te), v in factor.items()]
-        for e, stats in by_exponents.items():
-            acc = sums.setdefault(e, {})
-            for (m, c), count in stats.items():
-                at = m * span + c
-                for shift, v in shifts:
-                    key = at + shift
-                    acc[key] = acc.get(key, 0) + count * v
+        for content, low, count in tallies:
+            acc = sums.setdefault(content, {})
+            for shift, v in shifts:
+                key = low + shift
+                acc[key] = acc.get(key, 0) + count * v
     return [
-        (e, QtPoly._trusted((divmod(key, span), v) for key, v in acc.items()))
-        for e, acc in sums.items()
+        (tuple(content // base ** i % base for i in range(nv)),
+         QtPoly._trusted((divmod(key, span), v) for key, v in acc.items()))
+        for content, acc in sums.items()
     ]
 
 
@@ -113,7 +120,7 @@ def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = Non
     nv = n if nvars is None else int(nvars)
     if basement in ("id", "rev") and nv != n:
         raise ValueError("identity/reversed basements need one variable per row")
-    return XPoly(nv, _weigh(shape, _tally(shape, basement, nv)))
+    return XPoly(nv, _weigh(shape, _counts(shape, basement, nv), nv))
 
 
 def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
@@ -130,7 +137,7 @@ def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
     nv = n if nvars is None else int(nvars)
     if nv != n:
         raise ValueError("identity basement needs one variable per row")
-    return XPoly(nv, _weigh(shape, _tally(shape, "id", nv, True), descentless=True))
+    return XPoly(nv, _weigh(shape, _counts(shape, "id", nv, True), nv, descentless=True))
 
 
 def hall_littlewood_qsym(a, n: int) -> XPoly:
@@ -259,10 +266,23 @@ def standard_filling_reading_word(mu, rows) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _standard_merges(mu: Partition):
-    """Per standard filling σ of ``mu``: its reading word, its rows, and
-    its non-attacking merges, σ with labels i and i + 1 given one value
-    for each i of a merge set, where i is read before i + 1."""
+def j_fundamental_classes(mu):
+    """Per-permutation pieces of the fundamental expansion.
+
+    Every filling with a constant basement standardizes (relabelling
+    equal entries in reading order: columns right to left, top to
+    bottom) to a standard filling σ, so the weighted sum splits into
+    one group per σ.  The group of σ holds its merges: σ with labels i
+    and i + 1 given one value for each i of a merge set, where i is
+    read before i + 1, kept when the merged filling is non-attacking.
+    Each merge is counted by the per-filling definitions and weighed as
+    in the filling sum, and its packed content is the composition of
+    its monomial term.  This builds all m! standard fillings; it is the
+    paper's construction, kept to referee :func:`macdonald_j_fundamental`.
+
+    Yields (reading word, standard rows, M-expansion of the group).
+    """
+    mu = Partition(mu)
     m = mu.size
     for values in itertools.permutations(range(1, m + 1)):
         it = iter(values)
@@ -275,26 +295,7 @@ def _standard_merges(mu: Partition):
             for r in range(len(mergeable) + 1)
             for chosen in itertools.combinations(mergeable, r)
         )
-        yield word, rows, filter(is_non_attacking, merges)
-
-
-def j_fundamental_classes(mu):
-    """Per-permutation pieces of the fundamental expansion.
-
-    Every filling with a constant basement standardizes (relabelling
-    equal entries in reading order: columns right to left, top to
-    bottom) to a standard filling σ, so the weighted sum splits into
-    one group per σ.  The group of σ holds its merges: σ with labels i
-    and i + 1 given one value for each i of a merge set, where i is
-    read before i + 1, kept when the merged filling is non-attacking.
-    Each merge is weighed as in the filling sum, and its packed content
-    is the composition of its monomial term.
-
-    Yields (reading word, standard rows, M-expansion of the group).
-    """
-    mu = Partition(mu)
-    for word, rows, merges in _standard_merges(mu):
-        yield word, rows, QSymExpr("M", _weigh(mu, _group(merges)))
+        yield word, rows, _in_m(mu, _group(filter(is_non_attacking, merges)))
 
 
 def _merge(shape, rows, m: int, merged: set) -> AugmentedFilling:
@@ -305,16 +306,28 @@ def _merge(shape, rows, m: int, merged: set) -> AugmentedFilling:
     return AugmentedFilling._trusted(shape, packed, "const", m - len(merged))
 
 
+def _in_m(mu: Partition, counts) -> QSymExpr:
+    """The M-expansion of constant-basement filling counts of ``mu``
+    whose contents, in |mu| variables, have their nonzero entries first:
+    each content, its zeros dropped, is the composition of its term."""
+    return QSymExpr("M", ((tuple(filter(None, e)), v) for e, v in _weigh(mu, counts, mu.size)))
+
+
 def macdonald_j_fundamental(mu) -> QSymExpr:
     """Fundamental-basis expansion of the symmetric integral form.
 
-    Weighs the merges of every standard filling, the groups of
-    :func:`j_fundamental_classes` together, in one sum and rewrites the
-    total over the fundamental basis.  Exact in Z[q,t]; evaluating the
-    result in ``size`` variables agrees with the constant-basement
-    weighted filling sum.
+    The form is symmetric, so in |mu| variables its coefficient of M_a
+    is its coefficient of x^a, a padded with zeros.  So the placement
+    walk with a constant basement runs once in |mu| variables, counts
+    only the fillings whose content is such an a, and the sum of those
+    is read in the M basis and rewritten over the fundamental basis.
+    Exact in Z[q,t]; the merges of :func:`j_fundamental_classes` sum to
+    the same expansion.
     """
     mu = Partition(mu)
-    merges = (f for _, _, group in _standard_merges(mu) for f in group)
-    return m_to_f(QSymExpr("M", _weigh(mu, _group(merges))))
-
+    d = _diagram(mu)
+    _, mask_w, base = _radices(d)
+    unit = mask_w << len(d.cells)
+    leading = {sum(p * base ** i for i, p in enumerate(a)) for a in enumerate_compositions(mu.size)}
+    counts = _counts(mu, "const", mu.size, keep=lambda packed: packed // unit in leading)
+    return m_to_f(_in_m(mu, counts))

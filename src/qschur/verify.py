@@ -40,6 +40,7 @@ from .qsym import (
     demazure_atom,
     equals_fundamental_shape,
     equals_monomial_shape,
+    m_to_f,
     monomial_qsym_poly,
     qschur_in_fundamental,
     qschur_in_monomial,
@@ -53,6 +54,7 @@ from .macdonald import (
     hall_littlewood_p,
     hall_littlewood_p_oracle,
     hall_littlewood_qsym,
+    j_fundamental_classes,
     macdonald_integral_form,
     macdonald_j_fundamental,
     ns_hall_littlewood,
@@ -389,15 +391,87 @@ def suite_hl_chain(max_size: int = 4) -> SuiteResult:
 
 def suite_j_fundamental(max_size: int = 3) -> SuiteResult:
     """The fundamental expansion of the symmetric integral form evaluates
-    to the constant-basement filling sum."""
+    to the constant-basement filling sum, and equals the paper's
+    construction: the merges of every standard filling, summed over the
+    groups of :func:`j_fundamental_classes`."""
     cases, fails = 0, []
     for m in range(1, max_size + 1):
         for lam in enumerate_partitions(m):
             cases += 1
+            jf = macdonald_j_fundamental(lam)
             J = macdonald_integral_form(lam, "const", m)
-            if qsym_to_poly(macdonald_j_fundamental(lam), m) != J:
+            if qsym_to_poly(jf, m) != J:
                 fails.append(f"fundamental expansion disagrees at {tuple(lam)}")
+            merged = sum((expr for _, _, expr in j_fundamental_classes(lam)), QSymExpr("M"))
+            if m_to_f(merged) != jf:
+                fails.append(f"fundamental expansion is not the sum of its merges at {tuple(lam)}")
     return cases, fails
+
+
+def suite_macdonald_operator(max_size: int = 6, max_vars: int = 5) -> SuiteResult:
+    """The symmetric integral form J_lam in n variables, as the
+    constant-basement filling sum and as its fundamental expansion, is
+    an eigenvector of Macdonald's operator D with eigenvalue
+    sum_i q^(lam_i) t^(n-i), and its coefficient of x^lam is
+    prod_s (1 - q^(a(s)) t^(l(s)+1)) (Macdonald, Ch. VI §3 and (8.3)).
+    Together these pin J_lam; see :func:`_operator_failures`."""
+    cases, fails = 0, []
+    for m in range(1, max_size + 1):
+        for lam in enumerate_partitions(m):
+            for n in range(len(lam), min(m, max_vars) + 1):
+                forms = (
+                    ("constant basement", macdonald_integral_form(lam, "const", n)),
+                    ("fundamental expansion", qsym_to_poly(macdonald_j_fundamental(lam), n)),
+                )
+                for name, J in forms:
+                    cases += 1
+                    for f in _operator_failures(lam, n, J):
+                        fails.append(f"{name}: {f} at {tuple(lam)}, n={n}")
+    return cases, fails
+
+
+def _operator_failures(lam, n: int, J) -> list[str]:
+    """How the polynomial ``J`` in n variables fails to be J_lam.
+
+    D f = a^-1 sum_i (T_(t,x_i) a)(T_(q,x_i) f), where T_(u,x_i) scales
+    each monomial by u^(e_i) and a = sum_w sign(w) x^(w delta) is the
+    Vandermonde, delta = (n-1, ..., 0).  Both sides of D J = c J are
+    symmetric, so they are compared in the Schur basis: the coefficient
+    of s_mu in a symmetric h is that of x^(mu+delta) in a h, which for
+    h = D J is sum_i sum_w sign(w) t^((w delta)_i) q^((mu+delta-w delta)_i)
+    [x^(mu+delta-w delta)] J.  Every side is a sum of shifted
+    coefficients of J: no division and no polynomial product.
+    """
+    lam = tuple(lam) + (0,) * (n - len(lam))
+    delta = tuple(range(n - 1, -1, -1))
+    a = [((-1) ** sum(x < y for x, y in itertools.combinations(w, 2)), w)
+         for w in itertools.permutations(delta)]
+    terms = dict(J.items())
+    fails = []
+    for mu in enumerate_partitions(sum(lam)):
+        if len(mu) > n:
+            continue
+        top = [p + d for p, d in zip(tuple(mu) + (0,) * (n - len(mu)), delta)]
+        lhs: dict = {}
+        rhs: dict = {}
+        for sign, w in a:
+            e = tuple(p - d for p, d in zip(top, w))
+            for (qe, te), c in terms.get(e, QtPoly.zero()).items():
+                for i in range(n):
+                    key = (qe + e[i], te + w[i])
+                    lhs[key] = lhs.get(key, 0) + sign * c
+                    key = (qe + lam[i], te + n - 1 - i)
+                    rhs[key] = rhs.get(key, 0) + sign * c
+        if QtPoly(lhs) != QtPoly(rhs):
+            fails.append(f"D J is not its eigenvalue times J in the coefficient of s_{tuple(mu)}")
+    lead = QtPoly.one()
+    for i, p in enumerate(lam):
+        for j in range(p):
+            leg = sum(1 for r in lam[i + 1:] if r > j)
+            lead = lead * (QtPoly.one() - QtPoly({(p - j - 1, leg + 1): 1}))
+    if J.coefficient(lam) != lead:
+        fails.append("the coefficient of x^lam is not prod_s (1 - q^a(s) t^(l(s)+1))")
+    return fails
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {
@@ -411,6 +485,7 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
     "hall-littlewood": suite_hall_littlewood,
     "hl-chain": suite_hl_chain,
     "j-fundamental": suite_j_fundamental,
+    "macdonald-operator": suite_macdonald_operator,
 }
 
 

@@ -291,6 +291,10 @@ def test_j_fund(capsys):
     terms = {tuple(t["composition"]): t["coeff"] for t in data["terms"]}
     # (1-t)(1-t^2) on the single fundamental term
     assert set(terms) == {(1, 1)}
+    # the empty shape gives the unit
+    rc, out, _ = run_cli(capsys, "j-fund", "--shape", "()")
+    assert rc == 0
+    assert out.strip() == "1"
 
 
 def test_l_alpha(capsys):

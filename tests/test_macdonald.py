@@ -16,6 +16,7 @@ from qschur.compositions import (
 from qschur.fillings import (
     AugmentedFilling,
     arm,
+    basement_entry,
     coinv,
     enumerate_fillings,
     leg,
@@ -43,6 +44,7 @@ from qschur.qsym import (
     schur_in_monomial_oracle,
 )
 from qschur.tableaux import enumerate_ssafs
+from qschur.verify import _operator_failures
 
 # Printed comparison values for the alternative one-parameter family
 # defined through difference operators (kept only as a fixture; the
@@ -117,19 +119,55 @@ def test_diagram_geometry_derived_once_per_shape(monkeypatch):
     assert calls["triples"] <= 1 and calls["attack_pairs"] <= 1
 
 
+def _decoded(g, nv, counts):
+    """The walk's packed counts read back field by field, with the
+    layout of ``fillings._radices``, as counts of (repeat cells,
+    exponents, maj, coinv)."""
+    d = fillings._diagram(tuple(g))
+    span, mask_w, base = fillings._radices(d)
+    out = Counter()
+    for packed, count in counts.items():
+        high, low = divmod(packed, mask_w)
+        content, mask = divmod(high, 1 << len(d.cells))
+        exponents = []
+        for _ in range(nv):
+            content, e = divmod(content, base)
+            exponents.append(e)
+        assert content == 0, (g, nv, packed)
+        repeats = tuple(s for k, s in enumerate(d.cells) if mask >> k & 1)
+        out[(repeats, tuple(exponents), *divmod(low, span))] += count
+    return out
+
+
+def _repeat_cells(f):
+    """The cells whose entry equals their left neighbour's, the basement
+    entry included."""
+    cells = []
+    for i, row in enumerate(f.rows, start=1):
+        left = basement_entry(f.rule, i, f.n, f.nvars)
+        for j, v in enumerate(row, start=1):
+            if v == left:
+                cells.append((i, j))
+            left = v
+    return tuple(cells)
+
+
 def _assert_walk_matches_the_definitions(g):
     n = len(g)
     for rule, nv in (("id", n), ("rev", n), ("const", n), ("const", n + 1)):
         for descentless in (False, True):
-            tally = fillings._tally(g, rule, nv, descentless)
-            grouped = fillings._group(enumerate_fillings(g, rule, nv, descentless))
-            assert tally == grouped, (g, rule, nv, descentless)
+            walked = _decoded(g, nv, fillings._counts(g, rule, nv, descentless))
+            defined = Counter(
+                (_repeat_cells(f), f.exponents(), maj(f), coinv(f))
+                for f in enumerate_fillings(g, rule, nv, descentless)
+            )
+            assert walked == defined, (g, rule, nv, descentless)
 
 
 def test_walk_tally_matches_the_definitions():
-    # the walk counts maj, coinv, the repeat set and the content as it
-    # places entries; grouping its fillings by the per-filling
-    # definitions gives the same counts
+    # the walk packs maj, coinv, the repeat set and the content into one
+    # integer as it places entries; read back field by field, its counts
+    # are those of the per-filling definitions
     shapes = [g for n in range(5) for total in range(6) for g in enumerate_weak_compositions(total, n)]
     for g in shapes:
         _assert_walk_matches_the_definitions(g)
@@ -141,9 +179,22 @@ def test_walk_tally_matches_the_definitions_at_size_six(g):
     _assert_walk_matches_the_definitions(g)
 
 
+def test_group_counts_fillings_in_the_walk_layout():
+    # the per-filling reference packs each filling as the walk does
+    for n in range(5):
+        for total in range(5):
+            for g in enumerate_weak_compositions(total, n):
+                for rule, nv in (("id", n), ("const", n + 1)):
+                    for descentless in (False, True):
+                        counts = fillings._counts(g, rule, nv, descentless)
+                        grouped = fillings._group(enumerate_fillings(g, rule, nv, descentless))
+                        assert grouped == counts, (g, rule, nv, descentless)
+
+
 def test_filling_sums_build_no_filling_object(monkeypatch):
-    # the integral forms and the Hall-Littlewood sums tally the walk's
-    # leaves; no AugmentedFilling is built on their path
+    # the integral forms, the Hall-Littlewood sums and the fundamental
+    # expansion count the walk's leaves; no AugmentedFilling is built and
+    # no per-filling statistic is taken on their path
     cases = [
         (macdonald_integral_form, ((2, 1, 1), "id")),
         (macdonald_integral_form, ((0, 2, 2), "rev")),
@@ -151,6 +202,9 @@ def test_filling_sums_build_no_filling_object(monkeypatch):
         (macdonald_integral_form, ((3, 1), "const", 4)),
         (ns_hall_littlewood, ((1, 0, 2),)),
         (hall_littlewood_p, ((2, 1, 1), 4)),
+        (macdonald_j_fundamental, ((2, 1, 1),)),
+        (macdonald_j_fundamental, ((3, 2),)),
+        (macdonald_j_fundamental, ((),)),
     ]
     expected = [fn(*args) for fn, args in cases]
 
@@ -159,6 +213,9 @@ def test_filling_sums_build_no_filling_object(monkeypatch):
 
     monkeypatch.setattr(AugmentedFilling, "__init__", forbidden)
     monkeypatch.setattr(AugmentedFilling, "_trusted", forbidden)
+    for name in ("maj", "coinv", "_group"):
+        monkeypatch.setattr(fillings, name, forbidden)
+    monkeypatch.setattr(macdonald, "_group", forbidden)
     for (fn, args), out in zip(cases, expected):
         assert fn(*args) == out, args
     # with no rows no basement cell reads the rule, so it is checked first
@@ -175,6 +232,7 @@ def test_degenerate_inputs():
     assert hall_littlewood_p((), 2) == XPoly.one(2)
     assert hall_littlewood_p((1,), 0) == XPoly.zero(0)
     assert macdonald_j_fundamental(()) == qsym_unit("F")
+    assert macdonald_j_fundamental((1,)) == QSymExpr("F", {(1,): QtPoly.one() - QtPoly.t()})
     assert list(j_fundamental_classes(())) == [((), (), qsym_unit("M"))]
     assert list(enumerate_fillings((1,), "const", 0)) == []
 
@@ -298,6 +356,32 @@ def test_j_fundamental_classes_partition_the_sum():
             total = total + expr
         assert len(words) == math.factorial(m)
         assert m_to_f(total) == macdonald_j_fundamental(lam)
+
+
+def test_macdonald_operator_suite(check_suite):
+    # the constant-basement sum and the fundamental expansion both come
+    # from the placement walk; the operator check reads only their output
+    check_suite("macdonald-operator")
+
+
+def test_macdonald_operator_check_catches_symmetric_mutants():
+    J = macdonald_integral_form((3, 1), "const", 4)
+    assert _operator_failures((3, 1), 4, J) == []
+    # q and t swapped in one coefficient off the leading monomial
+    terms = dict(J.items())
+    c = terms[(2, 1, 1, 0)]
+    terms[(2, 1, 1, 0)] = QtPoly({(te, qe): v for (qe, te), v in c.items()})
+    assert terms[(2, 1, 1, 0)] != c
+    assert _operator_failures((3, 1), 4, XPoly(4, terms))
+    # qt added to every rearrangement of (2,1,1,0): still symmetric, with
+    # the same leading coefficient, so only the eigenvalue tells
+    terms = dict(J.items())
+    for e in set(permutations((2, 1, 1, 0))):
+        terms[e] = terms[e] + QtPoly({(1, 1): 1})
+    mutant = XPoly(4, terms)
+    assert all(mutant == mutant.swap_variables(i, i + 1) for i in range(1, 4))
+    assert mutant.coefficient((3, 1, 0, 0)) == J.coefficient((3, 1, 0, 0))
+    assert _operator_failures((3, 1), 4, mutant)
 
 
 def test_cell_factors_built_once_per_repeat_set(monkeypatch):
@@ -464,7 +548,8 @@ def test_oracle_builds_no_filling_and_divides_by_no_polynomial(monkeypatch):
     monkeypatch.setattr(AugmentedFilling, "__init__", forbidden)
     monkeypatch.setattr(AugmentedFilling, "_trusted", forbidden)
     monkeypatch.setattr(fillings, "_walk", forbidden)
-    monkeypatch.setattr(macdonald, "_tally", forbidden)
+    monkeypatch.setattr(fillings, "_counts", forbidden)
+    monkeypatch.setattr(macdonald, "_counts", forbidden)
     monkeypatch.setattr(XPoly, "div_exact", forbidden)
     for args, out in zip(cases, expected):
         assert hall_littlewood_p_oracle(*args) == out, args
