@@ -19,12 +19,17 @@ position, and every statistic reads them through that table.
 One placement walk places the entries of every non-attacking filling
 cell by cell.  ``enumerate_fillings`` builds a filling at each of its
 leaves; the filling sums instead count the packed statistics the walk
-adds up as it places entries (``_counts``), and build no filling.
+adds up as it places entries (``_counts``), and build no filling.  The
+walk can be given a content, a budget of uses per entry value, and
+then visits only the fillings of that content: the symmetric sums walk
+once per partition content and spread the result to its
+rearrangements.
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .compositions import WeakComposition, content
@@ -328,7 +333,8 @@ def _radices(d: _Diagram) -> tuple[int, int, int]:
     return span, span * (sum(d.leg1) + 1), len(d.cells) + 1
 
 
-def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool) -> Iterator[int]:
+def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool,
+          budget: list[int] | None = None) -> Iterator[int]:
     """Place the entries of every non-attacking filling with entries in
     [nv], cell by cell in position order, and yield once per filling while
     ``values``, which comes with the basement entries set, holds it.
@@ -341,6 +347,11 @@ def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool) -> Iterato
     cell ends that is not an inversion triple, scored with the
     ``entry * len(rank) + rank`` key of :func:`coinv`.  With
     ``descentless`` no entry exceeds its left neighbour.
+
+    ``budget[v]`` is how many more cells may take the value v: a value
+    whose budget is spent is skipped, and a placement gives its use back
+    when the walk backtracks past it.  Without a budget every value may
+    fill every cell, a limit that never binds.
     """
     free, rank, leg1, mates, closing = d.cell_pos, d.rank, d.leg1, d.mates, d.closing
     last = len(free) - 1
@@ -348,6 +359,8 @@ def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool) -> Iterato
     width = len(rank)
     keys = [v * width + r for v, r in zip(values, rank)]
     digit = [(mask_w << len(free)) * base ** (v - 1) for v in range(nv + 1)]
+    if budget is None:
+        budget = [len(free)] * (nv + 1)
 
     def place(k: int, below: int) -> Iterator[int]:
         # below: the tallies of the cells before cell k
@@ -356,7 +369,7 @@ def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool) -> Iterato
         descent, repeat = leg1[k] * span, mask_w << k
         banned = {values[m] for m in mates[k]}
         for v in range(1, (min(nv, left) if descentless else nv) + 1):
-            if v in banned:
+            if v in banned or not budget[v]:
                 continue
             values[p] = v
             keys[p] = v * width + r
@@ -365,7 +378,9 @@ def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool) -> Iterato
                 ka, kb, kc = keys[a], keys[b], keys[c]
                 add += (ka < kc) + (kc < kb) + (kb < ka) < 2
             if k < last:
+                budget[v] -= 1
                 yield from place(k + 1, add)
+                budget[v] += 1
             else:
                 yield add
 
@@ -404,13 +419,22 @@ def enumerate_fillings(
 
 
 def _counts(shape, rule: str, nvars: int | None = None, descentless: bool = False,
-            keep=None) -> Counter:
+            contents=None) -> Counter:
     """The walk's fillings counted by their packed tallies
-    (:func:`_radices`), with no filling built; with ``keep``, only those
-    whose packed tallies it accepts."""
+    (:func:`_radices`), with no filling built.
+
+    With ``contents`` the walk runs once per content, with that content
+    as its budget (:func:`_walk`): the value v fills at most
+    ``content[v-1]`` cells, so a content that sums to the number of
+    cells keeps exactly the fillings of that content.  The packed
+    content field keeps the walks apart, so one ``Counter`` counts them
+    all."""
     _, nv, d, values = _start(shape, rule, nvars)
-    leaves = _walk(d, values, nv, descentless)
-    return Counter(leaves if keep is None else filter(keep, leaves))
+    if contents is None:
+        return Counter(_walk(d, values, nv, descentless))
+    return Counter(chain.from_iterable(
+        _walk(d, values, nv, descentless, [0, *c, *[0] * (nv - len(c))]) for c in contents
+    ))
 
 
 def _group(fillings) -> Counter:

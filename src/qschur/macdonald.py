@@ -5,19 +5,21 @@ fundamental-basis expansion of the symmetric integral form.
 
 Everything is a weighted sum over non-attacking fillings of an
 augmented diagram, weighed by one helper: x^f q^maj t^coinv times the
-cell factors of the filling's repeat set.  The helper takes the
-fillings' counts in the placement walk's packed layout, one integer
-per filling holding its maj, coinv, repeat set and content.  The
-integral forms and the Hall-Littlewood sums take them from the walk of
-``fillings``, which adds the statistics up as it places entries and
-builds no filling, and so does the fundamental expansion, read off
-the walk in the M basis; the paper's per-permutation construction of
-that expansion stays as its referee.  The basement rule selects the
-family: identity gives the integral nonsymmetric form, reversed
-(applied to the reversed shape) its mirror variant, and a constant
-basement gives the symmetric integral form of the sorted shape.  The
-diagram's geometry (legs, arms, attacks, triples) is read from
-``fillings``.
+cell factors of the filling's repeat set, with every q,t monomial
+packed into one integer.  The helper takes the fillings' counts in the
+placement walk's packed layout, one integer per filling holding its
+maj, coinv, repeat set and content.  The integral forms and the
+Hall-Littlewood sums take them from the walk of ``fillings``, which
+adds the statistics up as it places entries and builds no filling.
+The constant-basement sum and the fundamental expansion are symmetric,
+so they walk only the fillings of partition content, one budgeted walk
+per partition, and give each coefficient to the rearrangements of its
+partition; the paper's per-permutation construction of the expansion
+stays as its referee.  The basement rule selects the family: identity
+gives the integral nonsymmetric form, reversed (applied to the reversed
+shape) its mirror variant, and a constant basement gives the symmetric
+integral form of the sorted shape.  The diagram's geometry (legs, arms,
+attacks, triples) is read from ``fillings``.
 
 The Hall-Littlewood oracle shares none of this: it applies the
 divided differences of a reduced word of the longest permutation to one
@@ -34,7 +36,7 @@ from .compositions import (
     Partition,
     WeakComposition,
     compositions_of_partition,
-    enumerate_compositions,
+    enumerate_partitions,
     expand_to_weak,
 )
 from .fillings import AugmentedFilling, _counts, _diagram, _group, _radices, is_non_attacking
@@ -43,22 +45,25 @@ from .qsym import QSymExpr, m_to_f, xpoly_to_monomial
 
 
 def _one_minus_t_power(k: int) -> dict:
-    """(1 - t)^k as a ``{(q_exp, t_exp): int}`` dict: a signed binomial row."""
-    return {(0, j): (-1) ** j * math.comb(k, j) for j in range(k + 1)}
+    """(1 - t)^k, a signed binomial row keyed by t exponent: with no q
+    term that is also its packed key ``q_exp * span + t_exp``."""
+    return {j: (-1) ** j * math.comb(k, j) for j in range(k + 1)}
 
 
 def _cell_factors(shape, repeats) -> dict:
     """Product over the cells of (1 - q^(leg+1) t^(arm+1)) for a cell in
     ``repeats`` (it repeats its left neighbour) and (1 - t) otherwise, as
-    a ``{(q_exp, t_exp): int}`` dict."""
+    an integer dict keyed by ``q_exp * span + t_exp``, the packed key of
+    the walk's low field (``span`` from :func:`fillings._radices`)."""
     d = _diagram(shape)
+    span = _radices(d)[0]
     w = _one_minus_t_power(shape.size - len(repeats))
     for s, l1, a1 in zip(d.cells, d.leg1, d.arm1):
         if s in repeats:
+            step = l1 * span + a1
             shifted = dict(w)
-            for (qe, te), c in w.items():
-                key = (qe + l1, te + a1)
-                shifted[key] = shifted.get(key, 0) - c
+            for key, c in w.items():
+                shifted[key + step] = shifted.get(key + step, 0) - c
             w = shifted
     return w
 
@@ -71,11 +76,12 @@ def _weigh(shape, counts, nv: int, descentless: bool = False) -> list:
 
     The counts are grouped by repeat mask, so each repeat set builds its
     factor product once; the factors depend on it alone.  A count's low
-    field keys q^maj t^coinv as ``maj * span + coinv``, so counts times
-    factor terms are added straight into one integer dict per content,
-    read as an exponent vector and wrapped as a ``QtPoly`` once at the
-    end.  A descentless sum is taken at q = 0, where every repeat factor
-    is 1.
+    field and the factors' keys are both packed as ``q_exp * span +
+    t_exp``, so a product term's key is their sum: counts times factor
+    terms are added straight into one integer dict per content, which
+    is read as an exponent vector and wrapped as a ``QtPoly`` once at
+    the end, its keys split and its zero coefficients dropped.  A
+    descentless sum is taken at q = 0, where every repeat factor is 1.
     """
     d = _diagram(shape)
     span, mask_w, base = _radices(d)
@@ -91,17 +97,37 @@ def _weigh(shape, counts, nv: int, descentless: bool = False) -> list:
             factor = _one_minus_t_power(shape.size - len(repeats))
         else:
             factor = _cell_factors(shape, repeats)
-        shifts = [(qe * span + te, v) for (qe, te), v in factor.items()]
         for content, low, count in tallies:
             acc = sums.setdefault(content, {})
-            for shift, v in shifts:
+            for shift, v in factor.items():
                 key = low + shift
                 acc[key] = acc.get(key, 0) + count * v
     return [
-        (tuple(content // base ** i % base for i in range(nv)),
-         QtPoly._trusted((divmod(key, span), v) for key, v in acc.items()))
+        (tuple(content // base ** i % base for i in range(nv)), QtPoly._packed(acc, span))
         for content, acc in sums.items()
     ]
+
+
+def _partition_sums(shape, nv: int) -> list:
+    """The ``(partition, coefficient)`` terms of the constant-basement
+    filling sum in ``nv`` variables whose exponents, zeros dropped, are
+    partitions.  The sum is symmetric, so these fix it.
+
+    The walk runs once per partition content of |shape| with at most
+    ``nv`` parts, with that content as its budget, and the counts of all
+    the walks are weighed as one sum, so each repeat set builds its cell
+    factors once over all of them.  The cells of a column attack each
+    other, so a value fills at most one cell per column, and a content
+    whose partial sums exceed those of the sorted shape (one not
+    dominated by it) has no filling; its walk is skipped.
+    """
+    top = list(itertools.accumulate(sorted(shape, reverse=True)))
+    contents = [
+        lam for lam in enumerate_partitions(shape.size)
+        if len(lam) <= nv and all(a <= b for a, b in zip(itertools.accumulate(lam), top))
+    ]
+    counts = _counts(shape, "const", nv, False, contents)
+    return [(tuple(filter(None, e)), c) for e, c in _weigh(shape, counts, nv)]
 
 
 def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = None) -> XPoly:
@@ -114,13 +140,25 @@ def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = Non
     so the sum collapses to the Demazure atom; with a constant basement
     and q = t = 0 it collapses to the Schur polynomial of the sorted
     shape.
+
+    The constant-basement sum is symmetric, so it is computed at the
+    partition exponents alone (:func:`_partition_sums`) and each
+    coefficient is given to every weak rearrangement of its partition
+    in ``nvars`` variables.
     """
     shape = WeakComposition(shape)
     n = len(shape)
     nv = n if nvars is None else int(nvars)
     if basement in ("id", "rev") and nv != n:
         raise ValueError("identity/reversed basements need one variable per row")
-    return XPoly(nv, _weigh(shape, _counts(shape, basement, nv), nv))
+    if basement != "const":
+        return XPoly(nv, _weigh(shape, _counts(shape, basement, nv), nv))
+    return XPoly(nv, (
+        (w, c)
+        for lam, c in _partition_sums(shape, nv)
+        for a in compositions_of_partition(lam)
+        for w in expand_to_weak(a, nv)
+    ))
 
 
 def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
@@ -317,17 +355,16 @@ def macdonald_j_fundamental(mu) -> QSymExpr:
     """Fundamental-basis expansion of the symmetric integral form.
 
     The form is symmetric, so in |mu| variables its coefficient of M_a
-    is its coefficient of x^a, a padded with zeros.  So the placement
-    walk with a constant basement runs once in |mu| variables, counts
-    only the fillings whose content is such an a, and the sum of those
-    is read in the M basis and rewritten over the fundamental basis.
+    is its coefficient of x^a, a padded with zeros, and that equals its
+    coefficient at the sorted exponents.  So the constant-basement sum
+    is taken in |mu| variables at the partition exponents alone, one
+    budgeted walk per partition content (:func:`_partition_sums`); each
+    partition's coefficient is given to M_a for every rearrangement a of
+    it, and the M-expansion is rewritten over the fundamental basis.
     Exact in Z[q,t]; the merges of :func:`j_fundamental_classes` sum to
     the same expansion.
     """
     mu = Partition(mu)
-    d = _diagram(mu)
-    _, mask_w, base = _radices(d)
-    unit = mask_w << len(d.cells)
-    leading = {sum(p * base ** i for i, p in enumerate(a)) for a in enumerate_compositions(mu.size)}
-    counts = _counts(mu, "const", mu.size, keep=lambda packed: packed // unit in leading)
-    return m_to_f(_in_m(mu, counts))
+    return m_to_f(QSymExpr._trusted("M", (
+        (a, c) for lam, c in _partition_sums(mu, mu.size) for a in compositions_of_partition(lam)
+    )))

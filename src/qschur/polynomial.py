@@ -137,6 +137,14 @@ class QtPoly:
         self._terms = _accumulate(pairs)
         return self
 
+    @classmethod
+    def _packed(cls, terms: dict, span: int) -> "QtPoly":
+        """Wrap ``{q_exp * span + t_exp: int}`` unchecked: the keys are
+        already distinct, so each is split once and zeros are dropped."""
+        self = object.__new__(cls)
+        self._terms = {divmod(k, span): c for k, c in terms.items() if c}
+        return self
+
     # -- constructors ------------------------------------------------
 
     @classmethod

@@ -421,6 +421,68 @@ def test_descentless_sum_builds_no_q_factor(monkeypatch):
     assert p and all(qe == 0 for _, c in p.items() for (qe, _te), _coeff in c.items())
 
 
+def _outcome(compute):
+    """A computed value, or the type and text of the ValueError it raised."""
+    try:
+        return compute()
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_const_form_equals_the_unbudgeted_filling_sum():
+    # the const form walks only partition contents and spreads them to
+    # their rearrangements; the full walk over every content, weighed as
+    # one sum, is its reference, errors included
+    for n in range(5):
+        for total in range(5):
+            for g in enumerate_weak_compositions(total, n):
+                for nv in range(-1, 5):
+                    budgeted = _outcome(lambda: macdonald_integral_form(g, "const", nv))
+                    full = _outcome(lambda: XPoly(nv, macdonald._weigh(
+                        g, fillings._counts(g, "const", nv), nv)))
+                    assert budgeted == full, (g, nv)
+
+
+def test_budgeted_walk_keeps_the_fillings_of_its_content():
+    # a walk with content lam as its budget yields exactly the leaves of
+    # the full walk whose packed content field is lam, and the walks of
+    # several contents are counted together
+    for n in range(5):
+        for total in range(6):
+            for g in enumerate_weak_compositions(total, n):
+                d = fillings._diagram(tuple(g))
+                _, mask_w, base = fillings._radices(d)
+                unit = mask_w << len(d.cells)
+                for rule, nv in (("id", n), ("const", n), ("const", n + 1)):
+                    for descentless in (False, True):
+                        full = fillings._counts(g, rule, nv, descentless)
+                        lams = [lam for lam in enumerate_partitions(total) if len(lam) <= nv]
+                        every = Counter()
+                        for lam in lams:
+                            field = sum(p * base ** i for i, p in enumerate(lam))
+                            kept = Counter({k: c for k, c in full.items() if k // unit == field})
+                            walked = fillings._counts(g, rule, nv, descentless, [lam])
+                            assert walked == kept, (g, rule, nv, descentless, lam)
+                            every += kept
+                        together = fillings._counts(g, rule, nv, descentless, lams)
+                        assert together == every, (g, rule, nv, descentless)
+
+
+def test_cell_factors_built_once_across_content_walks(monkeypatch):
+    # the walks of all partition contents are weighed as one sum, so a
+    # repeat set that recurs across contents builds its factors once
+    built = Counter()
+    cell_factors = macdonald._cell_factors
+
+    def counted(shape, repeats):
+        built[frozenset(repeats)] += 1
+        return cell_factors(shape, repeats)
+
+    monkeypatch.setattr(macdonald, "_cell_factors", counted)
+    macdonald_integral_form((3, 2, 1), "const", 6)
+    assert built and max(built.values()) == 1
+
+
 def test_filling_sums_do_no_qtpoly_arithmetic(monkeypatch):
     # the weight and the sums above it add integer dicts; a QtPoly is
     # only wrapped, never added or multiplied
