@@ -10,6 +10,7 @@ legitimate result of removing the last cell.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable
 
@@ -144,25 +145,39 @@ def product_qschur(a, b) -> QSymExpr:
     Reads both factors' monomial expansions off their rows of the cached
     ``transition_matrix("M", n)``, multiplies the monomial functions by
     quasi-shuffle, and converts back.  The expansions and the structure
-    constants are integers, so ``cx * cy * k`` is summed over the
-    quasi-shuffles into one integer vector keyed by plain tuples and
-    peeled over M; a ``Composition`` and a ``QtPoly`` are built only for
-    each S term of the result.  The matrices and triangle orders are
+    constants are integers, so ``cx * cy * k`` is added into one dense
+    integer vector indexed by the triangle order of degree |a|+|b|, at
+    the positions the cached table :func:`_shuffle_positions` gives for
+    each pair of monomials, and the vector is peeled over M; a
+    ``Composition`` and a ``QtPoly`` are built only for each S term of
+    the result.  The matrices, triangle orders and monomial pairs are
     cached, so a cold ``qschur product`` process builds the M matrices
     of |a|, |b| and |a|+|b| once.  Structure constants can be negative.
     """
     a, b = Composition(a), Composition(b)
-    if a.size + b.size == 0:
+    n = a.size + b.size
+    if n == 0:
         return qsym_unit("S", ())
     in_m_b = _monomial_row(b)
-    vector: dict[tuple[int, ...], int] = {}
+    vector = [0] * len(_degree(n).order)
     for x, cx in _monomial_row(a):
         for y, cy in in_m_b:
-            for z, k in _quasi_shuffles(x, y).items():
-                vector[z] = vector.get(z, 0) + cx * cy * k
+            c = cx * cy
+            for j, k in _shuffle_positions(x, y):
+                vector[j] += c * k
     return QSymExpr._trusted("S", (
-        (comp, QtPoly.const(c)) for comp, c in _peel("M", a.size + b.size, vector)
+        (comp, QtPoly.const(c)) for comp, c in _peel("M", n, vector)
     ))
+
+
+@lru_cache(maxsize=None)
+def _shuffle_positions(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The M-basis multiplication table: M_x * M_y as (position of z in
+    the triangle order of degree |x|+|y|, multiplicity) pairs, one per
+    quasi-shuffle z of x and y.  Keyed by the pair of monomials, which
+    many different products share."""
+    position = _degree(sum(x) + sum(y)).position
+    return tuple((position[z], k) for z, k in _quasi_shuffles(x, y).items())
 
 
 def _monomial_row(a: Composition) -> list[tuple[Composition, int]]:

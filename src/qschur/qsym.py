@@ -353,43 +353,47 @@ def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _peel(basis: str, n: int, vector: Mapping[tuple[int, ...], int]) -> list[tuple[Composition, int]]:
+def _peel(basis: str, n: int, vector: list[int]) -> list[tuple[Composition, int]]:
     """The integer S coefficients of a degree-n integer vector over M or F,
-    keyed by compositions or by the plain tuples that spell them.
+    given densely, indexed by the triangle order of the degree's
+    composition table; the vector is used up in place.
 
     Over M and over F alike, S_a is the element of a plus smaller ones in
     the triangle order.  So the vector is peeled from the largest
     composition down: what is left of a coefficient is the S coefficient,
     and that multiple of the matrix row is taken off the rest.
     """
-    rest, out = dict(vector), []
+    out = []
     comps = _degree(n).order
-    for i, (comp, row) in enumerate(zip(comps, transition_matrix(basis, n))):
-        c = rest.pop(comp, 0)
+    for i, row in enumerate(transition_matrix(basis, n)):
+        c = vector[i]
         if c:
-            out.append((comp, c))
-            for b, k in zip(comps[i + 1:], row[i + 1:]):
-                if k:
-                    rest[b] = rest.get(b, 0) - c * k
+            out.append((comps[i], c))
+            for j in range(i + 1, len(row)):
+                if row[j]:
+                    vector[j] -= c * row[j]
     return out
 
 
 def express_in_qschur(expr: QSymExpr) -> QSymExpr:
     """Rewrite an M- or F-expression over the S basis.
 
-    The change of basis is Z-linear, so the input is split into one
-    integer vector per degree and (q, t) exponent, each vector is peeled
-    in the input's own basis by :func:`_peel`, and each S coefficient is
-    built as a ``QtPoly`` once, from its integer parts.  The triangle
-    order of a degree comes from its cached composition table, so a
-    process sorts it once.
+    The change of basis is Z-linear, so the input is split into one dense
+    integer vector per degree and (q, t) exponent, indexed by the
+    positions of the degree's cached composition table; each vector is
+    peeled in the input's own basis by :func:`_peel`, and each S
+    coefficient is built as a ``QtPoly`` once, from its integer parts.
+    The table sorts the triangle order once per process.
     """
     if expr.basis == "S":
         return expr
-    vectors: dict[tuple[int, tuple[int, int]], dict[Composition, int]] = {}
+    vectors: dict[tuple[int, tuple[int, int]], list[int]] = {}
     for comp, c in expr.terms.items():
+        n = comp.size
+        table = _degree(n)
+        j = table.position[comp]
         for qt, k in c.items():
-            vectors.setdefault((comp.size, qt), {})[comp] = k
+            vectors.setdefault((n, qt), [0] * len(table.order))[j] = k
     parts: dict[Composition, list[tuple[tuple[int, int], int]]] = {}
     for (n, qt), vector in vectors.items():
         for comp, k in _peel(expr.basis, n, vector):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qschur import compositions
 from qschur.compositions import (
     Composition,
     Partition,
@@ -204,7 +205,13 @@ def _delannoy(k: int, l: int) -> int:
     return sum(math.comb(k, i) * math.comb(l, i) * 2**i for i in range(min(k, l) + 1))
 
 
-def test_quasi_shuffles():
+def test_quasi_shuffles(monkeypatch):
+    # quasi_shuffles takes compositions of any size, up to 36 below, so it
+    # must build no degree table (2^35 compositions at 36)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quasi_shuffles built a degree table")
+
+    monkeypatch.setattr(compositions, "_degree", forbidden)
     assert quasi_shuffles((1,), (1,)) == {(1, 1): 2, (2,): 1}
     assert quasi_shuffles((), (2, 1)) == {(2, 1): 1}
     assert quasi_shuffles((), ()) == {(): 1}

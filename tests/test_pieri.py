@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 from qschur import pieri, qsym, tableaux
 from qschur.compositions import (
     Composition,
+    _degree,
     compositions_of_partition,
     enumerate_compositions,
     enumerate_partitions,
+    quasi_shuffles,
     to_partition,
 )
 from qschur.pieri import (
@@ -123,9 +125,26 @@ def test_pieri_trivial():
             assert pieri_row(a, 1) == pieri_col(a, 1)
 
 
+def _clear_product_caches():
+    """Make the next product cold: its M matrices and its table of
+    monomial pairs are rebuilt."""
+    qsym.transition_matrix.cache_clear()
+    pieri._shuffle_positions.cache_clear()
+
+
+def _pairs_up_to(total):
+    return [
+        (a, b)
+        for size in range(total + 1)
+        for m in range(size + 1)
+        for a in enumerate_compositions(m)
+        for b in enumerate_compositions(size - m)
+    ]
+
+
 def test_product_builds_no_polynomial(monkeypatch):
     expected = product_qschur((2, 1), (2, 1))
-    qsym.transition_matrix.cache_clear()
+    _clear_product_caches()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the product kernel touched the polynomial path")
@@ -141,15 +160,9 @@ def test_product_does_no_qtpoly_arithmetic(monkeypatch):
     """Every pair with |a| + |b| <= 5, (1,3) x (1,) among them: its factor
     S(1,3) = F(1,3) + F(2,2) shares refinements, which f_to_m would add as
     QtPolys.  Then the signed square S(2,1) x S(2,1)."""
-    pairs = [
-        (a, b)
-        for total in range(6)
-        for m in range(total + 1)
-        for a in enumerate_compositions(m)
-        for b in enumerate_compositions(total - m)
-    ] + [((2, 1), (2, 1))]
+    pairs = _pairs_up_to(5) + [((2, 1), (2, 1))]
     expected = [product_qschur(a, b) for a, b in pairs]
-    qsym.transition_matrix.cache_clear()
+    _clear_product_caches()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the product kernel did QtPoly arithmetic")
@@ -159,6 +172,32 @@ def test_product_does_no_qtpoly_arithmetic(monkeypatch):
     assert ((1, 3), (1,)) in pairs
     for (a, b), product in zip(pairs, expected):
         assert product_qschur(a, b) == product, (a, b)
+
+
+def test_shuffle_table_reads_back_as_the_quasi_shuffles():
+    """Every pair of monomials with |x| + |y| <= 7: the table's positions,
+    read back through the triangle order, are the quasi-shuffles, with
+    their multiplicities."""
+    for x, y in _pairs_up_to(7):
+        order = _degree(x.size + y.size).order
+        table = pieri._shuffle_positions(x, y)
+        assert len({j for j, _ in table}) == len(table), (x, y)
+        assert {order[j]: k for j, k in table} == quasi_shuffles(x, y), (x, y)
+
+
+def test_products_agree_cold_and_warm():
+    """Every product with |a| + |b| <= 7, each computed with the table of
+    monomial pairs cleared before it (after all caches were cleared), then
+    again with every cache warm."""
+    pairs = _pairs_up_to(7)
+    _clear_product_caches()
+    cold = []
+    for a, b in pairs:
+        pieri._shuffle_positions.cache_clear()
+        cold.append(product_qschur(a, b))
+    assert pieri._shuffle_positions.cache_info().currsize > 0
+    for (a, b), product in zip(pairs, cold):
+        assert product_qschur(a, b).to_json() == product.to_json(), (a, b)
 
 
 # S expansions over M at n = 4 in the triangle order, as counted from
@@ -179,7 +218,7 @@ def test_expansions_enumerate_only_standard_reverse_tableaux(monkeypatch):
     f_matrix = qsym.transition_matrix("F", 4)
     expansion = qsym.qschur_in_monomial((1, 2))
     product = product_qschur((2, 1), (2, 1))
-    qsym.transition_matrix.cache_clear()
+    _clear_product_caches()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an S expansion enumerated semistandard tableaux")
@@ -194,7 +233,7 @@ def test_expansions_enumerate_only_standard_reverse_tableaux(monkeypatch):
         assert qsym.qschur_in_monomial((1, 2)) == expansion
         assert product_qschur((2, 1), (2, 1)) == product
     finally:
-        qsym.transition_matrix.cache_clear()
+        _clear_product_caches()
 
 
 def test_basis_change_takes_no_detour(monkeypatch):
@@ -203,7 +242,7 @@ def test_basis_change_takes_no_detour(monkeypatch):
     and F or expands a single composition."""
     f_matrix = qsym.transition_matrix("F", 4)
     product = product_qschur((2, 1), (2, 1))
-    qsym.transition_matrix.cache_clear()
+    _clear_product_caches()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the basis change took a detour")
@@ -219,7 +258,7 @@ def test_basis_change_takes_no_detour(monkeypatch):
         qsym.transition_matrix("M", 6)
         assert product_qschur((2, 1), (2, 1)) == product
     finally:
-        qsym.transition_matrix.cache_clear()
+        _clear_product_caches()
 
 
 @st.composite
