@@ -41,7 +41,7 @@ from .compositions import (
 )
 from .fillings import AugmentedFilling, _counts, _diagram, _group, _radices, is_non_attacking
 from .polynomial import QtPoly, XPoly, _unflat
-from .qsym import QSymExpr, m_to_f, xpoly_to_monomial
+from .qsym import QSymExpr, m_to_f, qsym_to_poly, xpoly_to_monomial
 
 
 def _one_minus_t_power(k: int) -> dict:
@@ -108,10 +108,10 @@ def _weigh(shape, counts, nv: int, descentless: bool = False) -> list:
     ]
 
 
-def _partition_sums(shape, nv: int) -> list:
-    """The ``(partition, coefficient)`` terms of the constant-basement
-    filling sum in ``nv`` variables whose exponents, zeros dropped, are
-    partitions.  The sum is symmetric, so these fix it.
+def _partition_sums(shape, nv: int) -> QSymExpr:
+    """The constant-basement filling sum in ``nv`` variables as an
+    M-expression.  The sum is symmetric, so its coefficient of M_a is its
+    coefficient at the partition exponents of a; only those are computed.
 
     The walk runs once per partition content of |shape| with at most
     ``nv`` parts, with that content as its budget, and the counts of all
@@ -127,7 +127,9 @@ def _partition_sums(shape, nv: int) -> list:
         if len(lam) <= nv and all(a <= b for a, b in zip(itertools.accumulate(lam), top))
     ]
     counts = _counts(shape, "const", nv, False, contents)
-    return [(tuple(filter(None, e)), c) for e, c in _weigh(shape, counts, nv)]
+    return QSymExpr._trusted("M", (
+        (a, c) for e, c in _weigh(shape, counts, nv) for a in compositions_of_partition(e)
+    ))
 
 
 def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = None) -> XPoly:
@@ -142,9 +144,8 @@ def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = Non
     shape.
 
     The constant-basement sum is symmetric, so it is computed at the
-    partition exponents alone (:func:`_partition_sums`) and each
-    coefficient is given to every weak rearrangement of its partition
-    in ``nvars`` variables.
+    partition exponents alone, as an M-expression (:func:`_partition_sums`),
+    and evaluated in ``nvars`` variables (:func:`qsym.qsym_to_poly`).
     """
     shape = WeakComposition(shape)
     n = len(shape)
@@ -153,12 +154,7 @@ def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = Non
         raise ValueError("identity/reversed basements need one variable per row")
     if basement != "const":
         return XPoly(nv, _weigh(shape, _counts(shape, basement, nv), nv))
-    return XPoly(nv, (
-        (w, c)
-        for lam, c in _partition_sums(shape, nv)
-        for a in compositions_of_partition(lam)
-        for w in expand_to_weak(a, nv)
-    ))
+    return qsym_to_poly(_partition_sums(shape, nv), nv)
 
 
 def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
@@ -171,11 +167,18 @@ def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
     Demazure atom.
     """
     shape = WeakComposition(shape)
-    n = len(shape)
-    nv = n if nvars is None else int(nvars)
-    if nv != n:
+    if nvars is not None and int(nvars) != len(shape):
         raise ValueError("identity basement needs one variable per row")
-    return XPoly(nv, _weigh(shape, _counts(shape, "id", nv, True), nv, descentless=True))
+    return _descentless_sum([shape], len(shape))
+
+
+def _descentless_sum(shapes, n: int) -> XPoly:
+    """The sum of the descentless forms (:func:`ns_hall_littlewood`) of
+    weak shapes with n rows: the weighed terms of every shape are added
+    straight into one polynomial."""
+    return XPoly._trusted(n, (
+        term for g in shapes for term in _weigh(g, _counts(g, "id", n, True), n, descentless=True)
+    ))
 
 
 def hall_littlewood_qsym(a, n: int) -> XPoly:
@@ -183,9 +186,7 @@ def hall_littlewood_qsym(a, n: int) -> XPoly:
     a = Composition(a)
     if n < len(a):
         raise ValueError("need at least one variable per part")
-    return XPoly(n, (
-        term for g in expand_to_weak(a, n) for term in ns_hall_littlewood(g, n).items()
-    ))
+    return _descentless_sum(expand_to_weak(a, n), n)
 
 
 def hall_littlewood_qsym_m(a, n: int | None = None) -> QSymExpr:
@@ -197,7 +198,7 @@ def hall_littlewood_qsym_m(a, n: int | None = None) -> QSymExpr:
     """
     a = Composition(a)
     if n is None:
-        n = max(a.size, len(a))
+        n = a.size
     if n < a.size:
         raise ValueError("need at least |a| variables for faithful extraction")
     return xpoly_to_monomial(hall_littlewood_qsym(a, n))
@@ -208,9 +209,8 @@ def hall_littlewood_p(l, n: int) -> XPoly:
     l = Partition(l)
     if n < len(l):
         return XPoly.zero(n)
-    return XPoly(n, (
-        term for a in compositions_of_partition(l) for term in hall_littlewood_qsym(a, n).items()
-    ))
+    return _descentless_sum(
+        (g for a in compositions_of_partition(l) for g in expand_to_weak(a, n)), n)
 
 
 def hall_littlewood_p_oracle(l, n: int) -> XPoly:
@@ -358,13 +358,10 @@ def macdonald_j_fundamental(mu) -> QSymExpr:
     is its coefficient of x^a, a padded with zeros, and that equals its
     coefficient at the sorted exponents.  So the constant-basement sum
     is taken in |mu| variables at the partition exponents alone, one
-    budgeted walk per partition content (:func:`_partition_sums`); each
-    partition's coefficient is given to M_a for every rearrangement a of
-    it, and the M-expansion is rewritten over the fundamental basis.
+    budgeted walk per partition content, as an M-expression
+    (:func:`_partition_sums`), and rewritten over the fundamental basis.
     Exact in Z[q,t]; the merges of :func:`j_fundamental_classes` sum to
     the same expansion.
     """
     mu = Partition(mu)
-    return m_to_f(QSymExpr._trusted("M", (
-        (a, c) for lam, c in _partition_sums(mu, mu.size) for a in compositions_of_partition(lam)
-    )))
+    return m_to_f(_partition_sums(mu, mu.size))

@@ -13,9 +13,11 @@ and sum equal keys; arithmetic builds its results through the private
 Integer coefficients are summed by ``_accumulate`` and ``QtPoly``
 coefficients by ``_accumulate_qt``, which keeps a key's first
 coefficient as it is and merges the term dicts of the later ones into
-one integer dict, wrapped once.  ``XPoly.div_exact`` divides through
-the same ``_divide`` as ``QtPoly.div_exact``, on integer coefficients
-keyed by x exponents followed by the q and t exponents.
+one integer dict, wrapped once.  ``XPoly`` multiplies and divides on
+flat integer coefficients keyed by x exponents followed by the q and t
+exponents (``_flat``), an int or ``QtPoly`` factor taken as a constant
+polynomial; ``XPoly.div_exact`` divides through the same ``_divide``
+as ``QtPoly.div_exact``.
 """
 from __future__ import annotations
 
@@ -395,13 +397,11 @@ class XPoly:
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "XPoly":
-        if isinstance(other, (int, QtPoly)):
-            c = QtPoly.coerce(other)
-            return XPoly._trusted(self.n, ((k, v * c) for k, v in self._terms.items()))
-        other = self._coerce(other)
-        pairs = ((tuple(map(add, e1, e2)), c1 * c2)
-                 for e1, c1 in self._terms.items() for e2, c2 in other._terms.items())
-        return XPoly._trusted(self.n, pairs)
+        """Multiply the flat integer terms (:func:`_flat`); wrap once."""
+        a, b = _flat(self._terms), _flat(self._coerce(other)._terms)
+        return _unflat(self.n, _accumulate(
+            (tuple(map(add, k1, k2)), c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items()
+        ))
 
     __rmul__ = __mul__
 

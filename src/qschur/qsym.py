@@ -8,6 +8,8 @@ an expression is rewritten over S exactly by peeling leading terms.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Mapping
@@ -25,10 +27,11 @@ from .compositions import (
     refinements,
     reversal,
     to_partition,
-    triangle_key,
 )
 from .polynomial import QtPoly, XPoly, _accumulate_qt, _pairs, _signed_join
-from .tableaux import _refill, _standard_walk, enumerate_reverse_tableaux, enumerate_ssafs
+from .tableaux import (
+    _refill, _standard_walk, enumerate_comts, enumerate_reverse_tableaux, enumerate_ssafs,
+)
 
 BASES = ("M", "F", "S")
 
@@ -99,14 +102,10 @@ class QSymExpr:
     # -- deterministic views --------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Composition, QtPoly]]:
-        """Terms by degree, then descending triangle order."""
-
-        def key(item):
-            comp, _ = item
-            pk = triangle_key(comp)
-            return (comp.size, tuple(-p for p in pk[0]), tuple(-p for p in pk[1]))
-
-        return sorted(self.terms.items(), key=key)
+        """Terms by degree, then descending triangle order: by place in
+        the degree's composition table."""
+        return sorted(self.terms.items(), key=lambda item: (
+            item[0].size, _degree(item[0].size).position[item[0]]))
 
     def __str__(self) -> str:
         parts = []
@@ -178,31 +177,28 @@ def qsym_unit(basis: str, comp=(), coeff=1) -> QSymExpr:
 
 def monomial_qsym_poly(a, n: int) -> XPoly:
     """The monomial quasisymmetric function cut to n variables."""
-    a = Composition(a)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if len(a) > n:
-        return XPoly.zero(n)
-    return XPoly(n, ((g, 1) for g in expand_to_weak(a, n)))
+    return qsym_to_poly(qsym_unit("M", a), n)
 
 
 def fundamental_qsym_poly(a, n: int) -> XPoly:
     """The fundamental quasisymmetric function cut to n variables."""
-    return XPoly(n, (
-        term for b in refinements(Composition(a)) for term in monomial_qsym_poly(b, n).items()
-    ))
+    return qsym_to_poly(qsym_unit("F", a), n)
 
 
 def qsym_to_poly(expr: QSymExpr, n: int) -> XPoly:
-    """Evaluate an M- or F-expression in n variables."""
-    if expr.basis == "M":
-        gen = monomial_qsym_poly
-    elif expr.basis == "F":
-        gen = fundamental_qsym_poly
-    else:
+    """Evaluate an M- or F-expression in n variables: an F-expression is
+    rewritten over M (:func:`f_to_m`), and each M coefficient goes to every
+    placement of its composition in n slots (:func:`expand_to_weak`), which
+    no other composition shares, so each term is made once and final."""
+    if expr.basis == "F":
+        expr = f_to_m(expr)
+    elif expr.basis != "M":
         raise ValueError("evaluate S-expressions via qschur_polynomial")
-    return XPoly(n, (
-        term for comp, c in expr.terms.items() for term in (gen(comp, n) * c).items()
+    if n < 0:
+        raise ValueError(f"negative variable count {n}")
+    return XPoly._trusted(n, (
+        (tuple(w), c) for comp, c in expr.terms.items() if len(comp) <= n
+        for w in expand_to_weak(comp, n)
     ))
 
 
@@ -270,11 +266,13 @@ def demazure_atom(g, n: int | None = None) -> XPoly:
 
 
 def qschur_polynomial(a, n: int) -> XPoly:
-    """The quasisymmetric Schur polynomial in n variables."""
-    a = Composition(a)
-    if n < len(a):
-        return XPoly.zero(n)
-    return XPoly(n, (term for g in expand_to_weak(a, n) for term in demazure_atom(g, n).items()))
+    """The quasisymmetric Schur polynomial in n variables: x^weight summed
+    over the composition tableaux of shape a with entries in [n], which
+    :func:`tableaux.comt_to_ssaf` maps onto the valid augmented fillings
+    of the shapes g with g+ = a, so it sums their Demazure atoms."""
+    return XPoly(n, Counter(
+        tuple(map(t.entries().count, range(1, n + 1))) for t in enumerate_comts(a, n)
+    ).items())
 
 
 def schur_in_qschur(l) -> QSymExpr:
@@ -417,21 +415,22 @@ def xpoly_to_monomial(p: XPoly) -> QSymExpr:
         raise ValueError(
             f"{n} variables cannot faithfully carry degree {p.total_degree()}"
         )
-    groups: dict[Composition, dict[tuple[int, ...], QtPoly]] = {}
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], QtPoly]] = {}
     for exps, c in p.items():
-        groups.setdefault(Composition(e for e in exps if e), {})[exps] = c
-    terms: dict[Composition, QtPoly] = {}
+        groups.setdefault(tuple(e for e in exps if e), {})[exps] = c
+    terms = []
     for comp, monos in groups.items():
-        # the first placement puts the parts in the leading slots
-        expected, *others = expand_to_weak(comp, n)
-        lead = monos.get(expected)
+        # a group holds at most the C(n, len) placements of its parts, the
+        # leading one first; only a group that fails is placed, for a witness
+        leading = comp + (0,) * (n - len(comp))
+        lead = monos.get(leading)
         if lead is None:
-            raise NotQuasisymmetricError((tuple(expected), next(iter(monos))))
-        for exps in others:
-            if monos.get(exps) != lead:
-                raise NotQuasisymmetricError((tuple(expected), tuple(exps)))
-        terms[comp] = lead
-    return QSymExpr._trusted("M", terms.items())
+            raise NotQuasisymmetricError((leading, next(iter(monos))))
+        if len(monos) < math.comb(n, len(comp)) or any(c != lead for c in monos.values()):
+            wrong = next(e for e in expand_to_weak(comp, n) if monos.get(e) != lead)
+            raise NotQuasisymmetricError((leading, tuple(wrong)))
+        terms.append((Composition(comp), lead))
+    return QSymExpr._trusted("M", terms)
 
 
 # -- basis coincidence classification ---------------------------------------

@@ -105,6 +105,8 @@ def test_triangle_order_chain():
     assert triangle_cmp((1, 3), (2, 2)) == 1
     assert triangle_cmp((2, 2), (1, 3)) == -1
     assert triangle_cmp((2, 2), (2, 2)) == 0
+    with pytest.raises(ValueError, match="only compares compositions of equal size"):
+        triangle_cmp((1,), (2,))
 
 
 def test_enumerate_compositions_counts():

@@ -26,6 +26,7 @@ from qschur.fillings import (
 from qschur.macdonald import (
     hall_littlewood_p,
     hall_littlewood_p_oracle,
+    hall_littlewood_qsym,
     hall_littlewood_qsym_m,
     j_fundamental_classes,
     macdonald_integral_form,
@@ -235,6 +236,38 @@ def test_degenerate_inputs():
     assert macdonald_j_fundamental((1,)) == QSymExpr("F", {(1,): QtPoly.one() - QtPoly.t()})
     assert list(j_fundamental_classes(())) == [((), (), qsym_unit("M"))]
     assert list(enumerate_fillings((1,), "const", 0)) == []
+
+
+def test_variable_count_errors():
+    for basement in ("id", "rev"):
+        with pytest.raises(ValueError, match="identity/reversed basements need one variable"):
+            macdonald_integral_form((1, 0), basement, 3)
+    with pytest.raises(ValueError, match="identity basement needs one variable per row"):
+        ns_hall_littlewood((1, 0), 3)
+    with pytest.raises(ValueError, match="need at least one variable per part"):
+        hall_littlewood_qsym((1, 1), 1)
+    with pytest.raises(ValueError, match=r"need at least \|a\| variables for faithful"):
+        hall_littlewood_qsym_m((2, 1), 2)
+    # the default is |a| variables, the fewest that extract faithfully
+    assert hall_littlewood_qsym_m((2, 1)) == hall_littlewood_qsym_m((2, 1), 3)
+    assert hall_littlewood_qsym_m(()) == qsym_unit("M")
+
+
+def test_hall_littlewood_sums_read_no_polynomial_back(monkeypatch):
+    # the descentless terms of every weak shape go straight into the one
+    # result; no per-shape polynomial is built and read back
+    cases = [(hall_littlewood_qsym, (a, n)) for m in range(5) for a in enumerate_compositions(m)
+             for n in range(len(a), 5)]
+    cases += [(hall_littlewood_p, (lam, n)) for m in range(5) for lam in enumerate_partitions(m)
+              for n in range(5)]
+    expected = [f(*args) for f, args in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Hall-Littlewood sum read a polynomial back")
+
+    monkeypatch.setattr(XPoly, "items", forbidden)
+    for (f, args), out in zip(cases, expected):
+        assert f(*args) == out, (f.__name__, args)
 
 
 def test_ssafs_have_zero_stats():

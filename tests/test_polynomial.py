@@ -35,6 +35,15 @@ def test_qtpoly_div_exact():
         QtPoly.const(3).div_exact(QtPoly.const(2))
 
 
+def test_qtpoly_error_paths():
+    with pytest.raises(ValueError, match="negative power"):
+        QtPoly.t() ** -1
+    with pytest.raises(TypeError, match="cannot coerce 'x' to QtPoly"):
+        QtPoly.coerce("x")
+    with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
+        QtPoly.t().div_exact(QtPoly.zero())
+
+
 def test_qtpoly_str():
     assert str(QtPoly.zero()) == "0"
     assert str(1 - QtPoly.t()) == "1 - t"
@@ -72,6 +81,25 @@ def test_xpoly_swap_variables():
     for i, j in ((0, 1), (1, 4), (4, 4)):
         with pytest.raises(ValueError, match="outside 1..3"):
             p.swap_variables(i, j)
+
+
+def test_xpoly_product_does_no_qtpoly_arithmetic(monkeypatch):
+    # polynomial and scalar factors alike are multiplied as flat integer
+    # terms keyed by x, q and t exponents
+    q, t = QtPoly.q(), QtPoly.t()
+    x1, x2 = XPoly.variable(2, 1), XPoly.variable(2, 2)
+    f, g, c = x1 * (1 - q * t) + 3 * x2 ** 2, x1 * t - x2 + 2, 2 - q + t ** 2
+    products = [lambda: f * g, lambda: f * c, lambda: f * -3, lambda: 4 * f, lambda: f * 0,
+                lambda: g ** 3]
+    expected = [product() for product in products]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product did QtPoly arithmetic")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(QtPoly, name, forbidden)
+    for product, out in zip(products, expected):
+        assert product() == out
 
 
 def test_xpoly_div_exact():
@@ -169,6 +197,28 @@ def _xpolys(n):
     return st.dictionaries(
         st.tuples(*[_exponent] * n), _qtpolys, min_size=1, max_size=3
     ).map(lambda terms: XPoly(n, terms))
+
+
+def _termwise_product(a, b):
+    # each pair of terms multiplied as QtPoly values, summed by the
+    # validating constructor
+    if not isinstance(b, XPoly):
+        b = XPoly(a.n, {(0,) * a.n: b})
+    return XPoly(a.n, [(tuple(i + j for i, j in zip(e1, e2)), c1 * c2)
+                       for e1, c1 in a.items() for e2, c2 in b.items()])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(
+    _xpolys(n), st.one_of(_xpolys(n), _qtpolys, st.integers(-3, 3)))))
+def test_xpoly_product_is_the_termwise_product(pair):
+    a, b = pair
+    product = a * b
+    assert product == _termwise_product(a, b)
+    assert list(product.items()) == list(_rebuilt(product).items())
+    assert all(type(e) is tuple for e, _ in product.items())
+    if isinstance(b, int):
+        assert b * a == product
 
 
 @st.composite

@@ -73,15 +73,59 @@ def test_demazure_atom():
     assert demazure_atom((1, 0, 2), 4) == x(4, 1) * x(4, 2) * x(4, 3) + x(4, 1) * x(4, 3) ** 2
     with pytest.raises(ValueError, match="below the number of rows"):
         demazure_atom((1, 0, 2), 2)
-    total = XPoly.zero(3)
-    for g in expand_to_weak((1, 2), 3):
-        total += demazure_atom(g, 3)
-    assert total == qschur_polynomial((1, 2), 3)
+    # the paper's definition: QS_a is the sum of the Demazure atoms A_g
+    # over the weak compositions g with g+ = a; with fewer variables than
+    # parts there is no such g and the sum is zero
+    for size in range(6):
+        for a in enumerate_compositions(size):
+            for n in range(7):
+                shapes = expand_to_weak(a, n) if n >= len(a) else []
+                total = sum((demazure_atom(g, n) for g in shapes), XPoly.zero(n))
+                assert qschur_polynomial(a, n) == total, (a, n)
 
 
 def test_qschur_polynomial():
     assert qschur_polynomial((1, 2), 2) == x(2, 1) * x(2, 2) ** 2
     assert qschur_polynomial((1, 1, 1), 2) == XPoly.zero(2)
+
+
+def _forbid(monkeypatch, owner, names, what):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(what)
+
+    for name in names:
+        monkeypatch.setattr(owner, name, forbidden)
+
+
+def test_evaluators_read_no_polynomial_back(monkeypatch):
+    # each evaluation builds its one result polynomial and reads no
+    # other polynomial's terms
+    comps = [a for n in range(5) for a in enumerate_compositions(n)]
+    q = QtPoly.q()
+    terms = {(1, 2): 1 - q, (2,): 3, (1, 1, 1): q, (): 2}
+    cases = [(qsym_to_poly, (QSymExpr(basis, terms), n)) for basis in "MF" for n in (0, 2, 4)]
+    cases += [(f, (a, n)) for f in (monomial_qsym_poly, fundamental_qsym_poly, qschur_polynomial)
+              for a in comps for n in (1, 3, 4)]
+    expected = [f(*args) for f, args in cases]
+    _forbid(monkeypatch, XPoly, ["items"], "an evaluator read a polynomial back")
+    for (f, args), out in zip(cases, expected):
+        assert f(*args) == out, (f.__name__, args)
+
+
+def test_qschur_polynomial_builds_no_filling(monkeypatch):
+    cases = [(a, n) for size in range(5) for a in enumerate_compositions(size) for n in range(5)]
+    expected = [qschur_polynomial(a, n) for a, n in cases]
+    _forbid(monkeypatch, AugmentedFilling, ["__init__"], "an augmented filling was built")
+    for (a, n), out in zip(cases, expected):
+        assert qschur_polynomial(a, n) == out, (a, n)
+
+
+def test_evaluators_share_one_negative_count_message():
+    for call in (lambda: monomial_qsym_poly((1,), -1), lambda: fundamental_qsym_poly((), -1),
+                 lambda: qsym_to_poly(QSymExpr("M"), -1), lambda: qsym_to_poly(QSymExpr("F"), -1),
+                 lambda: qschur_polynomial((), -1), lambda: qschur_polynomial((1, 2), -1)):
+        with pytest.raises(ValueError, match="negative variable count -1"):
+            call()
 
 
 def test_schur_in_qschur():
@@ -210,6 +254,25 @@ def test_xpoly_to_monomial():
     assert set(err.value.witness) == {(1, 0), (0, 1)}
     with pytest.raises(ValueError):
         xpoly_to_monomial(XPoly.variable(1, 1) ** 2)
+    # a missing leading monomial is named with the first term of its group
+    with pytest.raises(NotQuasisymmetricError) as err:
+        xpoly_to_monomial(XPoly(2, {(0, 1): 1}))
+    assert err.value.witness == ((1, 0), (0, 1))
+    # a group short of a placement names the first placement it lacks
+    with pytest.raises(NotQuasisymmetricError) as err:
+        xpoly_to_monomial(XPoly(3, {(1, 1, 0): 1, (0, 1, 1): 1}))
+    assert err.value.witness == ((1, 1, 0), (1, 0, 1))
+
+
+def test_xpoly_to_monomial_places_no_quasisymmetric_group(monkeypatch):
+    # a quasisymmetric input is accepted by counting each group's terms
+    q = QtPoly.q()
+    inputs = [qschur_polynomial(a, 4) for n in range(5) for a in enumerate_compositions(n)]
+    inputs.append(qsym_to_poly(QSymExpr("M", {(2, 1): 1 + q, (1,): -2, (): q}), 3))
+    expected = [xpoly_to_monomial(p) for p in inputs]
+    _forbid(monkeypatch, qsym, ["expand_to_weak"], "a quasisymmetric group was placed")
+    for p, out in zip(inputs, expected):
+        assert xpoly_to_monomial(p) == out
 
 
 def test_enumeration_bound_is_safe():

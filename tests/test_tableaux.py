@@ -67,6 +67,8 @@ def test_rt_descents():
     t = ReverseTableau([[6, 5, 2], [4, 3], [1]])
     assert rt_descents(t) == {1, 4}
     assert composition_of(rt_descents(t), 6) == (1, 3, 2)
+    with pytest.raises(ValueError, match="descent set requires a standard tableau"):
+        rt_descents(ReverseTableau([[2, 2], [1]]))
 
 
 def test_is_comt():
@@ -136,6 +138,11 @@ def test_enumerate_comts():
     }
     assert len(list(enumerate_comts((1,), 1))) == 1
     assert len(list(enumerate_comts((1, 2), 2))) == 1
+    # a pinned first column of the wrong length, or with an entry above
+    # max_entry, admits no tableau
+    for first_column in ((1,), (1, 4)):
+        assert list(enumerate_comts((2, 1), 3, first_column=first_column)) == []
+    assert len(list(enumerate_comts((2, 1), 3, first_column=(1, 3)))) == 1
 
 
 def test_enumerate_standard_comts():
