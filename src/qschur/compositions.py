@@ -142,8 +142,12 @@ def triangle_key(a: Iterable[int]) -> tuple:
     Compositions of equal size are compared first by the lexicographic
     order of their sorted partitions, then lexicographically.
     """
-    a = Composition(a)
-    return (tuple(to_partition(a)), tuple(a))
+    return _triangle(Composition(a))
+
+
+def _triangle(parts: tuple[int, ...]) -> tuple:
+    """:func:`triangle_key` of the parts of a valid composition."""
+    return (tuple(sorted(parts, reverse=True)), tuple(parts))
 
 
 def triangle_cmp(a: Iterable[int], b: Iterable[int]) -> int:
@@ -151,7 +155,7 @@ def triangle_cmp(a: Iterable[int], b: Iterable[int]) -> int:
     a, b = Composition(a), Composition(b)
     if a.size != b.size:
         raise ValueError("triangle order only compares compositions of equal size")
-    ka, kb = triangle_key(a), triangle_key(b)
+    ka, kb = _triangle(a), _triangle(b)
     if ka > kb:
         return 1
     if ka < kb:
@@ -193,9 +197,9 @@ def _degree(n: int) -> _Degree:
                  for pair in ((parts + (1,), m | 1 << (k - 1)), (parts[:-1] + (parts[-1] + 1,), m))]
     # sorted once by the triangle key; each composition and partition is
     # then wrapped once, unchecked, as every one is valid by construction
-    rows = sorted(((tuple(sorted(parts, reverse=True)), parts, m) for parts, m in level), reverse=True)
+    rows = sorted(((_triangle(parts), m) for parts, m in level), reverse=True)
     order, by_mask, runs = [], [0] * len(rows), {}
-    for j, (lam, parts, m) in enumerate(rows):
+    for j, ((lam, parts), m) in enumerate(rows):
         c = tuple.__new__(Composition, parts)
         order.append(c)
         by_mask[m] = j
@@ -231,14 +235,12 @@ def _partitions(n: int) -> tuple[Partition, ...]:
 
 def enumerate_weak_compositions(total: int, parts: int) -> list[WeakComposition]:
     """All weak compositions of ``total`` with exactly ``parts`` parts,
-    lexicographically increasing."""
-    if parts == 0:
-        return [WeakComposition()] if total == 0 else []
-    return [
-        WeakComposition((p,) + tuple(rest))
-        for p in range(total + 1)
-        for rest in enumerate_weak_compositions(total - p, parts - 1)
-    ]
+    lexicographically increasing: the placements (:func:`expand_to_weak`)
+    of the compositions of ``total`` with at most ``parts`` parts, read
+    off their cut sets (:func:`composition_of`) with no degree table."""
+    cut_counts = range(parts if total else 1) if total >= 0 else ()
+    return sorted(w for k in cut_counts for s in itertools.combinations(range(1, total), k)
+                  for w in expand_to_weak(composition_of(s, total), parts))
 
 
 def compositions_of_partition(l: Iterable[int]) -> list[Composition]:

@@ -244,7 +244,6 @@ class _Diagram(NamedTuple):
     cell_pos: tuple[int, ...]
     leg1: tuple[int, ...]  # leg+1 of each cell
     arm1: tuple[int, ...]  # arm+1 of each cell
-    attacks: tuple[tuple[int, int], ...]
     triples: tuple[tuple[int, int, int], ...]
     rank: tuple[int, ...]  # tie-break rank of each position
     mates: tuple[tuple[int, ...], ...]  # per cell, the earlier positions it attacks
@@ -273,7 +272,6 @@ def _diagram(shape: tuple[int, ...]) -> _Diagram:
         cell_pos=cell_pos,
         leg1=tuple(leg(shape, c) + 1 for c in cells),
         arm1=tuple(arm(shape, c) + 1 for c in cells),
-        attacks=attacks,
         triples=triple_pos,
         # reading order top to bottom, right to left breaks ties: the
         # entry read first counts as the smaller one
@@ -287,8 +285,9 @@ def _diagram(shape: tuple[int, ...]) -> _Diagram:
 
 
 def is_non_attacking(f: AugmentedFilling) -> bool:
+    d = _diagram(f.shape)
     v = f._values()
-    return all(v[a] != v[b] for a, b in _diagram(f.shape).attacks)
+    return all(v[p] != v[m] for p, mates in zip(d.cell_pos, d.mates) for m in mates)
 
 
 def maj(f: AugmentedFilling) -> int:

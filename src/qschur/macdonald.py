@@ -42,6 +42,7 @@ from .compositions import (
 from .fillings import AugmentedFilling, _counts, _diagram, _group, _radices, is_non_attacking
 from .polynomial import QtPoly, XPoly, _unflat
 from .qsym import QSymExpr, m_to_f, qsym_to_poly, xpoly_to_monomial
+from .tableaux import columns
 
 
 def _one_minus_t_power(k: int) -> dict:
@@ -292,16 +293,11 @@ def _divided_difference(f: dict, i: int) -> dict:
 
 
 def standard_filling_reading_word(mu, rows) -> tuple[int, ...]:
-    """Entries read column by column, rightmost column first, top to
+    """Entries of the rows of partition shape ``mu`` read column by
+    column (:func:`tableaux.columns`), rightmost column first, top to
     bottom within a column."""
-    mu = tuple(mu)
-    width = mu[0] if mu else 0
-    word = []
-    for k in range(width, 0, -1):
-        for i, g in enumerate(mu, start=1):
-            if g >= k:
-                word.append(rows[i - 1][k - 1])
-    return tuple(word)
+    cols = columns([r[:g] for g, r in zip(mu, rows)])
+    return tuple(itertools.chain.from_iterable(reversed(cols)))
 
 
 def j_fundamental_classes(mu):

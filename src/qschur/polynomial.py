@@ -213,8 +213,6 @@ class QtPoly:
         return QtPoly.coerce(other) + (-self)
 
     def __mul__(self, other) -> "QtPoly":
-        if isinstance(other, int):
-            return QtPoly._trusted((k, c * other) for k, c in self._terms.items())
         other = QtPoly.coerce(other)
         return QtPoly._trusted(
             ((q1 + q2, t1 + t2), c1 * c2)
@@ -235,6 +233,8 @@ class QtPoly:
         return self._terms == other._terms
 
     def __hash__(self):
+        if self._terms.keys() <= {(0, 0)}:  # equal to an int, so hashed as one
+            return hash(self.constant())
         return hash(frozenset(self._terms.items()))
 
     # -- specialization and division -----------------------------------
@@ -416,6 +416,8 @@ class XPoly:
         return self.n == other.n and self._terms == other._terms
 
     def __hash__(self):
+        if self.total_degree() == 0:  # equal to its coefficient, so hashed as it
+            return hash(self.coefficient((0,) * self.n))
         return hash((self.n, frozenset((k, hash(v)) for k, v in self._terms.items())))
 
     # -- specialization, symmetry, division ----------------------------

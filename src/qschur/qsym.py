@@ -20,18 +20,19 @@ from .compositions import (
     WeakComposition,
     _degree,
     _supersets,
+    _triangle,
+    collapse,
     compositions_of_partition,
     enumerate_partitions,
     expand_to_weak,
     format_composition,
+    foundation,
     refinements,
     reversal,
     to_partition,
 )
 from .polynomial import QtPoly, XPoly, _accumulate_qt, _pairs, _signed_join
-from .tableaux import (
-    _refill, _standard_walk, enumerate_comts, enumerate_reverse_tableaux, enumerate_ssafs,
-)
+from .tableaux import _refill, _standard_walk, enumerate_comts, enumerate_reverse_tableaux
 
 BASES = ("M", "F", "S")
 
@@ -102,10 +103,10 @@ class QSymExpr:
     # -- deterministic views --------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Composition, QtPoly]]:
-        """Terms by degree, then descending triangle order: by place in
-        the degree's composition table."""
-        return sorted(self.terms.items(), key=lambda item: (
-            item[0].size, _degree(item[0].size).position[item[0]]))
+        """Terms by degree, then descending triangle order: sorted by the
+        triangle key, then stably by size, with no degree table."""
+        terms = sorted(self.terms.items(), key=lambda item: _triangle(item[0]), reverse=True)
+        return sorted(terms, key=lambda item: item[0].size)
 
     def __str__(self) -> str:
         parts = []
@@ -254,15 +255,15 @@ def _expansion(basis: str, a: Composition) -> QSymExpr:
 
 
 def demazure_atom(g, n: int | None = None) -> XPoly:
-    """Generating function of the valid augmented fillings of shape g."""
+    """Generating function of the valid augmented fillings of shape g: the
+    weights of the composition tableaux of shape g+ with first column the
+    rows of g's nonzero parts, which :func:`tableaux.enumerate_ssafs` maps onto them."""
     g = WeakComposition(g)
     if n is None:
         n = len(g)
     if n < len(g):
         raise ValueError("variable count below the number of rows")
-    if n > len(g):
-        g = WeakComposition(tuple(g) + (0,) * (n - len(g)))
-    return XPoly(n, ((f.exponents(), 1) for f in enumerate_ssafs(g)))
+    return _weights(enumerate_comts(collapse(g), n, first_column=foundation(g)), n)
 
 
 def qschur_polynomial(a, n: int) -> XPoly:
@@ -270,8 +271,13 @@ def qschur_polynomial(a, n: int) -> XPoly:
     over the composition tableaux of shape a with entries in [n], which
     :func:`tableaux.comt_to_ssaf` maps onto the valid augmented fillings
     of the shapes g with g+ = a, so it sums their Demazure atoms."""
+    return _weights(enumerate_comts(a, n), n)
+
+
+def _weights(tableaux, n: int) -> XPoly:
+    """The sum of x^weight over composition tableaux in n variables."""
     return XPoly(n, Counter(
-        tuple(map(t.entries().count, range(1, n + 1))) for t in enumerate_comts(a, n)
+        tuple(map(t.entries().count, range(1, n + 1))) for t in tableaux
     ).items())
 
 

@@ -277,8 +277,9 @@ def enumerate_comts(
         return
     l = len(shape)
     m = max(shape)
-    pinned = None if first_column is None else sorted(first_column)
-    if pinned is not None and len(pinned) != l:
+    # row i's first entry lies in [low[i], high[i]]: its pin, or [max_entry]
+    low, high = ([1] * l, [max_entry] * l) if first_column is None else (sorted(first_column),) * 2
+    if len(low) != l:
         return
     grid: list[list[int]] = [[0] * g for g in shape]
 
@@ -293,13 +294,7 @@ def enumerate_comts(
         i, k = positions[pos]
         if k == 0:
             lo = grid[i - 1][0] + 1 if i > 0 else 1
-            if pinned is not None:
-                v = pinned[i]
-                if v < lo or v > max_entry:
-                    return
-                candidates = range(v, v + 1)
-            else:
-                candidates = range(lo, max_entry + 1)
+            candidates = range(max(lo, low[i]), min(max_entry, high[i]) + 1)
         else:
             candidates = range(1, grid[i][k - 1] + 1)
         for v in candidates:
@@ -337,13 +332,9 @@ def enumerate_ssafs(g: Iterable[int]) -> Iterator[AugmentedFilling]:
     """All valid augmented fillings of the given weak shape."""
     g = WeakComposition(g)
     n = len(g)
-    base = sorted(foundation(g))
-    if not base:
-        yield AugmentedFilling(g, [()] * n, rule="id", nvars=n)
-        return
     # the pinned first column puts each row beside its basement entry,
-    # so every tableau has shape g
-    for t in enumerate_comts(collapse(g), n, first_column=base):
+    # so every tableau has shape g; an empty shape has one empty tableau
+    for t in enumerate_comts(collapse(g), n, first_column=foundation(g)):
         yield comt_to_ssaf(t, n=n)
 
 

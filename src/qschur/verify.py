@@ -77,8 +77,8 @@ SuiteResult = tuple[int, list[str]]
 
 
 def suite_core(max_size: int = 6) -> SuiteResult:
-    """Composition counts, the subset encoding, the triangle order
-    (antisymmetric, total and transitive) and weak expansions."""
+    """Composition counts, the subset encoding, the triangle order (total,
+    antisymmetric, transitive, descending along the enumeration) and weak expansions."""
     cases, fails = 0, []
     for n in range(0, max_size + 1):
         comps = enumerate_compositions(n)
@@ -88,6 +88,8 @@ def suite_core(max_size: int = 6) -> SuiteResult:
         for b in comps:
             if composition_of(subset_of(b, n), n) != b:
                 fails.append(f"subset round trip fails for {tuple(b)}")
+        if any(triangle_cmp(a, b) <= 0 for a, b in zip(comps, comps[1:])):
+            fails.append(f"compositions of {n} not strictly descending in the triangle order")
         for a, b in itertools.combinations(comps, 2):
             if triangle_cmp(a, b) != -triangle_cmp(b, a) or triangle_cmp(a, b) == 0:
                 fails.append(f"triangle order not antisymmetric on {a},{b}")

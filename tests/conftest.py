@@ -15,3 +15,18 @@ def check_suite():
         return cases
 
     return check
+
+
+@pytest.fixture
+def forbid(monkeypatch):
+    """Replace each named attribute of an owner with a function that
+    raises ``AssertionError(reason)``: ``forbid(owner, names, reason)``."""
+
+    def patch(owner, names, reason):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(reason)
+
+        for name in names:
+            monkeypatch.setattr(owner, name, forbidden)
+
+    return patch

@@ -276,6 +276,20 @@ def test_verify_guards_max_size(capsys, monkeypatch):
     assert calls == [("product", 9), ("hl-chain", 7)]
 
 
+def test_verify_reports_failures(capsys, monkeypatch):
+    # each failure goes to stderr under its suite's name, then a count
+    def fake_run_suite(name, max_size=None):
+        return [("core", 5, []), ("tableaux", 7, ["bad one", "bad two"])]
+
+    monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+    rc, out, err = run_cli(capsys, "verify", "all")
+    assert rc == 1
+    assert out.strip() == "suite core: all checks passed (5 cases)"
+    assert err.splitlines() == [
+        "[tableaux] bad one", "[tableaux] bad two", "suite tableaux: 2 failures in 7 cases",
+    ]
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "out.txt"
     rc, out, _ = run_cli(capsys, "--out", str(path), "expand", "--basis", "F", "(1,3)")

@@ -26,6 +26,7 @@ from qschur.compositions import (
     subset_of,
     to_partition,
     triangle_cmp,
+    triangle_key,
 )
 
 
@@ -102,6 +103,10 @@ def test_coarsens_partial_order():
 def test_triangle_order_chain():
     chain = [(4,), (3, 1), (1, 3), (2, 2), (2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 1, 1, 1)]
     assert [tuple(c) for c in enumerate_compositions(4)] == chain
+    assert sorted(reversed(chain), key=triangle_key, reverse=True) == chain
+    assert triangle_key((1, 3)) == ((3, 1), (1, 3))
+    with pytest.raises(ValueError, match="zero part"):
+        triangle_key((1, 0))
     assert triangle_cmp((1, 3), (2, 2)) == 1
     assert triangle_cmp((2, 2), (1, 3)) == -1
     assert triangle_cmp((2, 2), (2, 2)) == 0
@@ -136,7 +141,12 @@ def test_enumerate_partitions():
         assert parts == sorted(set(parts), reverse=True)
 
 
-def test_enumerate_weak_compositions():
+def test_enumerate_weak_compositions(forbid):
+    # the cut sets give only the compositions that fit the parts, so few
+    # parts of a large total build no table of its 2^(total-1) compositions
+    forbid(compositions, ["_degree"], "weak compositions built a degree table")
+    assert enumerate_weak_compositions(40, 1) == [(40,)]
+    assert enumerate_weak_compositions(30, 2) == [(k, 30 - k) for k in range(31)]
     assert enumerate_weak_compositions(0, 0) == [()]
     assert enumerate_weak_compositions(1, 0) == []
     assert enumerate_weak_compositions(2, 2) == [(0, 2), (1, 1), (2, 0)]
@@ -145,6 +155,8 @@ def test_enumerate_weak_compositions():
             weak = enumerate_weak_compositions(total, parts)
             assert len(weak) == len(set(weak)) == math.comb(total + parts - 1, parts - 1)
             assert all(len(g) == parts and g.size == total for g in weak)
+            assert weak == sorted(weak)
+    assert enumerate_weak_compositions(-1, 2) == []
 
 
 def test_expand_to_weak():
@@ -207,13 +219,10 @@ def _delannoy(k: int, l: int) -> int:
     return sum(math.comb(k, i) * math.comb(l, i) * 2**i for i in range(min(k, l) + 1))
 
 
-def test_quasi_shuffles(monkeypatch):
+def test_quasi_shuffles(forbid):
     # quasi_shuffles takes compositions of any size, up to 36 below, so it
     # must build no degree table (2^35 compositions at 36)
-    def forbidden(*args, **kwargs):
-        raise AssertionError("quasi_shuffles built a degree table")
-
-    monkeypatch.setattr(compositions, "_degree", forbidden)
+    forbid(compositions, ["_degree"], "quasi_shuffles built a degree table")
     assert quasi_shuffles((1,), (1,)) == {(1, 1): 2, (2,): 1}
     assert quasi_shuffles((), (2, 1)) == {(2, 1): 1}
     assert quasi_shuffles((), ()) == {(): 1}

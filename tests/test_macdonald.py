@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +16,11 @@ from qschur.compositions import (
 from qschur.fillings import (
     AugmentedFilling,
     arm,
+    attack_pairs,
     basement_entry,
     coinv,
     enumerate_fillings,
+    is_non_attacking,
     leg,
     maj,
     triples,
@@ -63,6 +65,11 @@ def test_single_row_armleg():
     for j in range(1, k + 1):
         assert leg((k,), (1, j)) == k - j
         assert arm((k,), (1, j)) == 0
+    # the basement and cells past a row's end are outside the shape
+    for cell in ((1, 0), (1, k + 1), (2, 1), (0, 1)):
+        for stat in (leg, arm):
+            with pytest.raises(ValueError, match="outside shape"):
+                stat((k,), cell)
 
 
 def test_maj_coinv_pinned():
@@ -88,6 +95,9 @@ def test_filling_entries_and_cells_are_checked():
         with pytest.raises(ValueError):
             f.entry(*cell)
     assert [f.entry(2, j) for j in range(3)] == [2, 2, 1]
+    assert str(f) == "1| 1\n2| 2 1"
+    assert str(AugmentedFilling((0, 1), [[], [3]], "const", 3)) == "4|\n4| 3"
+    assert repr(f) == "AugmentedFilling((1, 2), ((1,), (2, 1)), rule='id')"
 
 
 def test_enumerated_fillings_match_the_public_constructor():
@@ -103,6 +113,21 @@ def test_enumerated_fillings_match_the_public_constructor():
                             assert f == built and hash(f) == hash(built)
                             assert f.rows == built.rows
                             assert (maj(f), coinv(f)) == (maj(built), coinv(built))
+
+
+def test_non_attacking_reads_every_attacking_pair():
+    # the walk's per-cell mates hold every attacking pair of the diagram:
+    # every filling of each weak shape with <= 3 rows and size <= 4
+    for n in range(1, 4):
+        for total in range(5):
+            for g in enumerate_weak_compositions(total, n):
+                pairs = attack_pairs(g)
+                for rule, nv in (("id", n), ("const", n + 1)):
+                    for entries in product(range(1, nv + 1), repeat=total):
+                        it = iter(entries)
+                        f = AugmentedFilling(g, [[next(it) for _ in range(k)] for k in g], rule, nv)
+                        expected = all(f.entry(*a) != f.entry(*b) for a, b in pairs)
+                        assert is_non_attacking(f) == expected, (g, rule, f.rows)
 
 
 def test_diagram_geometry_derived_once_per_shape(monkeypatch):
@@ -192,7 +217,7 @@ def test_group_counts_fillings_in_the_walk_layout():
                         assert grouped == counts, (g, rule, nv, descentless)
 
 
-def test_filling_sums_build_no_filling_object(monkeypatch):
+def test_filling_sums_build_no_filling_object(forbid):
     # the integral forms, the Hall-Littlewood sums and the fundamental
     # expansion count the walk's leaves; no AugmentedFilling is built and
     # no per-filling statistic is taken on their path
@@ -209,14 +234,10 @@ def test_filling_sums_build_no_filling_object(monkeypatch):
     ]
     expected = [fn(*args) for fn, args in cases]
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a filling sum built a filling object")
-
-    monkeypatch.setattr(AugmentedFilling, "__init__", forbidden)
-    monkeypatch.setattr(AugmentedFilling, "_trusted", forbidden)
-    for name in ("maj", "coinv", "_group"):
-        monkeypatch.setattr(fillings, name, forbidden)
-    monkeypatch.setattr(macdonald, "_group", forbidden)
+    reason = "a filling sum built a filling object"
+    forbid(AugmentedFilling, ["__init__", "_trusted"], reason)
+    forbid(fillings, ["maj", "coinv", "_group"], reason)
+    forbid(macdonald, ["_group"], reason)
     for (fn, args), out in zip(cases, expected):
         assert fn(*args) == out, args
     # with no rows no basement cell reads the rule, so it is checked first
@@ -253,7 +274,7 @@ def test_variable_count_errors():
     assert hall_littlewood_qsym_m(()) == qsym_unit("M")
 
 
-def test_hall_littlewood_sums_read_no_polynomial_back(monkeypatch):
+def test_hall_littlewood_sums_read_no_polynomial_back(forbid):
     # the descentless terms of every weak shape go straight into the one
     # result; no per-shape polynomial is built and read back
     cases = [(hall_littlewood_qsym, (a, n)) for m in range(5) for a in enumerate_compositions(m)
@@ -262,10 +283,7 @@ def test_hall_littlewood_sums_read_no_polynomial_back(monkeypatch):
               for n in range(5)]
     expected = [f(*args) for f, args in cases]
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a Hall-Littlewood sum read a polynomial back")
-
-    monkeypatch.setattr(XPoly, "items", forbidden)
+    forbid(XPoly, ["items"], "a Hall-Littlewood sum read a polynomial back")
     for (f, args), out in zip(cases, expected):
         assert f(*args) == out, (f.__name__, args)
 
@@ -516,7 +534,7 @@ def test_cell_factors_built_once_across_content_walks(monkeypatch):
     assert built and max(built.values()) == 1
 
 
-def test_filling_sums_do_no_qtpoly_arithmetic(monkeypatch):
+def test_filling_sums_do_no_qtpoly_arithmetic(forbid):
     # the weight and the sums above it add integer dicts; a QtPoly is
     # only wrapped, never added or multiplied
     cases = [
@@ -531,11 +549,8 @@ def test_filling_sums_do_no_qtpoly_arithmetic(monkeypatch):
     ]
     expected = [fn(*args) for fn, args in cases]
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a filling sum did QtPoly arithmetic")
-
-    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__pow__"):
-        monkeypatch.setattr(QtPoly, name, forbidden)
+    forbid(QtPoly, ["__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__pow__"],
+           "a filling sum did QtPoly arithmetic")
     for (fn, args), out in zip(cases, expected):
         assert fn(*args) == out, args
 
@@ -631,21 +646,17 @@ def test_oracle_at_t_one_is_the_monomial_symmetric_polynomial():
                 assert hall_littlewood_p_oracle(lam, n).specialize(t=1) == m, (lam, n)
 
 
-def test_oracle_builds_no_filling_and_divides_by_no_polynomial(monkeypatch):
+def test_oracle_builds_no_filling_and_divides_by_no_polynomial(forbid):
     # the oracle referees the filling sums, so it shares none of their
     # code, and its divided differences leave no Vandermonde to divide by
     cases = [((3, 1), 4), ((2, 2, 1), 5), ((5,), 5)]
     expected = [hall_littlewood_p_oracle(*args) for args in cases]
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the oracle left its own arithmetic")
-
-    monkeypatch.setattr(AugmentedFilling, "__init__", forbidden)
-    monkeypatch.setattr(AugmentedFilling, "_trusted", forbidden)
-    monkeypatch.setattr(fillings, "_walk", forbidden)
-    monkeypatch.setattr(fillings, "_counts", forbidden)
-    monkeypatch.setattr(macdonald, "_counts", forbidden)
-    monkeypatch.setattr(XPoly, "div_exact", forbidden)
+    reason = "the oracle left its own arithmetic"
+    forbid(AugmentedFilling, ["__init__", "_trusted"], reason)
+    forbid(fillings, ["_walk", "_counts"], reason)
+    forbid(macdonald, ["_counts"], reason)
+    forbid(XPoly, ["div_exact"], reason)
     for args, out in zip(cases, expected):
         assert hall_littlewood_p_oracle(*args) == out, args
 

@@ -142,21 +142,18 @@ def _pairs_up_to(total):
     ]
 
 
-def test_product_builds_no_polynomial(monkeypatch):
+def test_product_builds_no_polynomial(forbid):
     expected = product_qschur((2, 1), (2, 1))
     _clear_product_caches()
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the product kernel touched the polynomial path")
-
-    monkeypatch.setattr(XPoly, "__mul__", forbidden)
-    monkeypatch.setattr(XPoly, "__rmul__", forbidden)
-    monkeypatch.setattr(qsym, "qschur_polynomial", forbidden)
-    monkeypatch.setattr(pieri, "qschur_polynomial", forbidden)
+    reason = "the product kernel touched the polynomial path"
+    forbid(XPoly, ["__mul__", "__rmul__"], reason)
+    forbid(qsym, ["qschur_polynomial"], reason)
+    forbid(pieri, ["qschur_polynomial"], reason)
     assert product_qschur((2, 1), (2, 1)) == expected
 
 
-def test_product_does_no_qtpoly_arithmetic(monkeypatch):
+def test_product_does_no_qtpoly_arithmetic(forbid):
     """Every pair with |a| + |b| <= 5, (1,3) x (1,) among them: its factor
     S(1,3) = F(1,3) + F(2,2) shares refinements, which f_to_m would add as
     QtPolys.  Then the signed square S(2,1) x S(2,1)."""
@@ -164,11 +161,8 @@ def test_product_does_no_qtpoly_arithmetic(monkeypatch):
     expected = [product_qschur(a, b) for a, b in pairs]
     _clear_product_caches()
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the product kernel did QtPoly arithmetic")
-
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
-        monkeypatch.setattr(QtPoly, name, forbidden)
+    forbid(QtPoly, ["__mul__", "__rmul__", "__add__", "__radd__"],
+           "the product kernel did QtPoly arithmetic")
     assert ((1, 3), (1,)) in pairs
     for (a, b), product in zip(pairs, expected):
         assert product_qschur(a, b) == product, (a, b)
@@ -214,19 +208,15 @@ M_MATRIX_4 = [
 ]
 
 
-def test_expansions_enumerate_only_standard_reverse_tableaux(monkeypatch):
+def test_expansions_enumerate_only_standard_reverse_tableaux(forbid):
     f_matrix = qsym.transition_matrix("F", 4)
     expansion = qsym.qschur_in_monomial((1, 2))
     product = product_qschur((2, 1), (2, 1))
     _clear_product_caches()
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an S expansion enumerated semistandard tableaux")
-
     for module in (tableaux, qsym):
-        for name in ("enumerate_comts", "enumerate_reverse_tableaux"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
+        names = [n for n in ("enumerate_comts", "enumerate_reverse_tableaux") if hasattr(module, n)]
+        forbid(module, names, "an S expansion enumerated semistandard tableaux")
     try:
         assert qsym.transition_matrix("F", 4) == f_matrix
         assert [list(r) for r in qsym.transition_matrix("M", 4)] == M_MATRIX_4
@@ -236,7 +226,7 @@ def test_expansions_enumerate_only_standard_reverse_tableaux(monkeypatch):
         _clear_product_caches()
 
 
-def test_basis_change_takes_no_detour(monkeypatch):
+def test_basis_change_takes_no_detour(forbid):
     """The matrices are built from refills, not from the single-composition
     expansions, and neither express nor the product converts between M
     and F or expands a single composition."""
@@ -244,11 +234,8 @@ def test_basis_change_takes_no_detour(monkeypatch):
     product = product_qschur((2, 1), (2, 1))
     _clear_product_caches()
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the basis change took a detour")
-
-    for name in ("f_to_m", "m_to_f", "qschur_in_fundamental", "qschur_in_monomial"):
-        monkeypatch.setattr(qsym, name, forbidden)
+    forbid(qsym, ["f_to_m", "m_to_f", "qschur_in_fundamental", "qschur_in_monomial"],
+           "the basis change took a detour")
     try:
         assert qsym.transition_matrix("F", 4) == f_matrix
         assert [list(r) for r in qsym.transition_matrix("M", 4)] == M_MATRIX_4

@@ -1,8 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur import qsym
-from qschur.compositions import Composition, enumerate_compositions, expand_to_weak
+from qschur import compositions, qsym
+from qschur.compositions import (
+    Composition,
+    enumerate_compositions,
+    enumerate_weak_compositions,
+    expand_to_weak,
+)
 from qschur.fillings import AugmentedFilling
 from qschur.polynomial import QtPoly, XPoly
 from qschur.qsym import (
@@ -24,7 +29,7 @@ from qschur.qsym import (
     transition_matrix,
     xpoly_to_monomial,
 )
-from qschur.tableaux import CompositionTableau, enumerate_comts
+from qschur.tableaux import CompositionTableau, enumerate_comts, enumerate_ssafs
 from qschur.verify import tableau_expansions
 
 
@@ -84,20 +89,26 @@ def test_demazure_atom():
                 assert qschur_polynomial(a, n) == total, (a, n)
 
 
+def test_demazure_atom_builds_no_filling(forbid):
+    # the atom counts the weights of the composition tableaux with a pinned
+    # first column, which are the SSAFs with their basement deleted; every
+    # weak shape with <= 3 rows and size <= 4, in up to two more variables
+    cases = [(g, n) for parts in range(4) for total in range(5)
+             for g in enumerate_weak_compositions(total, parts)
+             for n in range(parts, parts + 3)]
+    expected = [XPoly(n, ((f.exponents(), 1) for f in enumerate_ssafs(g + (0,) * (n - len(g)))))
+                for g, n in cases]
+    forbid(AugmentedFilling, ["__init__", "_trusted"], "an atom built an augmented filling")
+    for (g, n), out in zip(cases, expected):
+        assert demazure_atom(g, n) == out, (g, n)
+
+
 def test_qschur_polynomial():
     assert qschur_polynomial((1, 2), 2) == x(2, 1) * x(2, 2) ** 2
     assert qschur_polynomial((1, 1, 1), 2) == XPoly.zero(2)
 
 
-def _forbid(monkeypatch, owner, names, what):
-    def forbidden(*args, **kwargs):
-        raise AssertionError(what)
-
-    for name in names:
-        monkeypatch.setattr(owner, name, forbidden)
-
-
-def test_evaluators_read_no_polynomial_back(monkeypatch):
+def test_evaluators_read_no_polynomial_back(forbid):
     # each evaluation builds its one result polynomial and reads no
     # other polynomial's terms
     comps = [a for n in range(5) for a in enumerate_compositions(n)]
@@ -107,15 +118,15 @@ def test_evaluators_read_no_polynomial_back(monkeypatch):
     cases += [(f, (a, n)) for f in (monomial_qsym_poly, fundamental_qsym_poly, qschur_polynomial)
               for a in comps for n in (1, 3, 4)]
     expected = [f(*args) for f, args in cases]
-    _forbid(monkeypatch, XPoly, ["items"], "an evaluator read a polynomial back")
+    forbid(XPoly, ["items"], "an evaluator read a polynomial back")
     for (f, args), out in zip(cases, expected):
         assert f(*args) == out, (f.__name__, args)
 
 
-def test_qschur_polynomial_builds_no_filling(monkeypatch):
+def test_qschur_polynomial_builds_no_filling(forbid):
     cases = [(a, n) for size in range(5) for a in enumerate_compositions(size) for n in range(5)]
     expected = [qschur_polynomial(a, n) for a, n in cases]
-    _forbid(monkeypatch, AugmentedFilling, ["__init__"], "an augmented filling was built")
+    forbid(AugmentedFilling, ["__init__"], "an augmented filling was built")
     for (a, n), out in zip(cases, expected):
         assert qschur_polynomial(a, n) == out, (a, n)
 
@@ -196,7 +207,7 @@ def test_express_keeps_the_exponents_that_do_not_cancel():
     assert express_in_qschur(e) == QSymExpr("S", {(1, 3): 1 + q, (2, 2): -q, (1, 2, 1): q})
 
 
-def test_s_expansions_build_no_tableau_objects(monkeypatch):
+def test_s_expansions_build_no_tableau_objects(forbid):
     """The matrices and both single-composition expansions count refills
     on plain lists: no augmented filling or composition tableau is built."""
     sizes = range(7)
@@ -205,11 +216,9 @@ def test_s_expansions_build_no_tableau_objects(monkeypatch):
     expansions = [(qschur_in_fundamental(a), qschur_in_monomial(a)) for a in comps]
     qsym.transition_matrix.cache_clear()
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an S expansion built a tableau object")
-
-    monkeypatch.setattr(AugmentedFilling, "__init__", forbidden)
-    monkeypatch.setattr(CompositionTableau, "__init__", forbidden)
+    reason = "an S expansion built a tableau object"
+    forbid(AugmentedFilling, ["__init__"], reason)
+    forbid(CompositionTableau, ["__init__"], reason)
     try:
         for (b, n), matrix in matrices.items():
             assert transition_matrix(b, n) == matrix, (b, n)
@@ -264,13 +273,13 @@ def test_xpoly_to_monomial():
     assert err.value.witness == ((1, 1, 0), (1, 0, 1))
 
 
-def test_xpoly_to_monomial_places_no_quasisymmetric_group(monkeypatch):
+def test_xpoly_to_monomial_places_no_quasisymmetric_group(forbid):
     # a quasisymmetric input is accepted by counting each group's terms
     q = QtPoly.q()
     inputs = [qschur_polynomial(a, 4) for n in range(5) for a in enumerate_compositions(n)]
     inputs.append(qsym_to_poly(QSymExpr("M", {(2, 1): 1 + q, (1,): -2, (): q}), 3))
     expected = [xpoly_to_monomial(p) for p in inputs]
-    _forbid(monkeypatch, qsym, ["expand_to_weak"], "a quasisymmetric group was placed")
+    forbid(qsym, ["expand_to_weak"], "a quasisymmetric group was placed")
     for p, out in zip(inputs, expected):
         assert xpoly_to_monomial(p) == out
 
@@ -300,6 +309,36 @@ def test_wrong_basis_raises():
                  lambda: transition_matrix("S", 3), lambda: transition_matrix("F", -1)):
         with pytest.raises(ValueError):
             call()
+
+
+def test_rendering_builds_no_degree_table(forbid):
+    # str and to_json sort by the triangle key: a hand-built term of degree
+    # 18 reads no table of the 2^17 compositions of 18, and terms of mixed
+    # degree come out by degree, then in each degree's table order
+    mixed = [c for n in range(6) for c in enumerate_compositions(n)]
+    expr = QSymExpr("F", {c: 1 for c in reversed(mixed)})
+    for owner in (compositions, qsym):
+        forbid(owner, ["_degree"], "rendering built a degree table")
+    assert [c for c, _ in expr.sorted_terms()] == mixed
+    m, f = qsym_unit("M", (18,)), qsym_unit("F", (1,) * 18)
+    assert (str(m), str(f)) == ("M(18)", "F(" + ",".join("1" * 18) + ")")
+    assert m.to_json() == {"basis": "M", "terms": [{"composition": [18], "coeff": [[0, 0, 1]]}]}
+    assert f.to_json()["terms"][0]["composition"] == [1] * 18
+
+
+def test_qsym_expr_algebra_and_errors():
+    q = QtPoly.q()
+    a, b = QSymExpr("M", {(2, 1): 1 + q, (1,): 2}), qsym_unit("M", (1,), 2)
+    assert a - b == QSymExpr("M", {(2, 1): 1 + q})
+    assert a.coefficient((2, 1)) == 1 + q and a.coefficient((3,)) == QtPoly.zero()
+    assert a and not (b - b)
+    with pytest.raises(ValueError, match="unknown basis 'X'"):
+        QSymExpr("X")
+    s = qsym_unit("S", (1, 2))
+    assert express_in_qschur(s) is s
+    bad = {"basis": "M", "terms": [{"composition": [1, "2"], "coeff": [[0, 0, 1]]}]}
+    with pytest.raises(ValueError, match=r"terms\[0\]: 'composition' must be a list of integers"):
+        QSymExpr.from_json(bad)
 
 
 def test_qsym_expr_json_round_trip():

@@ -193,6 +193,9 @@ def test_ssaf_enumeration_matches_shape():
             assert tuple(f.shape) == g
             assert is_ssaf_filling(f)
     assert len(list(enumerate_ssafs((1, 0, 2)))) == 2
+    # an empty shape has one filling, its basement alone
+    for g in ((), (0, 0)):
+        assert list(enumerate_ssafs(g)) == [AugmentedFilling(g, [()] * len(g))]
 
 
 def test_standardization_fibers_are_fundamental():
