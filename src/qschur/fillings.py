@@ -19,20 +19,22 @@ position, and every statistic reads them through that table.
 One placement walk places the entries of every non-attacking filling
 cell by cell.  ``enumerate_fillings`` builds a filling at each of its
 leaves; the filling sums instead count the packed statistics the walk
-adds up as it places entries (``_counts``), and build no filling.  The
-walk can be given a content, a budget of uses per entry value, and
-then visits only the fillings of that content: the symmetric sums walk
-once per partition content and spread the result to its
-rearrangements.
+adds up as it places entries (``_counts``), build no filling, and
+weigh the counts into terms (``_weigh``).  The walk can be given a
+content, a budget of uses per entry value, and then visits only the
+fillings of that content.  ``_terms`` is the one entry point: no other
+module reads the packed layout.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .compositions import WeakComposition, content
+from .polynomial import QtPoly
 
 Cell = tuple[int, int]  # (row, column), 1-based; column 0 is the basement
 
@@ -325,7 +327,7 @@ def _radices(d: _Diagram) -> tuple[int, int, int]:
     first: q^maj t^coinv as ``maj * span + coinv``, the repeat mask (cell
     k is bit k) in units of ``mask_w``, and the content, one digit to the
     base ``base`` per entry value.  ``span`` exceeds every t exponent of
-    a weighed term, coinv plus the cell factors' (``macdonald._weigh``),
+    a weighed term, coinv plus the cell factors' (:func:`_weigh`),
     so the low field is already the key of the term's q,t monomial.  Each
     unit exceeds the largest sum of the tallies below it."""
     span = len(d.triples) + len(d.cells) + sum(d.arm1) + 1
@@ -429,26 +431,84 @@ def _counts(shape, rule: str, nvars: int | None = None, descentless: bool = Fals
     content field keeps the walks apart, so one ``Counter`` counts them
     all."""
     _, nv, d, values = _start(shape, rule, nvars)
-    if contents is None:
-        return Counter(_walk(d, values, nv, descentless))
-    return Counter(chain.from_iterable(
-        _walk(d, values, nv, descentless, [0, *c, *[0] * (nv - len(c))]) for c in contents
-    ))
+    budgets = [None] if contents is None else ([0, *c, *[0] * (nv - len(c))] for c in contents)
+    return Counter(chain.from_iterable(_walk(d, values, nv, descentless, b) for b in budgets))
 
 
-def _group(fillings) -> Counter:
-    """Fillings counted in the packed layout of :func:`_walk`, each
-    tally taken from its per-filling definition: the cells repeating
-    their left neighbour, ``exponents``, :func:`maj` and :func:`coinv`."""
-    counts: Counter = Counter()
-    for f in fillings:
-        d = _diagram(f.shape)
-        span, mask_w, base = _radices(d)
-        v = f._values()
-        mask = sum(1 << k for k, p in enumerate(d.cell_pos) if v[p] == v[p - 1])
-        content = sum(e * base ** i for i, e in enumerate(f.exponents()))
-        counts[((content << len(d.cells)) + mask) * mask_w + maj(f) * span + coinv(f)] += 1
-    return counts
+# -- the weight ----------------------------------------------------------
+
+
+def _one_minus_t_power(k: int) -> dict:
+    """(1 - t)^k, a signed binomial row keyed by t exponent: with no q
+    term that is also its packed key ``q_exp * span + t_exp``."""
+    return {j: (-1) ** j * math.comb(k, j) for j in range(k + 1)}
+
+
+def _cell_factors(shape, repeats) -> dict:
+    """Product over the cells of (1 - q^(leg+1) t^(arm+1)) for a cell in
+    ``repeats`` (it repeats its left neighbour) and (1 - t) otherwise, as
+    an integer dict keyed by ``q_exp * span + t_exp``, the packed key of
+    the walk's low field (``span`` from :func:`_radices`)."""
+    d = _diagram(shape)
+    span = _radices(d)[0]
+    w = _one_minus_t_power(shape.size - len(repeats))
+    for s, l1, a1 in zip(d.cells, d.leg1, d.arm1):
+        if s in repeats:
+            step = l1 * span + a1
+            shifted = dict(w)
+            for key, c in w.items():
+                shifted[key + step] = shifted.get(key + step, 0) - c
+            w = shifted
+    return w
+
+
+def _weigh(shape, counts, nv: int, descentless: bool = False) -> list:
+    """The ``(exponents, coefficient)`` terms of a filling sum in ``nv``
+    variables, from its fillings' counts in the walk's packed layout
+    (:func:`_counts`): x^exponents q^maj t^coinv times the cell factors
+    of the repeat set.
+
+    The counts are grouped by repeat mask, so each repeat set builds its
+    factor product once; the factors depend on it alone.  A count's low
+    field and the factors' keys are both packed as ``q_exp * span +
+    t_exp``, so a product term's key is their sum: counts times factor
+    terms are added straight into one integer dict per content, which
+    is read as an exponent vector and wrapped as a ``QtPoly`` once at
+    the end, its keys split and its zero coefficients dropped.  A
+    descentless sum is taken at q = 0, where every repeat factor is 1.
+    """
+    d = _diagram(shape)
+    span, mask_w, base = _radices(d)
+    by_mask: dict = {}
+    for packed, count in counts.items():
+        high, low = divmod(packed, mask_w)
+        content, mask = divmod(high, 1 << len(d.cells))
+        by_mask.setdefault(mask, []).append((content, low, count))
+    sums: dict = {}
+    for mask, tallies in by_mask.items():
+        repeats = tuple(s for k, s in enumerate(d.cells) if mask >> k & 1)
+        if descentless:
+            factor = _one_minus_t_power(shape.size - len(repeats))
+        else:
+            factor = _cell_factors(shape, repeats)
+        for content, low, count in tallies:
+            acc = sums.setdefault(content, {})
+            for shift, v in factor.items():
+                key = low + shift
+                acc[key] = acc.get(key, 0) + count * v
+    return [
+        (tuple(content // base ** i % base for i in range(nv)), QtPoly._packed(acc, span))
+        for content, acc in sums.items()
+    ]
+
+
+def _terms(shape, rule: str, nvars: int | None = None, descentless: bool = False,
+           contents=None) -> list:
+    """The weighed ``(exponents, coefficient)`` terms of the filling sum
+    in ``nvars`` variables: the walk's counts (:func:`_counts`, with
+    ``contents`` as its budgets) weighed as one sum (:func:`_weigh`)."""
+    shape, nv, _, _ = _start(shape, rule, nvars)
+    return _weigh(shape, _counts(shape, rule, nv, descentless, contents), nv, descentless)
 
 
 def is_ssaf_filling(f: AugmentedFilling) -> bool:

@@ -4,22 +4,19 @@ quasisymmetric sums, the Hall-Littlewood decomposition, and the
 fundamental-basis expansion of the symmetric integral form.
 
 Everything is a weighted sum over non-attacking fillings of an
-augmented diagram, weighed by one helper: x^f q^maj t^coinv times the
-cell factors of the filling's repeat set, with every q,t monomial
-packed into one integer.  The helper takes the fillings' counts in the
-placement walk's packed layout, one integer per filling holding its
-maj, coinv, repeat set and content.  The integral forms and the
-Hall-Littlewood sums take them from the walk of ``fillings``, which
-adds the statistics up as it places entries and builds no filling.
-The constant-basement sum and the fundamental expansion are symmetric,
-so they walk only the fillings of partition content, one budgeted walk
-per partition, and give each coefficient to the rearrangements of its
-partition; the paper's per-permutation construction of the expansion
-stays as its referee.  The basement rule selects the family: identity
-gives the integral nonsymmetric form, reversed (applied to the reversed
-shape) its mirror variant, and a constant basement gives the symmetric
-integral form of the sorted shape.  The diagram's geometry (legs, arms,
-attacks, triples) is read from ``fillings``.
+augmented diagram: x^f q^maj t^coinv times the cell factors of the
+filling's repeat set.  ``fillings`` walks the fillings and weighs them
+(:func:`fillings._terms`); this module reads the weighed terms and
+chooses which shapes and contents to sum and how to spread them.  The
+constant-basement sum and the fundamental expansion are symmetric, so
+they take only the terms at partition contents, one budgeted walk per
+partition, and give each coefficient to the rearrangements of its
+partition.  The paper's per-permutation construction of the expansion
+stays as its referee and weighs its merges by the definition.  The
+basement rule selects the family: identity gives the integral
+nonsymmetric form, reversed (applied to the reversed shape) its mirror
+variant, and a constant basement gives the symmetric integral form of
+the sorted shape.
 
 The Hall-Littlewood oracle shares none of this: it applies the
 divided differences of a reduced word of the longest permutation to one
@@ -29,7 +26,6 @@ it and divides by the Vandermonde in one exact pass.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .compositions import (
     Composition,
@@ -39,74 +35,10 @@ from .compositions import (
     enumerate_partitions,
     expand_to_weak,
 )
-from .fillings import AugmentedFilling, _counts, _diagram, _group, _radices, is_non_attacking
+from .fillings import AugmentedFilling, _diagram, _terms, coinv, is_non_attacking, maj
 from .polynomial import QtPoly, XPoly, _unflat
 from .qsym import QSymExpr, m_to_f, qsym_to_poly, xpoly_to_monomial
 from .tableaux import columns
-
-
-def _one_minus_t_power(k: int) -> dict:
-    """(1 - t)^k, a signed binomial row keyed by t exponent: with no q
-    term that is also its packed key ``q_exp * span + t_exp``."""
-    return {j: (-1) ** j * math.comb(k, j) for j in range(k + 1)}
-
-
-def _cell_factors(shape, repeats) -> dict:
-    """Product over the cells of (1 - q^(leg+1) t^(arm+1)) for a cell in
-    ``repeats`` (it repeats its left neighbour) and (1 - t) otherwise, as
-    an integer dict keyed by ``q_exp * span + t_exp``, the packed key of
-    the walk's low field (``span`` from :func:`fillings._radices`)."""
-    d = _diagram(shape)
-    span = _radices(d)[0]
-    w = _one_minus_t_power(shape.size - len(repeats))
-    for s, l1, a1 in zip(d.cells, d.leg1, d.arm1):
-        if s in repeats:
-            step = l1 * span + a1
-            shifted = dict(w)
-            for key, c in w.items():
-                shifted[key + step] = shifted.get(key + step, 0) - c
-            w = shifted
-    return w
-
-
-def _weigh(shape, counts, nv: int, descentless: bool = False) -> list:
-    """The ``(exponents, coefficient)`` terms of a filling sum in ``nv``
-    variables, from its fillings' counts in the walk's packed layout
-    (:func:`fillings._counts` or :func:`fillings._group`): x^exponents
-    q^maj t^coinv times the cell factors of the repeat set.
-
-    The counts are grouped by repeat mask, so each repeat set builds its
-    factor product once; the factors depend on it alone.  A count's low
-    field and the factors' keys are both packed as ``q_exp * span +
-    t_exp``, so a product term's key is their sum: counts times factor
-    terms are added straight into one integer dict per content, which
-    is read as an exponent vector and wrapped as a ``QtPoly`` once at
-    the end, its keys split and its zero coefficients dropped.  A
-    descentless sum is taken at q = 0, where every repeat factor is 1.
-    """
-    d = _diagram(shape)
-    span, mask_w, base = _radices(d)
-    by_mask: dict = {}
-    for packed, count in counts.items():
-        high, low = divmod(packed, mask_w)
-        content, mask = divmod(high, 1 << len(d.cells))
-        by_mask.setdefault(mask, []).append((content, low, count))
-    sums: dict = {}
-    for mask, tallies in by_mask.items():
-        repeats = tuple(s for k, s in enumerate(d.cells) if mask >> k & 1)
-        if descentless:
-            factor = _one_minus_t_power(shape.size - len(repeats))
-        else:
-            factor = _cell_factors(shape, repeats)
-        for content, low, count in tallies:
-            acc = sums.setdefault(content, {})
-            for shift, v in factor.items():
-                key = low + shift
-                acc[key] = acc.get(key, 0) + count * v
-    return [
-        (tuple(content // base ** i % base for i in range(nv)), QtPoly._packed(acc, span))
-        for content, acc in sums.items()
-    ]
 
 
 def _partition_sums(shape, nv: int) -> QSymExpr:
@@ -127,9 +59,9 @@ def _partition_sums(shape, nv: int) -> QSymExpr:
         lam for lam in enumerate_partitions(shape.size)
         if len(lam) <= nv and all(a <= b for a, b in zip(itertools.accumulate(lam), top))
     ]
-    counts = _counts(shape, "const", nv, False, contents)
     return QSymExpr._trusted("M", (
-        (a, c) for e, c in _weigh(shape, counts, nv) for a in compositions_of_partition(e)
+        (a, c) for e, c in _terms(shape, "const", nv, contents=contents)
+        for a in compositions_of_partition(e)
     ))
 
 
@@ -154,7 +86,7 @@ def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = Non
     if basement in ("id", "rev") and nv != n:
         raise ValueError("identity/reversed basements need one variable per row")
     if basement != "const":
-        return XPoly(nv, _weigh(shape, _counts(shape, basement, nv), nv))
+        return XPoly(nv, _terms(shape, basement, nv))
     return qsym_to_poly(_partition_sums(shape, nv), nv)
 
 
@@ -178,7 +110,7 @@ def _descentless_sum(shapes, n: int) -> XPoly:
     weak shapes with n rows: the weighed terms of every shape are added
     straight into one polynomial."""
     return XPoly._trusted(n, (
-        term for g in shapes for term in _weigh(g, _counts(g, "id", n, True), n, descentless=True)
+        term for g in shapes for term in _terms(g, "id", n, descentless=True)
     ))
 
 
@@ -309,10 +241,10 @@ def j_fundamental_classes(mu):
     one group per σ.  The group of σ holds its merges: σ with labels i
     and i + 1 given one value for each i of a merge set, where i is
     read before i + 1, kept when the merged filling is non-attacking.
-    Each merge is counted by the per-filling definitions and weighed as
-    in the filling sum, and its packed content is the composition of
-    its monomial term.  This builds all m! standard fillings; it is the
-    paper's construction, kept to referee :func:`macdonald_j_fundamental`.
+    Each merge is weighed by the definition of the filling sum
+    (:func:`_in_m`), sharing no packing or weighing with the placement
+    walk.  This builds all m! standard fillings; it is the paper's
+    construction, kept to referee :func:`macdonald_j_fundamental`.
 
     Yields (reading word, standard rows, M-expansion of the group).
     """
@@ -329,7 +261,7 @@ def j_fundamental_classes(mu):
             for r in range(len(mergeable) + 1)
             for chosen in itertools.combinations(mergeable, r)
         )
-        yield word, rows, _in_m(mu, _group(filter(is_non_attacking, merges)))
+        yield word, rows, _in_m(filter(is_non_attacking, merges))
 
 
 def _merge(shape, rows, m: int, merged: set) -> AugmentedFilling:
@@ -340,11 +272,22 @@ def _merge(shape, rows, m: int, merged: set) -> AugmentedFilling:
     return AugmentedFilling._trusted(shape, packed, "const", m - len(merged))
 
 
-def _in_m(mu: Partition, counts) -> QSymExpr:
-    """The M-expansion of constant-basement filling counts of ``mu``
-    whose contents, in |mu| variables, have their nonzero entries first:
-    each content, its zeros dropped, is the composition of its term."""
-    return QSymExpr("M", ((tuple(filter(None, e)), v) for e, v in _weigh(mu, counts, mu.size)))
+def _in_m(merges) -> QSymExpr:
+    """The M-expansion of constant-basement merges, each weighed in
+    ``QtPoly`` arithmetic by its definition: x^exponents q^maj t^coinv
+    times (1 - q^(leg+1) t^(arm+1)) for each cell repeating its left
+    neighbour and (1 - t) for every other cell.  A merge's alphabet is
+    the values it uses, so its exponents, all nonzero, are the
+    composition of its term."""
+    terms = []
+    for f in merges:
+        d = _diagram(f.shape)
+        w = QtPoly({(maj(f), coinv(f)): 1})
+        for (i, j), l1, a1 in zip(d.cells, d.leg1, d.arm1):
+            repeat = f.entry(i, j) == f.entry(i, j - 1)
+            w = w * (QtPoly.one() - (QtPoly({(l1, a1): 1}) if repeat else QtPoly.t()))
+        terms.append((f.exponents(), w))
+    return QSymExpr("M", terms)
 
 
 def macdonald_j_fundamental(mu) -> QSymExpr:

@@ -25,7 +25,7 @@ from .compositions import (
     subset_of,
     triangle_cmp,
 )
-from .fillings import enumerate_fillings, is_ssaf_filling
+from .fillings import _terms, enumerate_fillings, is_ssaf_filling
 from .insertion import (
     augmented_row_uniqueness_check,
     commutation_check,
@@ -34,7 +34,7 @@ from .insertion import (
     skyline_uninsert,
 )
 from .pieri import pieri_col, pieri_row, product_qschur, product_qschur_oracle, rem
-from .polynomial import QtPoly
+from .polynomial import QtPoly, XPoly
 from .qsym import (
     QSymExpr,
     demazure_atom,
@@ -320,9 +320,10 @@ def suite_macdonald(max_cells: int = 4, max_vars: int = 4) -> SuiteResult:
     """Specializations of the integral forms: identity basement at
     q = t = 0 is the Demazure atom, q = 0 is the descentless form (whose
     t = 0 value is the atom again), the constant basement at q = t = 0 is
-    the Schur polynomial; the constant basement form is symmetric, fixed
-    by every swap of adjacent variables; and the descentless fillings
-    that are valid are exactly the enumerated ones."""
+    the Schur polynomial; the constant-basement filling sum over every
+    content, with none spread from a partition, is symmetric, fixed by
+    every swap of adjacent variables; and the descentless fillings that
+    are valid are exactly the enumerated ones."""
     cases, fails = 0, []
     for n in range(1, max_vars + 1):
         for total in range(1, max_cells + 1):
@@ -341,8 +342,9 @@ def suite_macdonald(max_cells: int = 4, max_vars: int = 4) -> SuiteResult:
                 J = macdonald_integral_form(g, "const", n)
                 if J.specialize(q=0, t=0) != qsym_to_poly(schur_in_monomial_oracle(lam), n):
                     fails.append(f"constant basement specialization fails at {g}")
-                if any(J != J.swap_variables(i, i + 1) for i in range(1, n)):
-                    fails.append(f"constant basement form is not symmetric at {g}")
+                full = XPoly(n, _terms(g, "const", n))
+                if any(full != full.swap_variables(i, i + 1) for i in range(1, n)):
+                    fails.append(f"constant-basement filling sum is not symmetric at {g}")
                 ssafs = {f.rows for f in enumerate_ssafs(g)}
                 described = {
                     f.rows
@@ -393,16 +395,16 @@ def suite_hl_chain(max_size: int = 4) -> SuiteResult:
 
 def suite_j_fundamental(max_size: int = 3) -> SuiteResult:
     """The fundamental expansion of the symmetric integral form evaluates
-    to the constant-basement filling sum, and equals the paper's
-    construction: the merges of every standard filling, summed over the
-    groups of :func:`j_fundamental_classes`."""
+    to the constant-basement filling sum over every content, with none
+    spread from a partition, and equals the paper's construction: the
+    merges of every standard filling, summed over the groups of
+    :func:`j_fundamental_classes`."""
     cases, fails = 0, []
     for m in range(1, max_size + 1):
         for lam in enumerate_partitions(m):
             cases += 1
             jf = macdonald_j_fundamental(lam)
-            J = macdonald_integral_form(lam, "const", m)
-            if qsym_to_poly(jf, m) != J:
+            if qsym_to_poly(jf, m) != XPoly(m, _terms(lam, "const", m)):
                 fails.append(f"fundamental expansion disagrees at {tuple(lam)}")
             merged = sum((expr for _, _, expr in j_fundamental_classes(lam)), QSymExpr("M"))
             if m_to_f(merged) != jf:

@@ -1,8 +1,8 @@
 """Static checks on the source tree: no dead imports, no duplicate
-function bodies, no oracle calls in the library outside ``verify`` and
-no diagram geometry derived outside ``fillings``, every exported name
-is used somewhere, and every property suite is run by some test, each
-(suite, bounds) pair by exactly one."""
+function bodies, no oracle calls in the library outside ``verify``, no
+diagram geometry derived and no packed filling weight read outside
+``fillings``, every exported name is used somewhere, and every property
+suite is run by some test, each (suite, bounds) pair by exactly one."""
 import ast
 import inspect
 from collections import defaultdict
@@ -102,6 +102,16 @@ def test_only_fillings_derives_the_diagram_geometry():
     modules = sorted(p for p in LIBRARY.glob("*.py") if p.name != "fillings.py")
     assert modules
     calls = [f"{place} {name}" for path in modules for place, name in _calls(path) if name in geometry]
+    assert not calls, calls
+
+
+def test_only_fillings_reads_the_packed_filling_weight():
+    # the walk's packed layout is encoded and decoded in fillings.py
+    # alone; every other module takes weighed terms from fillings._terms
+    layout = {"_radices", "_walk", "_counts", "_weigh", "_cell_factors", "_one_minus_t_power"}
+    modules = sorted(p for p in LIBRARY.glob("*.py") if p.name != "fillings.py")
+    assert modules
+    calls = [f"{place} {name}" for path in modules for place, name in _calls(path) if name in layout]
     assert not calls, calls
 
 

@@ -75,6 +75,16 @@ def test_skyline_worked_example():
     assert back == f and k == 5
 
 
+def test_skyline_grows_an_existing_row():
+    # the new cell ends the row the carried value settles on
+    res = skyline_insert(CompositionTableau([[3]]), 2)
+    assert res.result == CompositionTableau([[3, 2]])
+    assert (res.new_cell, res.path, res.augmented_row) == ((0, 1), ((0, 1),), 0)
+    res = skyline_insert(CompositionTableau([[1], [3, 2]]), 1)
+    assert res.result == CompositionTableau([[1], [3, 2, 1]])
+    assert (res.new_cell, res.augmented_row) == ((1, 2), 1)
+
+
 def test_skyline_trivial():
     res = skyline_insert(CompositionTableau(), 7)
     assert res.result == CompositionTableau([[7]])

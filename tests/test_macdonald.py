@@ -205,18 +205,6 @@ def test_walk_tally_matches_the_definitions_at_size_six(g):
     _assert_walk_matches_the_definitions(g)
 
 
-def test_group_counts_fillings_in_the_walk_layout():
-    # the per-filling reference packs each filling as the walk does
-    for n in range(5):
-        for total in range(5):
-            for g in enumerate_weak_compositions(total, n):
-                for rule, nv in (("id", n), ("const", n + 1)):
-                    for descentless in (False, True):
-                        counts = fillings._counts(g, rule, nv, descentless)
-                        grouped = fillings._group(enumerate_fillings(g, rule, nv, descentless))
-                        assert grouped == counts, (g, rule, nv, descentless)
-
-
 def test_filling_sums_build_no_filling_object(forbid):
     # the integral forms, the Hall-Littlewood sums and the fundamental
     # expansion count the walk's leaves; no AugmentedFilling is built and
@@ -236,8 +224,8 @@ def test_filling_sums_build_no_filling_object(forbid):
 
     reason = "a filling sum built a filling object"
     forbid(AugmentedFilling, ["__init__", "_trusted"], reason)
-    forbid(fillings, ["maj", "coinv", "_group"], reason)
-    forbid(macdonald, ["_group"], reason)
+    forbid(fillings, ["maj", "coinv"], reason)
+    forbid(macdonald, ["maj", "coinv"], reason)
     for (fn, args), out in zip(cases, expected):
         assert fn(*args) == out, args
     # with no rows no basement cell reads the rule, so it is checked first
@@ -409,6 +397,19 @@ def test_j_fundamental_classes_partition_the_sum():
         assert m_to_f(total) == macdonald_j_fundamental(lam)
 
 
+def test_j_referee_weighs_its_merges_by_definition(forbid):
+    # the referee of the fundamental expansion shares no packing or
+    # weighing with the walk it checks
+    shapes = [lam for size in range(5) for lam in enumerate_partitions(size)]
+    expected = [[(w, r, e.to_json()) for w, r, e in j_fundamental_classes(lam)] for lam in shapes]
+
+    reason = "the J referee used the walk's packed weight"
+    forbid(fillings, ["_weigh", "_cell_factors", "_counts", "_walk"], reason)
+    forbid(macdonald, ["_terms"], reason)
+    for lam, out in zip(shapes, expected):
+        assert [(w, r, e.to_json()) for w, r, e in j_fundamental_classes(lam)] == out, lam
+
+
 def test_macdonald_operator_suite(check_suite):
     # the constant-basement sum and the fundamental expansion both come
     # from the placement walk; the operator check reads only their output
@@ -439,20 +440,20 @@ def test_cell_factors_built_once_per_repeat_set(monkeypatch):
     # the factors depend on the repeat set alone, so the filling sum
     # builds them once per repeat set and not once per filling
     built = []
-    cell_factors = macdonald._cell_factors
+    cell_factors = fillings._cell_factors
 
     def counted(shape, repeats):
         built.append(frozenset(repeats))
         return cell_factors(shape, repeats)
 
-    monkeypatch.setattr(macdonald, "_cell_factors", counted)
+    monkeypatch.setattr(fillings, "_cell_factors", counted)
     macdonald_integral_form((2, 2, 1), "const", 5)
-    fillings = list(enumerate_fillings((2, 2, 1), "const", 5))
+    every = list(enumerate_fillings((2, 2, 1), "const", 5))
     repeat_sets = {
         frozenset(s for s in f.cells() if f.entry(*s) == f.entry(s[0], s[1] - 1))
-        for f in fillings
+        for f in every
     }
-    assert len(fillings) > len(repeat_sets)
+    assert len(every) > len(repeat_sets)
     assert sorted(built, key=sorted) == sorted(repeat_sets, key=sorted)
 
 
@@ -460,13 +461,13 @@ def test_descentless_sum_builds_no_q_factor(monkeypatch):
     # the descentless sum is taken at q = 0, where every repeat factor
     # (1 - q^(leg+1) t^(arm+1)) is 1, so no factor with a q term is built
     built = []
-    cell_factors = macdonald._cell_factors
+    cell_factors = fillings._cell_factors
 
     def counted(shape, repeats):
         built.append(frozenset(repeats))
         return cell_factors(shape, repeats)
 
-    monkeypatch.setattr(macdonald, "_cell_factors", counted)
+    monkeypatch.setattr(fillings, "_cell_factors", counted)
     p = hall_littlewood_p((2, 2, 1), 4)
     assert built == []
     assert p and all(qe == 0 for _, c in p.items() for (qe, _te), _coeff in c.items())
@@ -489,8 +490,7 @@ def test_const_form_equals_the_unbudgeted_filling_sum():
             for g in enumerate_weak_compositions(total, n):
                 for nv in range(-1, 5):
                     budgeted = _outcome(lambda: macdonald_integral_form(g, "const", nv))
-                    full = _outcome(lambda: XPoly(nv, macdonald._weigh(
-                        g, fillings._counts(g, "const", nv), nv)))
+                    full = _outcome(lambda: XPoly(nv, fillings._terms(g, "const", nv)))
                     assert budgeted == full, (g, nv)
 
 
@@ -523,13 +523,13 @@ def test_cell_factors_built_once_across_content_walks(monkeypatch):
     # the walks of all partition contents are weighed as one sum, so a
     # repeat set that recurs across contents builds its factors once
     built = Counter()
-    cell_factors = macdonald._cell_factors
+    cell_factors = fillings._cell_factors
 
     def counted(shape, repeats):
         built[frozenset(repeats)] += 1
         return cell_factors(shape, repeats)
 
-    monkeypatch.setattr(macdonald, "_cell_factors", counted)
+    monkeypatch.setattr(fillings, "_cell_factors", counted)
     macdonald_integral_form((3, 2, 1), "const", 6)
     assert built and max(built.values()) == 1
 
@@ -655,7 +655,7 @@ def test_oracle_builds_no_filling_and_divides_by_no_polynomial(forbid):
     reason = "the oracle left its own arithmetic"
     forbid(AugmentedFilling, ["__init__", "_trusted"], reason)
     forbid(fillings, ["_walk", "_counts"], reason)
-    forbid(macdonald, ["_counts"], reason)
+    forbid(macdonald, ["_terms"], reason)
     forbid(XPoly, ["div_exact"], reason)
     for args, out in zip(cases, expected):
         assert hall_littlewood_p_oracle(*args) == out, args

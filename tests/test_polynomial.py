@@ -14,6 +14,9 @@ def test_qtpoly_ring_ops():
     assert p - p == QtPoly.zero()
     assert not (p - p)
     assert (q + 1) ** 2 == q * q + 2 * q + 1
+    # the zeroth power is the one of each ring
+    assert q ** 0 == QtPoly.one()
+    assert XPoly.variable(2, 1) ** 0 == XPoly.one(2)
 
 
 def test_equal_polynomials_hash_equal():

@@ -3,6 +3,7 @@ checks replaced, in ``qschur.verify``'s namespace, by a wrong one, the
 suite checks some case and names at least one failure."""
 import pytest
 
+import qschur.fillings as fillings
 import qschur.verify as verify
 from qschur.polynomial import XPoly
 from qschur.qsym import QSymExpr
@@ -37,3 +38,20 @@ def test_suite_reports_a_planted_fault(monkeypatch, name):
     cases, failures = SUITES[name](**bounds)
     assert cases > 0
     assert failures, f"suite {name} missed a wrong {target}"
+
+
+def _drops_one_content(*args, **kwargs):
+    """The filling sum's terms with those of one non-partition content
+    dropped."""
+    terms = fillings._terms(*args, **kwargs)
+    dropped = next((e for e, _ in terms if list(e) != sorted(e, reverse=True)), None)
+    return [(e, c) for e, c in terms if e != dropped]
+
+
+def test_macdonald_suite_reports_an_asymmetric_filling_sum(monkeypatch):
+    # the symmetry check reads the filling sum over every content, so a
+    # sum that loses one rearrangement of a partition content is caught
+    monkeypatch.setattr(verify, "_terms", _drops_one_content)
+    cases, failures = SUITES["macdonald"](max_cells=2, max_vars=2)
+    assert cases > 0
+    assert any("not symmetric" in f for f in failures), failures
