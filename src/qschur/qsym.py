@@ -32,7 +32,7 @@ from .compositions import (
     to_partition,
 )
 from .polynomial import QtPoly, XPoly, _accumulate_qt, _pairs, _signed_join
-from .tableaux import _refill, _standard_walk, enumerate_comts, enumerate_reverse_tableaux
+from .tableaux import _standard_walk, enumerate_comts, enumerate_reverse_tableaux
 
 BASES = ("M", "F", "S")
 
@@ -237,11 +237,11 @@ def qschur_in_monomial(a) -> QSymExpr:
 
 
 def qschur_in_fundamental(a) -> QSymExpr:
-    """Fundamental expansion: count the standard reverse tableaux of
-    λ(a) whose column refill has shape a, by descent composition.
+    """Fundamental expansion: count the standard composition tableaux of
+    shape a, the column refills of shape a, by descent composition.
 
-    One pass over those tableaux, as plain lists, reads each one's refill
-    shape and descent mask (:func:`_refill_counts`)."""
+    One walk over the standard composition tableaux of λ(a), as plain
+    lists, reads each one's shape and descent mask (:func:`_refill_counts`)."""
     return _expansion("F", Composition(a))
 
 
@@ -313,14 +313,13 @@ def schur_in_monomial_oracle(l) -> QSymExpr:
 
 
 def _refill_counts(lam: Partition) -> dict[tuple[int, ...], dict[int, int]]:
-    """Count the standard reverse tableaux of shape lam as ``{refill
-    shape: {descent mask: count}}``, from the one walk over them
-    (:func:`tableaux._standard_walk`).  The refill keeps every
-    entry in its column, so the mask is its descent set too."""
-    n = lam.size
+    """Count the column refills of the standard reverse tableaux of shape
+    lam as ``{shape: {descent mask: count}}``, from the one walk, which
+    places each entry in its refill row (:func:`tableaux._standard_walk`)
+    so that no refill runs."""
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for cols, mask in _standard_walk(lam):
-        by_mask = counts.setdefault(tuple(len(r) for r in _refill(cols, n) if r), {})
+    for rows, mask in _standard_walk(lam):
+        by_mask = counts.setdefault(tuple(map(len, rows)), {})
         by_mask[mask] = by_mask.get(mask, 0) + 1
     return counts
 

@@ -319,11 +319,10 @@ def enumerate_comts(
 
 def enumerate_standard_comts(a: Iterable[int]) -> Iterator[CompositionTableau]:
     """All composition tableaux of shape ``a`` using 1..n exactly once:
-    the column refills that land on ``a`` of the standard reverse tableaux
-    of the walk the S expansions count (:func:`_standard_walk`)."""
+    the tableaux of shape ``a`` that the walk of the S expansions
+    (:func:`_standard_walk`) yields for λ(a)."""
     shape = Composition(a)
-    for cols, _ in _standard_walk(to_partition(shape)):
-        rows = [r for r in _refill(cols, shape.size) if r]
+    for rows, _ in _standard_walk(to_partition(shape)):
         if tuple(map(len, rows)) == shape:
             yield CompositionTableau(rows)
 
@@ -365,34 +364,47 @@ def enumerate_reverse_tableaux(
 
 
 def enumerate_standard_reverse_tableaux(shape: Iterable[int]) -> Iterator[ReverseTableau]:
-    """All reverse tableaux of a partition shape using 1..n exactly once,
-    in the order of :func:`_standard_walk`."""
-    for cols, _ in _standard_walk(Partition(shape)):
-        yield top_justify(cols)
+    """All reverse tableaux of a partition shape using 1..n exactly once, in
+    walk order, each read back from its refill as :func:`ssaf_to_rt` does."""
+    for rows, _ in _standard_walk(Partition(shape)):
+        yield top_justify([sorted(c, reverse=True) for c in columns(rows)])
 
 
 def _standard_walk(shape: Partition) -> Iterator[tuple[list[list[int]], int]]:
-    """Place n, n-1, ..., 1 in turn at the end of a row shorter than its
-    part and than the row above, so nothing is filtered, and yield each
-    standard reverse tableau of ``shape`` as its columns and its descent
-    mask.  The columns are live lists, top to bottom, that the walk
-    changes after the yield: a value put at the end of a row of length c
-    ends column c.  i is a descent, bit i - 1 of the mask, when
-    col(i+1) >= col(i)."""
-    lengths = [0] * len(shape)
-    cols: list[list[int]] = [[] for _ in range(shape[0] if shape else 0)]
+    """Place n, n-1, ..., 1 in turn where the column refill of
+    :func:`rt_to_ssaf` puts them and yield each standard composition
+    tableau of a rearrangement of ``shape``: its rows, live lists top to
+    bottom that the walk changes after the yield, and its descent mask,
+    with bit i - 1 set when col(i+1) >= col(i).  Every entry placed
+    before v is larger, so v ends the highest row of length c, where
+    c = 0 opens a new top row.  With ``longer[c]`` rows longer than c,
+    column c admits v when ``shape[longer[c]] > c`` and, for c >= 1, some
+    row has length c; c runs from largest to smallest, the row order of
+    the standard reverse tableaux."""
+    parts = [*shape, 0]
+    longer = [0] * parts[0]
+    down = range(parts[0] - 1, -1, -1)
+    rows: list[list[int]] = []
 
     def place(v: int, above: int, mask: int) -> Iterator[tuple[list[list[int]], int]]:
         # above is the column of v + 1
         if v == 0:  # every row is full
-            yield cols, mask
+            yield rows, mask
             return
-        for i, c in enumerate(lengths):
-            if c < shape[i] and (i == 0 or c < lengths[i - 1]):
-                lengths[i] = c + 1
-                cols[c].append(v)
+        for c in down:
+            i = longer[c]
+            if parts[i] > c and (c == 0 or longer[c - 1] > i):
+                if c == 0:
+                    rows.insert(0, [])
+                for row in rows:
+                    if len(row) == c:
+                        break
+                longer[c] = i + 1
+                row.append(v)
                 yield from place(v - 1, c, mask | (1 << (v - 1)) if above >= c else mask)
-                cols[c].pop()
-                lengths[i] = c
+                row.pop()
+                longer[c] = i
+                if c == 0:
+                    del rows[0]
 
     return place(shape.size, -1, 0)

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur import compositions, qsym
+from qschur import compositions, qsym, tableaux
 from qschur.compositions import (
     Composition,
+    composition_of,
     enumerate_compositions,
+    enumerate_partitions,
     enumerate_weak_compositions,
     expand_to_weak,
 )
@@ -29,7 +31,15 @@ from qschur.qsym import (
     transition_matrix,
     xpoly_to_monomial,
 )
-from qschur.tableaux import CompositionTableau, enumerate_comts, enumerate_ssafs
+from qschur.tableaux import (
+    CompositionTableau,
+    enumerate_comts,
+    enumerate_ssafs,
+    enumerate_standard_comts,
+    enumerate_standard_reverse_tableaux,
+    rt_descents,
+    rt_to_comt,
+)
 from qschur.verify import tableau_expansions
 
 
@@ -225,6 +235,45 @@ def test_s_expansions_build_no_tableau_objects(forbid):
         for a, (in_f, in_m) in zip(comps, expansions):
             assert qschur_in_fundamental(a) == in_f, a
             assert qschur_in_monomial(a) == in_m, a
+    finally:
+        qsym.transition_matrix.cache_clear()
+
+
+def test_s_expansions_run_no_column_refill(forbid):
+    """The walk places each entry in its refill row, so with the refill
+    forbidden the matrices, the expansions and the standard composition
+    tableaux equal what the refill of every standard reverse tableau
+    gives (the reference is built with the refill allowed)."""
+    sizes = range(7)
+    refills = {}  # shape -> refills of that shape, in walk order
+    by_descents = {}  # shape -> {descent composition: count}
+    for n in sizes:
+        for lam in enumerate_partitions(n):
+            for t in enumerate_standard_reverse_tableaux(lam):
+                sct = rt_to_comt(t)
+                refills.setdefault(sct.shape(), []).append(sct)
+                counts = by_descents.setdefault(sct.shape(), {})
+                beta = composition_of(rt_descents(t), n)
+                counts[beta] = counts.get(beta, 0) + 1
+    in_f = {a: QSymExpr("F", counts) for a, counts in by_descents.items()}
+    qsym.transition_matrix.cache_clear()
+
+    assert not hasattr(qsym, "_refill")
+    forbid(tableaux, ["_refill"], "an S expansion ran the column refill")
+    try:
+        for n in sizes:
+            comps = enumerate_compositions(n)
+            for b in "FM":
+                rows = transition_matrix(b, n)
+                qsym.transition_matrix.cache_clear()
+                for a, row in zip(comps, rows):
+                    expected = in_f[a] if b == "F" else f_to_m(in_f[a])
+                    assert QSymExpr(b, zip(comps, row)) == expected, (b, a)
+            for a in comps:
+                assert list(enumerate_standard_comts(a)) == refills[a], a
+        for a in ((1, 3), (2, 2), (3, 1, 2), (1, 2, 1, 2), (2, 4), (1, 1, 4)):
+            assert qschur_in_fundamental(a) == in_f[a], a
+            assert qschur_in_monomial(a) == f_to_m(in_f[a]), a
     finally:
         qsym.transition_matrix.cache_clear()
 

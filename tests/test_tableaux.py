@@ -1,10 +1,16 @@
 import pytest
 
-from qschur.compositions import collapse, composition_of, enumerate_partitions
+from qschur.compositions import (
+    Partition,
+    collapse,
+    composition_of,
+    enumerate_compositions,
+    enumerate_partitions,
+)
 from qschur.fillings import AugmentedFilling, is_ssaf_filling
 from qschur.insertion import canonical_descent_tableau
 from qschur.polynomial import XPoly
-from qschur.qsym import fundamental_qsym_poly
+from qschur.qsym import fundamental_qsym_poly, transition_matrix
 from qschur.tableaux import (
     CompositionTableau,
     ReverseTableau,
@@ -22,7 +28,6 @@ from qschur.tableaux import (
     ssaf_to_comt,
     ssaf_to_rt,
     standardize,
-    top_justify,
 )
 from qschur.tableaux import _standard_walk
 
@@ -155,18 +160,43 @@ def test_enumerate_standard_comts():
 
 
 def test_standard_walk_is_the_filtered_reverse_tableaux():
-    # every standard reverse tableau of size <= 7 once, each with the
+    # every standard reverse tableau of size <= 7 once, read back from the
+    # rows the walk places, which are its column refill, each with the
     # bitmask of its descent set, in the order of the public enumerator
     for n in range(8):
         for lam in enumerate_partitions(n):
-            walked = [(top_justify(cols), mask) for cols, mask in _standard_walk(lam)]
-            tableaux = [t for t, _ in walked]
+            walked = [(tuple(map(tuple, rows)), mask) for rows, mask in _standard_walk(lam)]
+            tableaux = [ssaf_to_rt(comt_to_ssaf(CompositionTableau(rows))) for rows, _ in walked]
             standard = [t for t in enumerate_reverse_tableaux(lam, n) if t.is_standard()]
             assert len(set(tableaux)) == len(tableaux) == len(standard)
             assert set(tableaux) == set(standard)
             assert list(enumerate_standard_reverse_tableaux(lam)) == tableaux
-            for t, mask in walked:
+            for t, (rows, mask) in zip(tableaux, walked):
+                assert rows == tuple(r for r in rt_to_ssaf(t).rows if r)
                 assert mask == sum(1 << (i - 1) for i in rt_descents(t))
+
+
+def test_standard_comts_are_the_standard_composition_tableaux():
+    # the composition tableaux with entries 1..n, each once, enumerated
+    # cell by cell with neither the walk nor the column refill
+    for n in range(8):
+        for a in enumerate_compositions(n):
+            walked = list(enumerate_standard_comts(a))
+            standard = [t for t in enumerate_comts(a, n) if t.is_standard()]
+            assert len(set(walked)) == len(walked) == len(standard), a
+            assert set(walked) == set(standard), a
+
+
+def test_standard_walks_of_the_empty_shape():
+    # the walk of the empty partition yields one empty tableau, and the
+    # matrices of degrees 0 and 1 are the 1 x 1 identity
+    assert list(enumerate_standard_comts(())) == [CompositionTableau([])]
+    assert list(enumerate_standard_reverse_tableaux(())) == [ReverseTableau([])]
+    assert list(_standard_walk(Partition(()))) == [([], 0)]
+    for b in "MF":
+        transition_matrix.cache_clear()
+        assert transition_matrix(b, 0) == transition_matrix(b, 1) == ((1,),)
+    transition_matrix.cache_clear()
 
 
 def test_weights():
