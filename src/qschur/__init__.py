@@ -48,11 +48,9 @@ from .tableaux import (
 )
 from .insertion import (
     InsertionResult,
-    augmented_row_uniqueness_check,
     canonical_descent_tableau,
     commutation_check,
     plactic_product,
-    row_bumping_check,
     row_reading_word,
     schensted_insert,
     skyline_insert,

@@ -3,7 +3,8 @@ tableaux, with first-class insertion paths.
 
 Paths are returned because several structural facts (row bumping
 behaviour, uniqueness of the augmented row) are statements about the
-cells an insertion touches, and the test suite asserts them directly.
+cells an insertion touches; suite ``insertion`` of ``qschur.verify``
+checks them on the paths directly.
 """
 from __future__ import annotations
 
@@ -189,28 +190,3 @@ def commutation_check(t: CompositionTableau, k: int) -> bool:
     right = schensted_insert(ssaf_to_rt(comt_to_ssaf(t)), k).result
     return left == right
 
-
-def row_bumping_check(t: ReverseTableau, x: int, xp: int) -> bool:
-    """Both clauses of the row bumping statement on concrete paths."""
-    r1 = schensted_insert(t, x)
-    r2 = schensted_insert(r1.result, xp)
-    path1, new1 = r1.path, r1.new_cell
-    path2, new2 = r2.path, r2.new_cell
-    col1 = {i: j for i, j in path1}
-    col2 = {i: j for i, j in path2}
-    shared = set(col1) & set(col2)
-    if x >= xp:
-        if not all(col1[i] < col2[i] for i in shared):
-            return False
-        return new1[1] < new2[1] and new1[0] >= new2[0]
-    if not all(col2[i] <= col1[i] for i in shared):
-        return False
-    return new2[1] <= new1[1] and new2[0] > new1[0]
-
-
-def augmented_row_uniqueness_check(t: CompositionTableau, k: int) -> bool:
-    """After insertion, no lower row shares the augmented row's length."""
-    res = skyline_insert(t, k)
-    rows = res.result.rows
-    i = res.augmented_row
-    return all(len(rows[r]) != len(rows[i]) for r in range(i + 1, len(rows)))

@@ -3,26 +3,17 @@
 ``rem`` subtracts one from the rightmost part of a given size, or
 signals failure; ``row_op``/``col_op`` chain it over a set (largest
 first) or a multiset (smallest first).  The Pieri expansions sum over
-compositions whose sorted shape grows by a horizontal or vertical
-strip and which contract back under the matching operator.  Failure of
-``rem`` is ``None``, distinct from the empty composition, which is a
-legitimate result of removing the last cell.
+the preimages of a composition under those operators, grown from it
+one cell at a time by inverting ``rem``.  Failure of ``rem`` is
+``None``, distinct from the empty composition, which is a legitimate
+result of removing the last cell.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import zip_longest
 from typing import Iterable
 
-from .compositions import (
-    Composition,
-    Partition,
-    _degree,
-    _quasi_shuffles,
-    compositions_of_partition,
-    enumerate_partitions,
-    to_partition,
-)
+from .compositions import Composition, _degree, _quasi_shuffles
 from .polynomial import QtPoly
 from .qsym import (
     QSymExpr,
@@ -51,13 +42,9 @@ def col_op(a, ms: Iterable[int]) -> Composition | None:
 
 
 def _removed(a, sizes: Iterable[int]) -> Composition | None:
-    parts = _remove_cells(Composition(a), sizes)
-    return None if parts is None else Composition(parts)
-
-
-def _remove_cells(parts: tuple[int, ...], sizes: Iterable[int]) -> tuple[int, ...] | None:
-    """rem for each size in turn on a plain tuple of positive parts; a
-    part that reaches 0 is dropped, and a missing size gives None."""
+    """rem for each size in turn; a part that reaches 0 is dropped, and a
+    missing size gives None."""
+    parts = Composition(a)
     for s in sizes:
         if s < 1:
             raise ValueError("part size must be positive")
@@ -67,66 +54,50 @@ def _remove_cells(parts: tuple[int, ...], sizes: Iterable[int]) -> tuple[int, ..
                 break
         else:
             return None
-    return parts
-
-
-# -- strip generation -------------------------------------------------------
-
-
-def _strips_over(lam, n: int, horizontal: bool) -> list[tuple[Partition, tuple[int, ...]]]:
-    """Partitions mu of |lam| + n that contain ``lam`` and whose cells
-    mu/lam share no column (horizontal) or no row (vertical), each with
-    the sorted columns of mu/lam."""
-    lam = Partition(lam)
-    strips = []
-    for mu in enumerate_partitions(lam.size + n):
-        grown = [m - l for m, l in zip(mu, tuple(lam) + (0,) * len(mu))]
-        if len(mu) < len(lam) or min(grown, default=0) < 0:
-            continue
-        columns = strip_column_multiset(mu, lam)
-        if (len(set(columns)) == n) if horizontal else (max(grown, default=0) <= 1):
-            strips.append((mu, columns))
-    return strips
-
-
-def horizontal_strips_over(lam, n: int) -> list[Partition]:
-    """Partitions obtained from ``lam`` by adding an n-cell horizontal strip."""
-    return [mu for mu, _ in _strips_over(lam, n, True)]
-
-
-def vertical_strips_over(lam, n: int) -> list[Partition]:
-    """Partitions obtained from ``lam`` by adding an n-cell vertical strip."""
-    return [mu for mu, _ in _strips_over(lam, n, False)]
-
-
-def strip_column_multiset(mu, lam) -> tuple[int, ...]:
-    """Columns of mu/lam with multiplicity, sorted; ValueError if mu does
-    not contain lam."""
-    mu, lam = Partition(mu), Partition(lam)
-    cols = []
-    for m, l in zip_longest(mu, lam, fillvalue=0):
-        if m < l:
-            raise ValueError(f"{tuple(mu)} does not contain {tuple(lam)}")
-        cols.extend(range(l + 1, m + 1))
-    return tuple(sorted(cols))
+    return Composition(parts)
 
 
 # -- Pieri expansions --------------------------------------------------------
 
 
+def _added(parts: tuple[int, ...], c: int):
+    """The compositions that rem(., c) takes to ``parts``: a part c - 1
+    raised to c, or a part 1 inserted when c = 1, at a position with no
+    part c to its right."""
+    for i in range(len(parts), -1, -1):
+        if i < len(parts):
+            if parts[i] == c:
+                return
+            if parts[i] == c - 1:
+                yield parts[:i] + (c,) + parts[i + 1:]
+        if c == 1:
+            yield parts[:i] + (1,) + parts[i:]
+
+
 def _pieri(a, n: int, horizontal: bool) -> QSymExpr:
-    """Sum of the compositions whose sorted shape is a strip over that of
-    ``a`` and which rem, applied along the strip's columns (largest first
-    for a row, whose columns are distinct), takes back to ``a``."""
+    """Sum of the compositions b with row_op(b, S) = a over n-sets S
+    (horizontal) or col_op(b, M) = a over n-multisets M.
+
+    Each b is grown from ``a`` by undoing the removals one cell at a
+    time: a row adds its columns strictly rising from 1, a column adds
+    them weakly falling from max(a) + 1, and no column exceeds the
+    largest part + 1.  Removals at distinct columns take a horizontal
+    strip off the sorted shape, and removals at weakly rising columns
+    a vertical one; the columns of that strip fix the path, so each b
+    is reached once, with coefficient 1.
+    """
     a = Composition(a)
     if n < 1:
         raise ValueError("n must be positive")
-    lam = to_partition(a)
-    terms = []
-    for mu, columns in _strips_over(lam, n, horizontal):
-        sizes = columns[::-1] if horizontal else columns
-        terms += [b for b in compositions_of_partition(mu) if _remove_cells(b, sizes) == a]
-    return QSymExpr._trusted("S", ((b, QtPoly.one()) for b in terms))
+    level = [(a, 0 if horizontal else max(a, default=0) + 1)]
+    for _ in range(n):
+        grown = []
+        for parts, last in level:
+            top = max(parts, default=0) + 1
+            columns = range(last + 1, top + 1) if horizontal else range(last, 0, -1)
+            grown += [(b, c) for c in columns for b in _added(parts, c)]
+        level = grown
+    return QSymExpr._trusted("S", ((Composition(b), QtPoly.one()) for b, _ in level))
 
 
 def pieri_row(a, n: int) -> QSymExpr:

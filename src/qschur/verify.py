@@ -26,13 +26,7 @@ from .compositions import (
     triangle_cmp,
 )
 from .fillings import _terms, enumerate_fillings, is_ssaf_filling
-from .insertion import (
-    augmented_row_uniqueness_check,
-    commutation_check,
-    row_bumping_check,
-    skyline_insert,
-    skyline_uninsert,
-)
+from .insertion import commutation_check, schensted_insert, skyline_insert, skyline_uninsert
 from .pieri import pieri_col, pieri_row, product_qschur, product_qschur_oracle, rem
 from .polynomial import QtPoly, XPoly
 from .qsym import (
@@ -60,6 +54,8 @@ from .macdonald import (
     ns_hall_littlewood,
 )
 from .tableaux import (
+    CompositionTableau,
+    ReverseTableau,
     comt_descents,
     comt_to_ssaf,
     enumerate_comts,
@@ -154,6 +150,32 @@ def suite_tableaux(max_size: int = 5, max_entry: int | None = None) -> SuiteResu
                     if col_t != col_f:
                         fails.append(f"column multiset changed for {t.rows}")
     return cases, fails
+
+
+def row_bumping_check(t: ReverseTableau, x: int, xp: int) -> bool:
+    """Both clauses of the row bumping statement on concrete paths."""
+    r1 = schensted_insert(t, x)
+    r2 = schensted_insert(r1.result, xp)
+    path1, new1 = r1.path, r1.new_cell
+    path2, new2 = r2.path, r2.new_cell
+    col1 = {i: j for i, j in path1}
+    col2 = {i: j for i, j in path2}
+    shared = set(col1) & set(col2)
+    if x >= xp:
+        if not all(col1[i] < col2[i] for i in shared):
+            return False
+        return new1[1] < new2[1] and new1[0] >= new2[0]
+    if not all(col2[i] <= col1[i] for i in shared):
+        return False
+    return new2[1] <= new1[1] and new2[0] > new1[0]
+
+
+def augmented_row_uniqueness_check(t: CompositionTableau, k: int) -> bool:
+    """After insertion, no lower row shares the augmented row's length."""
+    res = skyline_insert(t, k)
+    rows = res.result.rows
+    i = res.augmented_row
+    return all(len(rows[r]) != len(rows[i]) for r in range(i + 1, len(rows)))
 
 
 def suite_insertion(max_size: int = 5, max_entry: int | None = None) -> SuiteResult:

@@ -311,6 +311,17 @@ def test_j_fund(capsys):
     assert out.strip() == "1"
 
 
+def test_j_fund_guards_cells_only(capsys):
+    """J's variable count is its size, so only the cell limit applies."""
+    rc, out, err = run_cli(capsys, "j-fund", "--shape", "(7)")
+    assert rc == 0, err
+    assert out.strip().startswith("(")
+    rc, out, err = run_cli(capsys, "j-fund", "--shape", "(5,4)")
+    assert rc == 1 and out == ""
+    assert "enumeration guard: 9 cells exceeds the limit of 8" in err
+    assert "variables" not in err
+
+
 def test_l_alpha(capsys):
     rc, out, _ = run_cli(capsys, "l-alpha", "--shape", "1,3", "--vars", "5", "--spec", "t=0")
     assert rc == 0

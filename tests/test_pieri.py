@@ -1,3 +1,6 @@
+from collections import Counter, defaultdict
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,15 +16,12 @@ from qschur.compositions import (
 )
 from qschur.pieri import (
     col_op,
-    horizontal_strips_over,
     pieri_col,
     pieri_row,
     product_qschur,
     product_qschur_oracle,
     rem,
     row_op,
-    strip_column_multiset,
-    vertical_strips_over,
 )
 from qschur.polynomial import QtPoly, XPoly
 from qschur.qsym import QSymExpr, qsym_unit, schur_in_qschur
@@ -51,64 +51,50 @@ def test_row_and_col_ops():
     assert row_op((1, 2), {0, 3}) is None
 
 
-def test_strips():
-    assert sorted(map(tuple, horizontal_strips_over((3, 1), 1))) == [
-        (3, 1, 1),
-        (3, 2),
-        (4, 1),
-    ]
-    assert sorted(map(tuple, vertical_strips_over((1,), 2))) == [(1, 1, 1), (2, 1)]
-    assert sorted(map(tuple, horizontal_strips_over((), 3))) == [(3,)]
-    assert strip_column_multiset((4, 1), (3, 1)) == (4,)
-    assert (4, 3, 2, 2) in horizontal_strips_over((3, 2, 2), 4)
-    assert (4, 3, 2, 2) in vertical_strips_over((4, 2, 1, 1), 3)
-    assert (2, 2) not in horizontal_strips_over((1,), 3)
-    for lam in [(4, 3, 2, 2), (2, 1), ()]:
-        assert horizontal_strips_over(lam, 0) == vertical_strips_over(lam, 0) == [lam]
-    # a vertical strip over lam is a horizontal strip over lam' conjugated
-    for size in range(7):
-        for lam in enumerate_partitions(size):
-            for n in range(4):
-                vertical = sorted(map(tuple, vertical_strips_over(lam, n)))
-                horizontal = horizontal_strips_over(_conjugate(lam), n)
-                conjugated = sorted(_conjugate(mu) for mu in horizontal)
-                assert vertical == conjugated, (lam, n)
-    assert strip_column_multiset((2, 1, 1), (1,)) == (1, 1, 2)
-    # (2,) does not contain (3,), so no strip joins them
-    assert horizontal_strips_over((3,), -1) == vertical_strips_over((3,), -1) == []
-    # mu must contain lam, in every row and in its number of rows
-    for mu, lam in [((2,), (3,)), ((1,), (1, 1))]:
-        with pytest.raises(ValueError, match="does not contain"):
-            strip_column_multiset(mu, lam)
-
-
-def _conjugate(lam) -> tuple[int, ...]:
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
-
-
 def _diagram(lam) -> set[tuple[int, int]]:
     return {(i, j) for i, part in enumerate(lam, start=1) for j in range(1, part + 1)}
 
 
-def test_strips_match_their_definition():
-    # mu/lam is a strip when mu's diagram holds lam's and the cells in
-    # between share no column (horizontal) or no row (vertical)
-    for size in range(7):
-        for lam in enumerate_partitions(size):
-            for n in range(4):
-                horizontal, vertical = [], []
-                for mu in enumerate_partitions(size + n):
-                    if not _diagram(lam) <= _diagram(mu):
-                        continue
-                    cells = _diagram(mu) - _diagram(lam)
-                    columns = sorted(j for _, j in cells)
-                    assert strip_column_multiset(mu, lam) == tuple(columns), (mu, lam)
-                    if len(set(columns)) == len(cells):
-                        horizontal.append(mu)
-                    if len({i for i, _ in cells}) == len(cells):
-                        vertical.append(mu)
-                assert horizontal_strips_over(lam, n) == horizontal, (lam, n)
-                assert vertical_strips_over(lam, n) == vertical, (lam, n)
+def _horizontal_strips(lam, n) -> list[tuple[int, ...]]:
+    """The partitions mu of |lam| + n whose diagram holds lam's, with the
+    cells in between in distinct columns."""
+    strips = []
+    for mu in enumerate_partitions(sum(lam) + n):
+        cells = _diagram(mu) - _diagram(lam)
+        if _diagram(lam) <= _diagram(mu) and len({j for _, j in cells}) == len(cells):
+            strips.append(tuple(mu))
+    return strips
+
+
+def test_pieri_rules_are_the_operator_preimages(monkeypatch):
+    """The paper's rules by brute force, for |a| + n <= 9 and 1 <= n <= 4:
+    pieri_row(a, n) sums S_b over the pairs (b, S) of a composition b and
+    an n-set S of columns with row_op(b, S) = a, pieri_col the same over
+    n-multisets and col_op, and every b comes from one pair."""
+    tried, grow = [], pieri._added
+
+    def added(parts, c):
+        tried.append(c - max(parts, default=0))
+        return grow(parts, c)
+
+    monkeypatch.setattr(pieri, "_added", added)
+    for total in range(1, 10):
+        for n in range(1, min(4, total) + 1):
+            rows, cols = defaultdict(Counter), defaultdict(Counter)
+            for b in enumerate_compositions(total):
+                for columns in combinations(range(1, max(b) + 1), n):
+                    rows[row_op(b, columns)][b] += 1
+                for columns in combinations_with_replacement(range(1, max(b) + 1), n):
+                    cols[col_op(b, columns)][b] += 1
+            for a in enumerate_compositions(total - n):
+                for pairs, rule in ((rows[a], pieri_row), (cols[a], pieri_col)):
+                    assert set(pairs.values()) == {1}, (a, n, rule)
+                    assert rule(a, n) == QSymExpr("S", pairs), (a, n, rule)
+    # the growth tries no column above the largest part + 1
+    assert max(tried) == 1
+    assert not hasattr(pieri, "enumerate_partitions")
+    assert not hasattr(pieri, "compositions_of_partition")
+    assert not hasattr(pieri, "_strips_over")
 
 
 def test_pieri_row_worked_example():
@@ -279,7 +265,7 @@ def test_classical_collapse():
                 for a in compositions_of_partition(lam):
                     total = total + pieri_row(a, n)
                 expected = QSymExpr("S")
-                for mu in horizontal_strips_over(lam, n):
+                for mu in _horizontal_strips(lam, n):
                     expected = expected + schur_in_qschur(mu)
                 assert total == expected
 
@@ -297,7 +283,7 @@ def test_partition_covers_match_cell_additions():
             covered = {
                 b for b in pieri_row(lam, 1).terms if tuple(to_partition(b)) == tuple(b)
             }
-            classical = {tuple(mu) for mu in horizontal_strips_over(lam, 1)}
+            classical = set(_horizontal_strips(lam, 1))
             assert {tuple(b) for b in covered} == classical
 
 

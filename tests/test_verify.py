@@ -5,8 +5,10 @@ import pytest
 
 import qschur.fillings as fillings
 import qschur.verify as verify
+from qschur.insertion import InsertionResult
 from qschur.polynomial import XPoly
 from qschur.qsym import QSymExpr
+from qschur.tableaux import ReverseTableau
 from qschur.verify import SUITES
 
 _jfund = verify.macdonald_j_fundamental
@@ -55,3 +57,15 @@ def test_macdonald_suite_reports_an_asymmetric_filling_sum(monkeypatch):
     cases, failures = SUITES["macdonald"](max_cells=2, max_vars=2)
     assert cases > 0
     assert any("not symmetric" in f for f in failures), failures
+
+
+def test_row_bumping_check_rejects_new_cells_in_one_row(monkeypatch):
+    # for x < x' the second new cell lies strictly below the first; two
+    # planted paths whose new cells share row 0 (and pass every other
+    # clause) must be rejected
+    planted = iter([
+        InsertionResult(None, ((0, 1),), (0, 1)),
+        InsertionResult(None, ((0, 0),), (0, 0)),
+    ])
+    monkeypatch.setattr(verify, "schensted_insert", lambda t, k: next(planted))
+    assert not verify.row_bumping_check(ReverseTableau(), 1, 2)
