@@ -5,9 +5,18 @@ Paths are returned because several structural facts (row bumping
 behaviour, uniqueness of the augmented row) are statements about the
 cells an insertion touches; suite ``insertion`` of ``qschur.verify``
 checks them on the paths directly.
+
+Each insertion has one kernel, ``_schensted`` and ``_skyline``, which
+bumps in place on a list of row lists and returns the path.  The public
+functions check the letter, copy the rows once, run the kernel and wrap
+the result once, unchecked; ``plactic_product`` runs the whole reading
+word through one copy.  ``skyline_uninsert`` rewinds on lists too, and
+re-runs ``_skyline`` on the smaller rows: its ``ValueError`` for a
+tableau that no insertion produces comes from that re-run.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .compositions import Composition
@@ -31,6 +40,37 @@ class InsertionResult:
     augmented_row: int | None = None
 
 
+def _letter(k) -> int:
+    """``k`` as an int (ValueError unless it is an integer >= 1)."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        k = 0
+    if k < 1:
+        raise ValueError("entries are positive integers")
+    return k
+
+
+def _schensted(rows: list[list[int]], k: int) -> list[Cell]:
+    """Row-insert ``k`` into ``rows`` in place; returns the path, whose
+    last cell is the new one."""
+    path: list[Cell] = []
+    cur = k
+    for i, row in enumerate(rows):
+        if cur <= row[-1]:
+            row.append(cur)
+            path.append((i, len(row) - 1))
+            return path
+        for j, v in enumerate(row):
+            if v < cur:
+                row[j], cur = cur, v
+                path.append((i, j))
+                break
+    path.append((len(rows), 0))
+    rows.append([cur])
+    return path
+
+
 def schensted_insert(t: ReverseTableau, k: int) -> InsertionResult:
     """Insert ``k`` by row bumping.
 
@@ -38,29 +78,10 @@ def schensted_insert(t: ReverseTableau, k: int) -> InsertionResult:
     last entry; otherwise it replaces the leftmost entry strictly
     smaller than it and the displaced value moves to the next row.
     """
-    if k < 1:
-        raise ValueError("entries are positive integers")
+    k = _letter(k)
     rows = [list(r) for r in t.rows]
-    path: list[Cell] = []
-    cur = k
-    i = 0
-    while True:
-        if i == len(rows):
-            rows.append([cur])
-            path.append((i, 0))
-            break
-        row = rows[i]
-        if cur <= row[-1]:
-            row.append(cur)
-            path.append((i, len(row) - 1))
-            break
-        for j, v in enumerate(row):
-            if v < cur:
-                row[j], cur = cur, v
-                path.append((i, j))
-                break
-        i += 1
-    return InsertionResult(ReverseTableau(rows), tuple(path), path[-1])
+    path = _schensted(rows, k)
+    return InsertionResult(ReverseTableau._trusted(rows), tuple(path), path[-1])
 
 
 def row_reading_word(t: ReverseTableau) -> tuple[int, ...]:
@@ -74,10 +95,37 @@ def row_reading_word(t: ReverseTableau) -> tuple[int, ...]:
 def plactic_product(t: ReverseTableau, u: ReverseTableau) -> ReverseTableau:
     """Insert the reading word of ``u`` into ``t``; the empty tableau is
     the identity."""
-    cur = t
+    rows = [list(r) for r in t.rows]
     for w in row_reading_word(u):
-        cur = schensted_insert(cur, w).result
-    return cur
+        _schensted(rows, _letter(w))
+    return ReverseTableau._trusted(rows)
+
+
+def _skyline(rows: list[list[int]], k: int) -> tuple[list[Cell], Cell]:
+    """Skyline-insert ``k`` into ``rows`` in place; returns the path,
+    whose last cell is the new one, and the new cell."""
+    longest = max(map(len, rows), default=0)
+    cur = k
+    path: list[Cell] = []
+    for j in range(longest, 0, -1):  # the scanned column, 0-based
+        for i, row in enumerate(rows):
+            n = len(row)
+            if n == j and cur <= row[-1]:
+                row.append(cur)
+                path.append((i, j))
+                return path, (i, j)
+            if n > j and row[j] < cur <= row[j - 1]:
+                row[j], cur = cur, row[j]
+                path.append((i, j))
+    pos = 0
+    while pos < len(rows) and rows[pos][0] < cur:
+        pos += 1
+    if pos < len(rows) and rows[pos][0] == cur:
+        raise ValueError("not a composition tableau: the new row would break the first column")
+    rows.insert(pos, [cur])
+    path = [(i if i < pos else i + 1, j) for i, j in path]
+    path.append((pos, 0))
+    return path, (pos, 0)
 
 
 def skyline_insert(t: CompositionTableau, k: int) -> InsertionResult:
@@ -93,36 +141,11 @@ def skyline_insert(t: CompositionTableau, k: int) -> InsertionResult:
     so the first column stays strictly increasing (ValueError if it
     cannot: the input was not a composition tableau).
     """
-    if k < 1:
-        raise ValueError("entries are positive integers")
+    k = _letter(k)
     rows = [list(r) for r in t.rows]
-    longest = max((len(r) for r in rows), default=0)
-    cur = k
-    touched: list[Cell] = []
-    placed: Cell | None = None
-    for j in range(longest + 1, 1, -1):
-        for i, row in enumerate(rows):
-            if len(row) == j - 1 and cur <= row[-1]:
-                row.append(cur)
-                placed = (i, j - 1)
-                break
-            if len(row) >= j and row[j - 1] < cur <= row[j - 2]:
-                row[j - 1], cur = cur, row[j - 1]
-                touched.append((i, j - 1))
-        if placed is not None:
-            break
-    if placed is None:
-        pos = 0
-        while pos < len(rows) and rows[pos][0] < cur:
-            pos += 1
-        if pos < len(rows) and rows[pos][0] == cur:
-            raise ValueError("not a composition tableau: the new row would break the first column")
-        rows.insert(pos, [cur])
-        placed = (pos, 0)
-        touched = [(i if i < pos else i + 1, j) for i, j in touched]
-    touched.append(placed)
+    path, new = _skyline(rows, k)
     return InsertionResult(
-        CompositionTableau(rows), tuple(touched), placed, augmented_row=placed[0]
+        CompositionTableau._trusted(rows), tuple(path), new, augmented_row=new[0]
     )
 
 
@@ -131,7 +154,8 @@ def skyline_uninsert(t: CompositionTableau, length: int) -> tuple[CompositionTab
 
     The last cell of the lowest row of that length is removed and the
     bumping chain is rewound; returns the smaller tableau and the value
-    whose insertion reproduces the input (ValueError if it does not).
+    whose insertion reproduces the input (ValueError if it does not,
+    raised when the insertion kernel is re-run on the smaller rows).
     """
     rows = [list(r) for r in t.rows]
     i0 = None
@@ -143,25 +167,21 @@ def skyline_uninsert(t: CompositionTableau, length: int) -> tuple[CompositionTab
     cur = rows[i0].pop()
     if length == 1:
         del rows[i0]
-
-    def positions():
-        if length > 1:
-            for i in range(i0 - 1, -1, -1):
-                if len(rows[i]) >= length:
-                    yield (i, length - 1)
-        longest = max((len(r) for r in rows), default=0)
-        for j in range(length + 1, longest + 2):
-            for i in range(len(rows) - 1, -1, -1):
-                if len(rows[i]) >= j:
-                    yield (i, j - 1)
-
-    for i, j in positions():
-        x = rows[i][j]
-        if x > cur and (len(rows[i]) == j + 1 or cur >= rows[i][j + 1]):
-            rows[i][j], cur = cur, x
-    smaller = CompositionTableau(rows)
-    redo = skyline_insert(smaller, cur)
-    if redo.result != t:
+    longest = max(map(len, rows), default=0)
+    # columns left to right from the removed cell's (never the first),
+    # each bottom to top; the removed cell's own column only above its row
+    for j in range(max(length - 1, 1), longest):
+        for i in range(i0 - 1 if j < length else len(rows) - 1, -1, -1):
+            row = rows[i]
+            if len(row) > j:
+                x = row[j]
+                # x >= cur would be equivalent: swapping equal values is a no-op
+                if x > cur and (len(row) == j + 1 or cur >= row[j + 1]):
+                    row[j], cur = cur, x
+    smaller = CompositionTableau._trusted(rows)
+    redo = [list(r) for r in smaller.rows]
+    _skyline(redo, cur)
+    if tuple(map(tuple, redo)) != t.rows:
         raise ValueError("not the result of an insertion: re-inserting does not give the input")
     return smaller, cur
 

@@ -39,6 +39,13 @@ class _Tableau:
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
         self.rows = _freeze(rows)
 
+    @classmethod
+    def _trusted(cls, rows):
+        """A tableau from valid rows of ints, unchecked."""
+        self = object.__new__(cls)
+        self.rows = tuple(map(tuple, rows))
+        return self
+
     @property
     def size(self) -> int:
         return sum(len(r) for r in self.rows)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qschur import tableaux
 from qschur.compositions import composition_of, enumerate_compositions, enumerate_partitions
 from qschur.insertion import (
     canonical_descent_tableau,
@@ -14,6 +15,7 @@ from qschur.insertion import (
 from qschur.tableaux import (
     CompositionTableau,
     ReverseTableau,
+    enumerate_comts,
     enumerate_reverse_tableaux,
     enumerate_standard_reverse_tableaux,
     is_comt,
@@ -124,6 +126,58 @@ def test_non_tableau_inputs_raise_value_error():
         schensted_insert(ReverseTableau([[1]]), 0)
     with pytest.raises(ValueError, match="positive"):
         skyline_insert(CompositionTableau([[1]]), 0)
+
+
+def test_letters_are_positive_integers():
+    # a float letter was compared as given and stored truncated, so
+    # inserting 2.5 into [[2]] returned the non-tableau ((2,), (2,));
+    # each letter is now converted once, and 2.0 raises too
+    for bad in (2.5, 2.0, "2", 0, -1):
+        with pytest.raises(ValueError, match="positive integers"):
+            schensted_insert(ReverseTableau([[2]]), bad)
+        with pytest.raises(ValueError, match="positive integers"):
+            skyline_insert(CompositionTableau([[2]]), bad)
+    with pytest.raises(ValueError, match="positive integers"):
+        plactic_product(ReverseTableau([[2]]), ReverseTableau([[1, 0]]))
+
+
+def test_uninsert_then_insert_is_the_identity():
+    # every composition tableau with at most 7 cells and entries at most
+    # 5, at every row length it has: the uninsertion's letter, inserted
+    # into the smaller tableau, augments a row of that length and gives
+    # the tableau back
+    pairs = 0
+    for m in range(1, 8):
+        for a in enumerate_compositions(m):
+            lengths = set(a)
+            for t in enumerate_comts(a, 5):
+                for length in lengths:
+                    smaller, k = skyline_uninsert(t, length)
+                    res = skyline_insert(smaller, k)
+                    assert res.result == t, (t.rows, length)
+                    assert len(t.rows[res.augmented_row]) == length
+                    pairs += 1
+    assert pairs == 15485
+
+
+def test_insertion_wraps_its_rows_unchecked(forbid):
+    # the kernels run on lists and wrap each result once, so no public
+    # insertion re-validates its rows through the tableau constructor
+    t = CompositionTableau([[1], [3, 2, 2], [4, 3]])
+    rt = ReverseTableau([[4, 3, 1], [2, 2]])
+    u = ReverseTableau([[3, 1], [2]])
+    calls = [
+        lambda: skyline_insert(t, 2).result,
+        lambda: skyline_uninsert(t, 3)[0],
+        lambda: schensted_insert(rt, 3).result,
+        lambda: plactic_product(rt, u),
+    ]
+    expected = [call() for call in calls]
+    forbid(tableaux, ["_freeze"], "an insertion re-validated its rows")
+    for call, want in zip(calls, expected):
+        got = call()
+        assert type(got) is type(want) and got == want
+        assert all(type(r) is tuple and all(type(v) is int for v in r) for r in got.rows)
 
 
 def test_commutation_trivial():
