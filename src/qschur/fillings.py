@@ -20,10 +20,12 @@ One placement walk places the entries of every non-attacking filling
 cell by cell.  ``enumerate_fillings`` builds a filling at each of its
 leaves; the filling sums instead count the packed statistics the walk
 adds up as it places entries (``_counts``), build no filling, and
-weigh the counts into terms (``_weigh``).  The walk can be given a
-content, a budget of uses per entry value, and then visits only the
-fillings of that content.  ``_terms`` is the one entry point: no other
-module reads the packed layout.
+weigh the counts into terms in one pass (``_weigh``): a count's packed
+key holds its content, its repeat mask and its q,t monomial, and the
+cell factors are built from the mask, once per mask.  The walk can be
+given a content, a budget of uses per entry value, and then visits
+only the fillings of that content.  ``_terms`` is the one entry point:
+no other module reads the packed layout.
 """
 from __future__ import annotations
 
@@ -444,16 +446,16 @@ def _one_minus_t_power(k: int) -> dict:
     return {j: (-1) ** j * math.comb(k, j) for j in range(k + 1)}
 
 
-def _cell_factors(shape, repeats) -> dict:
-    """Product over the cells of (1 - q^(leg+1) t^(arm+1)) for a cell in
-    ``repeats`` (it repeats its left neighbour) and (1 - t) otherwise, as
-    an integer dict keyed by ``q_exp * span + t_exp``, the packed key of
-    the walk's low field (``span`` from :func:`_radices`)."""
-    d = _diagram(shape)
+def _cell_factors(d: _Diagram, mask: int) -> dict:
+    """Product over the cells of (1 - q^(leg+1) t^(arm+1)) for cell k
+    when bit k of ``mask`` is set (it repeats its left neighbour) and
+    (1 - t) otherwise, as an integer dict keyed by ``q_exp * span +
+    t_exp``, the packed key of the walk's low field (``span`` from
+    :func:`_radices`)."""
     span = _radices(d)[0]
-    w = _one_minus_t_power(shape.size - len(repeats))
-    for s, l1, a1 in zip(d.cells, d.leg1, d.arm1):
-        if s in repeats:
+    w = _one_minus_t_power(len(d.cells) - mask.bit_count())
+    for k, (l1, a1) in enumerate(zip(d.leg1, d.arm1)):
+        if mask >> k & 1:
             step = l1 * span + a1
             shifted = dict(w)
             for key, c in w.items():
@@ -462,40 +464,40 @@ def _cell_factors(shape, repeats) -> dict:
     return w
 
 
-def _weigh(shape, counts, nv: int, descentless: bool = False) -> list:
+def _weigh(d: _Diagram, counts, nv: int, descentless: bool = False) -> list:
     """The ``(exponents, coefficient)`` terms of a filling sum in ``nv``
     variables, from its fillings' counts in the walk's packed layout
     (:func:`_counts`): x^exponents q^maj t^coinv times the cell factors
     of the repeat set.
 
-    The counts are grouped by repeat mask, so each repeat set builds its
-    factor product once; the factors depend on it alone.  A count's low
-    field and the factors' keys are both packed as ``q_exp * span +
+    One pass splits each count's key into its content, repeat mask and
+    low field.  The factors depend on the mask alone, so each mask
+    builds them the first time it appears and reuses them after.  A
+    descentless sum is taken at q = 0, where every repeat factor is 1,
+    so its factor is (1 - t) per cell that is not a repeat.  A count's
+    low field and the factors' keys are both packed as ``q_exp * span +
     t_exp``, so a product term's key is their sum: counts times factor
     terms are added straight into one integer dict per content, which
     is read as an exponent vector and wrapped as a ``QtPoly`` once at
-    the end, its keys split and its zero coefficients dropped.  A
-    descentless sum is taken at q = 0, where every repeat factor is 1.
+    the end, its keys split and its zero coefficients dropped.
     """
-    d = _diagram(shape)
     span, mask_w, base = _radices(d)
-    by_mask: dict = {}
+    cells = len(d.cells)
+    factors: dict = {}
+    sums: dict = {}
     for packed, count in counts.items():
         high, low = divmod(packed, mask_w)
-        content, mask = divmod(high, 1 << len(d.cells))
-        by_mask.setdefault(mask, []).append((content, low, count))
-    sums: dict = {}
-    for mask, tallies in by_mask.items():
-        repeats = tuple(s for k, s in enumerate(d.cells) if mask >> k & 1)
-        if descentless:
-            factor = _one_minus_t_power(shape.size - len(repeats))
-        else:
-            factor = _cell_factors(shape, repeats)
-        for content, low, count in tallies:
-            acc = sums.setdefault(content, {})
-            for shift, v in factor.items():
-                key = low + shift
-                acc[key] = acc.get(key, 0) + count * v
+        content, mask = divmod(high, 1 << cells)
+        factor = factors.get(mask)
+        if factor is None:
+            factor = factors[mask] = (
+                _one_minus_t_power(cells - mask.bit_count()) if descentless
+                else _cell_factors(d, mask)
+            )
+        acc = sums.setdefault(content, {})
+        for shift, v in factor.items():
+            key = low + shift
+            acc[key] = acc.get(key, 0) + count * v
     return [
         (tuple(content // base ** i % base for i in range(nv)), QtPoly._packed(acc, span))
         for content, acc in sums.items()
@@ -507,8 +509,8 @@ def _terms(shape, rule: str, nvars: int | None = None, descentless: bool = False
     """The weighed ``(exponents, coefficient)`` terms of the filling sum
     in ``nvars`` variables: the walk's counts (:func:`_counts`, with
     ``contents`` as its budgets) weighed as one sum (:func:`_weigh`)."""
-    shape, nv, _, _ = _start(shape, rule, nvars)
-    return _weigh(shape, _counts(shape, rule, nv, descentless, contents), nv, descentless)
+    shape, nv, d, _ = _start(shape, rule, nvars)
+    return _weigh(d, _counts(shape, rule, nv, descentless, contents), nv, descentless)
 
 
 def is_ssaf_filling(f: AugmentedFilling) -> bool:

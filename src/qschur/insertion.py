@@ -16,13 +16,13 @@ tableau that no insertion produces comes from that re-run.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .compositions import Composition
 from .tableaux import (
     CompositionTableau,
     ReverseTableau,
+    _letter,
     columns,
     comt_to_ssaf,
     ssaf_to_rt,
@@ -38,17 +38,6 @@ class InsertionResult:
     path: tuple[Cell, ...]
     new_cell: Cell
     augmented_row: int | None = None
-
-
-def _letter(k) -> int:
-    """``k`` as an int (ValueError unless it is an integer >= 1)."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        k = 0
-    if k < 1:
-        raise ValueError("entries are positive integers")
-    return k
 
 
 def _schensted(rows: list[list[int]], k: int) -> list[Cell]:

@@ -86,7 +86,7 @@ def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = Non
     if basement in ("id", "rev") and nv != n:
         raise ValueError("identity/reversed basements need one variable per row")
     if basement != "const":
-        return XPoly(nv, _terms(shape, basement, nv))
+        return XPoly._trusted(nv, _terms(shape, basement, nv))
     return qsym_to_poly(_partition_sums(shape, nv), nv)
 
 

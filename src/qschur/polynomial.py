@@ -198,6 +198,8 @@ class QtPoly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "QtPoly":
+        if not isinstance(other, (int, QtPoly)):
+            return NotImplemented
         other = QtPoly.coerce(other)
         return QtPoly._trusted(chain(self._terms.items(), other._terms.items()))
 
@@ -207,12 +209,18 @@ class QtPoly:
         return QtPoly._trusted((k, -c) for k, c in self._terms.items())
 
     def __sub__(self, other) -> "QtPoly":
+        if not isinstance(other, (int, QtPoly)):
+            return NotImplemented
         return self + (-QtPoly.coerce(other))
 
     def __rsub__(self, other) -> "QtPoly":
+        if not isinstance(other, (int, QtPoly)):
+            return NotImplemented
         return QtPoly.coerce(other) + (-self)
 
     def __mul__(self, other) -> "QtPoly":
+        if not isinstance(other, (int, QtPoly)):
+            return NotImplemented
         other = QtPoly.coerce(other)
         return QtPoly._trusted(
             ((q1 + q2, t1 + t2), c1 * c2)
@@ -395,6 +403,9 @@ class XPoly:
 
     def __sub__(self, other) -> "XPoly":
         return self + (-self._coerce(other))
+
+    def __rsub__(self, other) -> "XPoly":
+        return -self + other
 
     def __mul__(self, other) -> "XPoly":
         """Multiply the flat integer terms (:func:`_flat`); wrap once."""

@@ -10,6 +10,7 @@ one body: storage, equality, rendering, JSON and the descent set.
 """
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator
 
 from .compositions import (
@@ -26,8 +27,31 @@ from .fillings import AugmentedFilling
 Rows = tuple[tuple[int, ...], ...]
 
 
+def _letter(k) -> int:
+    """``k`` as an int (ValueError unless it is an integer >= 1): the one
+    rule for a tableau entry and for a letter inserted into a tableau."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        k = 0
+    if k < 1:
+        raise ValueError("entries are positive integers")
+    return k
+
+
 def _freeze(rows: Iterable[Iterable[int]]) -> Rows:
-    return tuple(tuple(int(v) for v in r) for r in rows)
+    """The rows as tuples of ints under the rule of :func:`_letter`.  A
+    row of valid entries converts at C speed (``operator.index``, then its
+    least entry checked); any other row is read through ``_letter``, which
+    raises at its first bad entry."""
+    frozen = []
+    for r in map(tuple, rows):
+        try:
+            ints = tuple(map(operator.index, r))
+        except TypeError:
+            ints = (0,)
+        frozen.append(ints if min(ints, default=1) >= 1 else tuple(map(_letter, r)))
+    return tuple(frozen)
 
 
 class _Tableau:

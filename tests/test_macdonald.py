@@ -436,15 +436,20 @@ def test_macdonald_operator_check_catches_symmetric_mutants():
     assert _operator_failures((3, 1), 4, mutant)
 
 
+def _repeat_set(d, mask) -> frozenset:
+    """The cells of a repeat mask: cell k when bit k is set."""
+    return frozenset(s for k, s in enumerate(d.cells) if mask >> k & 1)
+
+
 def test_cell_factors_built_once_per_repeat_set(monkeypatch):
     # the factors depend on the repeat set alone, so the filling sum
     # builds them once per repeat set and not once per filling
     built = []
     cell_factors = fillings._cell_factors
 
-    def counted(shape, repeats):
-        built.append(frozenset(repeats))
-        return cell_factors(shape, repeats)
+    def counted(d, mask):
+        built.append(_repeat_set(d, mask))
+        return cell_factors(d, mask)
 
     monkeypatch.setattr(fillings, "_cell_factors", counted)
     macdonald_integral_form((2, 2, 1), "const", 5)
@@ -463,9 +468,9 @@ def test_descentless_sum_builds_no_q_factor(monkeypatch):
     built = []
     cell_factors = fillings._cell_factors
 
-    def counted(shape, repeats):
-        built.append(frozenset(repeats))
-        return cell_factors(shape, repeats)
+    def counted(d, mask):
+        built.append(_repeat_set(d, mask))
+        return cell_factors(d, mask)
 
     monkeypatch.setattr(fillings, "_cell_factors", counted)
     p = hall_littlewood_p((2, 2, 1), 4)
@@ -525,9 +530,9 @@ def test_cell_factors_built_once_across_content_walks(monkeypatch):
     built = Counter()
     cell_factors = fillings._cell_factors
 
-    def counted(shape, repeats):
-        built[frozenset(repeats)] += 1
-        return cell_factors(shape, repeats)
+    def counted(d, mask):
+        built[_repeat_set(d, mask)] += 1
+        return cell_factors(d, mask)
 
     monkeypatch.setattr(fillings, "_cell_factors", counted)
     macdonald_integral_form((3, 2, 1), "const", 6)

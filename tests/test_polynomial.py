@@ -33,6 +33,18 @@ def test_equal_polynomials_hash_equal():
     assert {q: "q"}.get(XPoly(1, {(0,): q})) == "q"
 
 
+def test_equal_nonconstant_polynomials_hash_equal():
+    # terms summed in another order give equal dicts in another order;
+    # the hash of a non-constant polynomial does not see the order
+    q = QtPoly.q()
+    a = XPoly(2, [((1, 0), q), ((0, 2), 3), ((1, 0), 1)])
+    b = XPoly(2, [((0, 2), 3), ((1, 0), QtPoly.one() + q)])
+    assert list(a.items()) != list(b.items())
+    assert list(a.coefficient((1, 0)).items()) != list(b.coefficient((1, 0)).items())
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_qtpoly_specialize():
     q, t = QtPoly.q(), QtPoly.t()
     p = 1 - q * t ** 2
@@ -82,6 +94,21 @@ def test_xpoly_mixed_scalars():
     p = x1 * (1 - t)
     assert p.coefficient((1, 0)) == 1 - t
     assert p.specialize(t=1) == XPoly.zero(2)
+
+
+def test_mixed_operands_defer_to_xpoly():
+    # a QtPoly operator returns NotImplemented for an XPoly operand, so
+    # the XPoly's reflected operator runs; an int minus an XPoly too
+    x, t = XPoly.variable(2, 1), QtPoly.t()
+    const = XPoly(2, {(0, 0): t})
+    assert t + x == x + t == const + x
+    assert t * x == x * t == XPoly(2, {(1, 0): t})
+    assert t - x == const - x and x - t == x - const
+    assert 1 - x == XPoly.one(2) - x
+    with pytest.raises(TypeError):
+        t + "x"
+    with pytest.raises(TypeError):
+        "x" - t
 
 
 def test_xpoly_variable_count_mismatch():

@@ -390,6 +390,16 @@ def test_qsym_expr_algebra_and_errors():
         QSymExpr.from_json(bad)
 
 
+def test_equal_qsym_exprs_hash_equal():
+    # the same terms summed in another order hash equal
+    q = QtPoly.q()
+    a = QSymExpr("M", [((2, 1), q), ((1,), 2), ((2, 1), 1)])
+    b = QSymExpr("M", [((1,), 2), ((2, 1), QtPoly.one() + q)])
+    assert list(a.terms.items()) != list(b.terms.items())
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_qsym_expr_json_round_trip():
     e = QSymExpr("F", {(1, 3): QtPoly.one() - QtPoly.t(), (2, 2): QtPoly.const(2)})
     assert QSymExpr.from_json(e.to_json()) == e

@@ -37,10 +37,25 @@ def test_is_reversetableau():
     assert not is_reversetableau(ReverseTableau([[1, 2]]))
     assert not is_reversetableau(ReverseTableau([[2, 2], [2]]))
     assert not is_reversetableau(ReverseTableau([[3], [2, 1]]))  # not a partition
-    assert not is_reversetableau(ReverseTableau([[2, 0]]))
+    # an entry below 1 is refused by the constructor, not the predicate
+    with pytest.raises(ValueError, match="positive integers"):
+        ReverseTableau([[2, 0]])
     # a partition diagram has no empty row
     assert not is_reversetableau(ReverseTableau([[]]))
     assert not is_reversetableau(ReverseTableau([[2], []]))
+
+
+def test_entries_are_positive_integers():
+    # entries were converted with int() and no sign was checked, so 2.5
+    # and "7" were stored truncated or parsed and 0 and -3 were kept;
+    # the constructor now applies the insertions' letter rule
+    for kind in (ReverseTableau, CompositionTableau):
+        for bad in ([[2.5]], [["7"]], [[0, -3]], [[3, 1], [2.0]], [[1, -1]]):
+            with pytest.raises(ValueError, match="positive integers"):
+                kind(bad)
+        t = kind([(3, True), [2]])
+        assert t.rows == ((3, 1), (2,))
+        assert all(type(v) is int for r in t.rows for v in r)
 
 
 def test_json_round_trip_fields():
@@ -83,6 +98,8 @@ def test_is_comt():
     assert not is_comt(CompositionTableau([[2], [1]]))
     # the triple condition on the padded rectangle
     assert not is_comt(CompositionTableau([[2], [3, 2]]))
+    assert not is_comt(CompositionTableau([[1, 2]]))  # a row that increases
+    assert is_comt(CompositionTableau())
     with pytest.raises(ValueError, match="rows must be nonempty"):
         CompositionTableau([[1], []])
 
