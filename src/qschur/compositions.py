@@ -6,8 +6,21 @@ can index sparse coefficient maps directly.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
+
+
+def _integers(values: Iterable[int]) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, converted at C speed with
+    ``operator.index``: 2.5 and "2" raise ValueError (an object that is
+    not iterable still raises TypeError).  The one integer rule of
+    compositions and of the rows of an augmented filling."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"parts and entries are integers: {values}") from None
 
 
 class WeakComposition(tuple):
@@ -20,7 +33,7 @@ class WeakComposition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
-        parts = tuple(map(int, parts))
+        parts = _integers(parts)
         if parts and min(parts) < 0:
             raise ValueError(f"negative part in weak composition: {parts}")
         return super().__new__(cls, parts)

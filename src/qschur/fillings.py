@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterator, NamedTuple
 
-from .compositions import WeakComposition, content
+from .compositions import WeakComposition, _integers, content
 from .polynomial import QtPoly
 
 Cell = tuple[int, int]  # (row, column), 1-based; column 0 is the basement
@@ -65,7 +65,7 @@ class AugmentedFilling:
 
     def __init__(self, shape, rows, rule: str = "id", nvars: int | None = None):
         self.shape = WeakComposition(shape)
-        self.rows = tuple(tuple(map(int, r)) for r in rows)
+        self.rows = tuple(map(_integers, rows))
         if len(self.rows) != len(self.shape):
             raise ValueError("row count does not match shape")
         for g, r in zip(self.shape, self.rows):

@@ -384,16 +384,22 @@ class XPoly:
 
     # -- ring operations ----------------------------------------------
 
-    def _coerce(self, other) -> "XPoly":
-        """``other`` as an XPoly in the same variables."""
+    def _coerce(self, other) -> "XPoly | None":
+        """``other`` as an XPoly in the same variables, or None when it is
+        not an int, a ``QtPoly`` or an ``XPoly``, so that an operator can
+        return NotImplemented."""
         if isinstance(other, (int, QtPoly)):
             return XPoly._trusted(self.n, [((0,) * self.n, QtPoly.coerce(other))])
+        if not isinstance(other, XPoly):
+            return None
         if self.n != other.n:
             raise ValueError(f"variable counts differ: {self.n} vs {other.n}")
         return other
 
     def __add__(self, other) -> "XPoly":
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return XPoly._trusted(self.n, chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
@@ -402,14 +408,19 @@ class XPoly:
         return XPoly._trusted(self.n, ((k, -c) for k, c in self._terms.items()))
 
     def __sub__(self, other) -> "XPoly":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other) -> "XPoly":
-        return -self + other
+        other = self._coerce(other)
+        return NotImplemented if other is None else -self + other
 
     def __mul__(self, other) -> "XPoly":
         """Multiply the flat integer terms (:func:`_flat`); wrap once."""
-        a, b = _flat(self._terms), _flat(self._coerce(other)._terms)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = _flat(self._terms), _flat(other._terms)
         return _unflat(self.n, _accumulate(
             (tuple(map(add, k1, k2)), c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items()
         ))
@@ -463,8 +474,10 @@ class XPoly:
         leading-term elimination; lex order is a monomial order on
         Z[x, q, t], so an exact quotient is the same one.
         """
-        other = self._coerce(other)
-        return _unflat(self.n, _divide(_flat(self._terms), _flat(other._terms)))
+        divisor = self._coerce(other)
+        if divisor is None:
+            raise TypeError(f"cannot divide an XPoly by {type(other).__name__}")
+        return _unflat(self.n, _divide(_flat(self._terms), _flat(divisor._terms)))
 
     # -- rendering -----------------------------------------------------
 

@@ -29,7 +29,6 @@ from .compositions import (
     foundation,
     refinements,
     reversal,
-    to_partition,
 )
 from .polynomial import QtPoly, XPoly, _accumulate_qt, _pairs, _signed_join
 from .tableaux import _standard_walk, enumerate_comts, enumerate_reverse_tableaux
@@ -75,11 +74,15 @@ class QSymExpr:
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other: "QSymExpr") -> "QSymExpr":
+        if not isinstance(other, QSymExpr):
+            return NotImplemented
         if self.basis != other.basis:
             raise ValueError("cannot add expressions in different bases")
         return QSymExpr._trusted(self.basis, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "QSymExpr") -> "QSymExpr":
+        if not isinstance(other, QSymExpr):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, c) -> "QSymExpr":
@@ -240,15 +243,16 @@ def qschur_in_fundamental(a) -> QSymExpr:
     """Fundamental expansion: count the standard composition tableaux of
     shape a, the column refills of shape a, by descent composition.
 
-    One walk over the standard composition tableaux of λ(a), as plain
-    lists, reads each one's shape and descent mask (:func:`_refill_counts`)."""
+    The walk held to shape a (:func:`tableaux._standard_walk`) reads the
+    descent mask of each one, as plain lists, and meets no tableau of
+    another shape."""
     return _expansion("F", Composition(a))
 
 
 def _expansion(basis: str, a: Composition) -> QSymExpr:
     """Row a of ``transition_matrix(basis, |a|)`` as an expression, from
-    the refill counts of λ(a) alone."""
-    row = _row(basis, a.size, _refill_counts(to_partition(a))[a])
+    the descent masks of the walk of shape a alone."""
+    row = _row(basis, a.size, Counter(mask for _, mask in _standard_walk(a.size, a)))
     return QSymExpr._trusted(basis, (
         (c, QtPoly.const(k)) for c, k in zip(_degree(a.size).order, row) if k
     ))
@@ -312,18 +316,6 @@ def schur_in_monomial_oracle(l) -> QSymExpr:
 # -- transition matrices ----------------------------------------------------
 
 
-def _refill_counts(lam: Partition) -> dict[tuple[int, ...], dict[int, int]]:
-    """Count the column refills of the standard reverse tableaux of shape
-    lam as ``{shape: {descent mask: count}}``, from the one walk, which
-    places each entry in its refill row (:func:`tableaux._standard_walk`)
-    so that no refill runs."""
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for rows, mask in _standard_walk(lam):
-        by_mask = counts.setdefault(tuple(map(len, rows)), {})
-        by_mask[mask] = by_mask.get(mask, 0) + 1
-    return counts
-
-
 def _row(basis: str, n: int, by_mask: dict[int, int]) -> list[int]:
     """The S row over M or F, indexed by the triangle order of degree n,
     of a shape whose refills count ``by_mask``: each count is added at
@@ -343,16 +335,22 @@ def _row(basis: str, n: int, by_mask: dict[int, int]) -> list[int]:
 def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of S expansions over M or F, indexed by the triangle order.
 
-    The refill counts of each λ ⊢ n (:func:`_refill_counts`) make the
-    rows of its shapes (:func:`_row`); every composition of n is the
-    refill shape of some tableau, so every row is made once."""
+    One walk over every standard composition tableau of size n
+    (:func:`tableaux._standard_walk`) counts them by (shape, descent
+    mask), and each shape's counts make its row (:func:`_row`); every
+    composition of n is the shape of some tableau, so every row is made
+    once."""
     if basis_to not in ("M", "F"):
         raise ValueError("basis_to must be 'M' or 'F'")
+    by_shape: dict[tuple[int, ...], dict[int, int]] = {}
+    for (shape, mask), k in Counter(
+        (tuple(map(len, rows)), mask) for rows, mask in _standard_walk(n)
+    ).items():
+        by_shape.setdefault(shape, {})[mask] = k
     position = _degree(n).position
     rows = [()] * len(position)
-    for lam in enumerate_partitions(n):
-        for shape, by_mask in _refill_counts(lam).items():
-            rows[position[shape]] = tuple(_row(basis_to, n, by_mask))
+    for shape, by_mask in by_shape.items():
+        rows[position[shape]] = tuple(_row(basis_to, n, by_mask))
     return tuple(rows)
 
 

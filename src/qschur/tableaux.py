@@ -18,9 +18,9 @@ from .compositions import (
     Partition,
     WeakComposition,
     collapse,
+    compositions_of_partition,
     content,
     foundation,
-    to_partition,
 )
 from .fillings import AugmentedFilling
 
@@ -349,13 +349,12 @@ def enumerate_comts(
 
 
 def enumerate_standard_comts(a: Iterable[int]) -> Iterator[CompositionTableau]:
-    """All composition tableaux of shape ``a`` using 1..n exactly once:
-    the tableaux of shape ``a`` that the walk of the S expansions
-    (:func:`_standard_walk`) yields for λ(a)."""
+    """All composition tableaux of shape ``a`` using 1..n exactly once, in
+    walk order: the walk of the S expansions (:func:`_standard_walk`) held
+    to shape ``a``, so no tableau of another shape is built."""
     shape = Composition(a)
-    for rows, _ in _standard_walk(to_partition(shape)):
-        if tuple(map(len, rows)) == shape:
-            yield CompositionTableau(rows)
+    for rows, _ in _standard_walk(shape.size, shape):
+        yield CompositionTableau(rows)
 
 
 def enumerate_ssafs(g: Iterable[int]) -> Iterator[AugmentedFilling]:
@@ -395,47 +394,65 @@ def enumerate_reverse_tableaux(
 
 
 def enumerate_standard_reverse_tableaux(shape: Iterable[int]) -> Iterator[ReverseTableau]:
-    """All reverse tableaux of a partition shape using 1..n exactly once, in
-    walk order, each read back from its refill as :func:`ssaf_to_rt` does."""
-    for rows, _ in _standard_walk(Partition(shape)):
-        yield top_justify([sorted(c, reverse=True) for c in columns(rows)])
+    """All reverse tableaux of a partition shape using 1..n exactly once:
+    the walks held to each rearrangement of the shape in turn, largest
+    first in the triangle order, each in walk order, every tableau read
+    back from its refill as :func:`ssaf_to_rt` does."""
+    shape = Partition(shape)
+    for a in compositions_of_partition(shape):
+        for rows, _ in _standard_walk(shape.size, a):
+            yield top_justify([sorted(c, reverse=True) for c in columns(rows)])
 
 
-def _standard_walk(shape: Partition) -> Iterator[tuple[list[list[int]], int]]:
+def _standard_walk(n: int, shape: Iterable[int] | None = None) -> Iterator[tuple[list[list[int]], int]]:
     """Place n, n-1, ..., 1 in turn where the column refill of
     :func:`rt_to_ssaf` puts them and yield each standard composition
-    tableau of a rearrangement of ``shape``: its rows, live lists top to
-    bottom that the walk changes after the yield, and its descent mask,
-    with bit i - 1 set when col(i+1) >= col(i).  Every entry placed
-    before v is larger, so v ends the highest row of length c, where
-    c = 0 opens a new top row.  With ``longer[c]`` rows longer than c,
-    column c admits v when ``shape[longer[c]] > c`` and, for c >= 1, some
-    row has length c; c runs from largest to smallest, the row order of
-    the standard reverse tableaux."""
-    parts = [*shape, 0]
-    longer = [0] * parts[0]
-    down = range(parts[0] - 1, -1, -1)
-    rows: list[list[int]] = []
+    tableau of size n, or only those of composition ``shape`` (of size
+    n): its rows, live lists top to bottom that the walk changes after
+    the yield, and its descent mask, with bit i - 1 set when
+    col(i+1) >= col(i).
 
-    def place(v: int, above: int, mask: int) -> Iterator[tuple[list[list[int]], int]]:
-        # above is the column of v + 1
-        if v == 0:  # every row is full
-            yield rows, mask
-            return
-        for c in down:
-            i = longer[c]
-            if parts[i] > c and (c == 0 or longer[c - 1] > i):
-                if c == 0:
-                    rows.insert(0, [])
-                for row in rows:
+    Every entry placed before v is larger, so v ends the highest row of
+    length c, where c = 0 opens a new top row.  Column c admits v when
+    c = 0 or column c - 1 is taller than column c; c runs from the
+    longest row down to 0, the row order of the standard reverse
+    tableaux.  Rows are only ever inserted on top, so with a ``shape``
+    the row at index r of k rows ends as row r + len(shape) - k: it
+    grows past length c only if that final length exceeds c, and a new
+    row opens only while there are fewer than len(shape) rows."""
+    # with no shape, n rows of length n bind nothing
+    final = (n,) * n if shape is None else tuple(shape)
+    tall = len(final)
+    rows: list[list[int]] = []
+    height = [0] * (n + 1)  # height[c]: the rows longer than c
+
+    def place(v: int, above: int, mask: int, width: int) -> Iterator[tuple[list[list[int]], int]]:
+        # above is the column of v + 1; width is the longest row's length
+        offset = tall - len(rows)  # row r ends as row r + offset
+        for c in range(width, -1, -1):
+            if c:
+                if height[c - 1] == height[c]:  # no row of length c
+                    continue
+                for r, row in enumerate(rows):
                     if len(row) == c:
                         break
-                longer[c] = i + 1
-                row.append(v)
-                yield from place(v - 1, c, mask | (1 << (v - 1)) if above >= c else mask)
-                row.pop()
-                longer[c] = i
-                if c == 0:
-                    del rows[0]
+                if final[r + offset] <= c:
+                    continue
+            elif len(rows) < tall:
+                row = []
+                rows.insert(0, row)
+            else:
+                continue
+            row.append(v)
+            m = mask | (1 << (v - 1)) if above >= c else mask
+            if v == 1:  # every row is full
+                yield rows, m
+            else:
+                height[c] += 1
+                yield from place(v - 1, c, m, width if c < width else c + 1)
+                height[c] -= 1
+            row.pop()
+            if not c:
+                del rows[0]
 
-    return place(shape.size, -1, 0)
+    return place(n, -1, 0, 0) if n else iter([(rows, 0)])  # one empty tableau

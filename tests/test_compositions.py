@@ -100,6 +100,20 @@ def test_coarsens_partial_order():
                 assert coarsens(a, c)
 
 
+def test_parts_are_integers():
+    # parts were converted with int(), so 1.5 and "2" were truncated or
+    # parsed; they now raise ValueError, and a non-iterable stays TypeError
+    for kind in (WeakComposition, Composition, Partition):
+        for bad in ((1.5, 2), ("2", 1), "21", (2, None)):
+            with pytest.raises(ValueError, match="integers"):
+                kind(bad)
+        with pytest.raises(TypeError):
+            kind(2)
+        c = kind([True, 1])
+        assert c == (1, 1) and all(type(p) is int for p in c)
+    assert WeakComposition(p for p in (2, 0, 1)) == (2, 0, 1)
+
+
 def test_triangle_order_chain():
     chain = [(4,), (3, 1), (1, 3), (2, 2), (2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 1, 1, 1)]
     assert [tuple(c) for c in enumerate_compositions(4)] == chain

@@ -1,7 +1,8 @@
 """Static checks on the source tree: no dead imports, no duplicate
 function bodies, no oracle calls in the library outside ``verify``, no
 diagram geometry derived and no packed filling weight read outside
-``fillings``, every exported name is used somewhere, and every property
+``fillings``, every exported name is used somewhere, every private
+module-level helper is read by the library, and every property
 suite is run by some test, each (suite, bounds) pair by exactly one."""
 import ast
 import inspect
@@ -137,6 +138,30 @@ def test_every_export_is_used():
     used = set().union(*map(_names_used_in, users))
     assert exported
     assert exported <= used, sorted(exported - used)
+
+
+def test_every_private_helper_is_used():
+    # a module-level _name function or class that no other library line
+    # reads is dead code, or a helper kept alive only by the tests; a
+    # reference inside its own body (a recursion) does not count
+    defined = {}  # name -> (module, first line, last line)
+    read = defaultdict(list)  # name -> (module, line) of each read
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                defined[node.name] = (path.name, node.lineno, node.end_lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                read[name].append((path.name, node.lineno))
+    assert defined
+    dead = sorted(
+        f"{module}:{first} {name}" for name, (module, first, last) in defined.items()
+        if not any(m != module or not first <= line <= last for m, line in read[name])
+    )
+    assert not dead, dead
 
 
 def _suite_runs(path: Path):

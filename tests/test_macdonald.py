@@ -86,6 +86,12 @@ def test_filling_entries_and_cells_are_checked():
     for rows, nvars in (([[0]], None), ([[2]], None), ([[3]], 2), ([[-1]], 2)):
         with pytest.raises(ValueError):
             AugmentedFilling((1,), rows, nvars=nvars)
+    # entries follow the integer rule of compositions: 1.7 and "1" were
+    # truncated or parsed by int() and are now refused
+    for rows in ([[1.7]], [["1"]], [[1.0]]):
+        with pytest.raises(ValueError, match="integers"):
+            AugmentedFilling((1,), rows)
+    assert AugmentedFilling((1,), [[True]]).rows == ((1,),)
     for rows, rule, message in (([[1], [1]], "id", "row count"), ([[1, 1]], "id", "length"),
                                 ([[1]], "diag", "unknown basement rule")):
         with pytest.raises(ValueError, match=message):

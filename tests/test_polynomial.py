@@ -111,6 +111,23 @@ def test_mixed_operands_defer_to_xpoly():
         "x" - t
 
 
+def test_foreign_operands_defer():
+    # XPoly operators return NotImplemented for an operand that is not an
+    # int, a QtPoly or an XPoly, so Python raises TypeError (they raised
+    # AttributeError); a mismatched variable count keeps its ValueError
+    x = XPoly.variable(2, 1)
+    for other in ("a", 2.5, None, [1]):
+        for op in (lambda: x + other, lambda: other + x, lambda: x - other,
+                   lambda: other - x, lambda: x * other, lambda: other * x):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(TypeError, match="cannot divide"):
+        x.div_exact("a")
+    for op in (lambda: x + XPoly.variable(3, 1), lambda: x * XPoly.one(1)):
+        with pytest.raises(ValueError, match="variable counts differ"):
+            op()
+
+
 def test_xpoly_variable_count_mismatch():
     with pytest.raises(ValueError):
         XPoly.variable(2, 1) + XPoly.variable(3, 1)

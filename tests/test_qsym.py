@@ -113,6 +113,58 @@ def test_demazure_atom_builds_no_filling(forbid):
         assert demazure_atom(g, n) == out, (g, n)
 
 
+def _isobaric_bar(i, poly):
+    """pi_i - 1 on a dict of integer coefficients keyed by exponent
+    tuples, where pi_i f = (x_i f - x_(i+1) s_i f) / (x_i - x_(i+1)),
+    applied monomial by monomial with 0-based i."""
+    out = {}
+    for e, c in poly.items():
+        p, q = e[i], e[i + 1]
+        # pi_i x_i^p x_(i+1)^q: the complete homogeneous sum from
+        # x_i^p x_(i+1)^q to x_i^q x_(i+1)^p when p >= q, zero when
+        # p = q - 1, and minus the sum strictly inside the two otherwise
+        if p >= q:
+            span, sign = range(q, p + 1), 1
+        else:
+            span, sign = range(p + 1, q), -1
+        for k in span:
+            f = list(e)
+            f[i], f[i + 1] = k, p + q - k
+            out[tuple(f)] = out.get(tuple(f), 0) + sign * c
+        out[e] = out.get(e, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _atom_by_operators(g):
+    """A_g = pi-bar_w x^lambda: x^g when g is weakly decreasing, and
+    otherwise pi-bar_i of the atom of g with parts i, i + 1 swapped, at the
+    first ascent i; no tableau or filling code."""
+    g = tuple(g)
+    for i in range(len(g) - 1):
+        if g[i] < g[i + 1]:
+            swapped = (*g[:i], g[i + 1], g[i], *g[i + 2:])
+            return _isobaric_bar(i, _atom_by_operators(swapped))
+    return {g: 1}
+
+
+def test_demazure_atoms_match_the_operator_oracle():
+    # every weak composition with 1 to 4 parts and size at most 6
+    cases = [g for n in range(1, 5) for total in range(7)
+             for g in enumerate_weak_compositions(total, n)]
+    assert len(cases) == 329
+    for g in cases:
+        assert demazure_atom(g) == XPoly(len(g), _atom_by_operators(g).items()), g
+
+
+def test_quasisymmetric_schur_polynomials_sum_the_operator_atoms():
+    for a, n in (((2, 1, 2), 5), ((3, 1, 2), 6), ((2, 2, 1, 2), 6)):
+        total = {}
+        for g in expand_to_weak(a, n):
+            for e, c in _atom_by_operators(g).items():
+                total[e] = total.get(e, 0) + c
+        assert qschur_polynomial(a, n) == XPoly(n, total.items()), (a, n)
+
+
 def test_qschur_polynomial():
     assert qschur_polynomial((1, 2), 2) == x(2, 1) * x(2, 2) ** 2
     assert qschur_polynomial((1, 1, 1), 2) == XPoly.zero(2)
@@ -278,6 +330,26 @@ def test_s_expansions_run_no_column_refill(forbid):
         qsym.transition_matrix.cache_clear()
 
 
+def test_fundamental_expansion_walks_its_own_shape_alone(monkeypatch):
+    """The expansion of S_a walks the standard composition tableaux of
+    shape a and meets no tableau of another shape: the spy sees each
+    tableau of shape a once, as many as the coefficients add up to."""
+    walk = qsym._standard_walk
+    seen = []
+
+    def spy(n, shape=None):
+        for rows, mask in walk(n, shape):
+            seen.append(tuple(map(len, rows)))
+            yield rows, mask
+
+    monkeypatch.setattr(qsym, "_standard_walk", spy)
+    for n in range(8):
+        for a in enumerate_compositions(n):
+            seen.clear()
+            total = sum(c.constant() for c in qschur_in_fundamental(a).terms.values())
+            assert set(seen) == {a} and len(seen) == total, a
+
+
 def test_monomial_expansion_is_the_refinement_sum_of_the_fundamental_one():
     # in_M adds each refill count at every superset of its descent mask
     # and never calls f_to_m; degree 0 keeps the empty composition
@@ -383,6 +455,14 @@ def test_qsym_expr_algebra_and_errors():
     assert a and not (b - b)
     with pytest.raises(ValueError, match="unknown basis 'X'"):
         QSymExpr("X")
+    # a foreign operand defers, so Python raises TypeError
+    for other in (1, "a", 2.5, None):
+        with pytest.raises(TypeError):
+            a + other
+        with pytest.raises(TypeError):
+            a - other
+        with pytest.raises(TypeError):
+            other + a
     s = qsym_unit("S", (1, 2))
     assert express_in_qschur(s) is s
     bad = {"basis": "M", "terms": [{"composition": [1, "2"], "coeff": [[0, 0, 1]]}]}

@@ -1,9 +1,9 @@
 import pytest
 
 from qschur.compositions import (
-    Partition,
     collapse,
     composition_of,
+    compositions_of_partition,
     enumerate_compositions,
     enumerate_partitions,
 )
@@ -178,19 +178,40 @@ def test_enumerate_standard_comts():
 
 def test_standard_walk_is_the_filtered_reverse_tableaux():
     # every standard reverse tableau of size <= 7 once, read back from the
-    # rows the walk places, which are its column refill, each with the
-    # bitmask of its descent set, in the order of the public enumerator
+    # rows the degree walk places, which are its column refill, each with
+    # the bitmask of its descent set; the public enumerator yields them
+    # shape by shape, largest shape first in the triangle order, each in
+    # walk order
     for n in range(8):
+        walked = [(tuple(map(tuple, rows)), mask) for rows, mask in _standard_walk(n)]
+        tableaux = [ssaf_to_rt(comt_to_ssaf(CompositionTableau(rows))) for rows, _ in walked]
+        standard = [t for lam in enumerate_partitions(n)
+                    for t in enumerate_reverse_tableaux(lam, n) if t.is_standard()]
+        assert len(set(tableaux)) == len(tableaux) == len(standard)
+        assert set(tableaux) == set(standard)
         for lam in enumerate_partitions(n):
-            walked = [(tuple(map(tuple, rows)), mask) for rows, mask in _standard_walk(lam)]
-            tableaux = [ssaf_to_rt(comt_to_ssaf(CompositionTableau(rows))) for rows, _ in walked]
-            standard = [t for t in enumerate_reverse_tableaux(lam, n) if t.is_standard()]
-            assert len(set(tableaux)) == len(tableaux) == len(standard)
-            assert set(tableaux) == set(standard)
-            assert list(enumerate_standard_reverse_tableaux(lam)) == tableaux
-            for t, (rows, mask) in zip(tableaux, walked):
-                assert rows == tuple(r for r in rt_to_ssaf(t).rows if r)
-                assert mask == sum(1 << (i - 1) for i in rt_descents(t))
+            assert list(enumerate_standard_reverse_tableaux(lam)) == [
+                t for a in compositions_of_partition(lam)
+                for t, (rows, _) in zip(tableaux, walked) if tuple(map(len, rows)) == a
+            ]
+        for t, (rows, mask) in zip(tableaux, walked):
+            assert rows == tuple(r for r in rt_to_ssaf(t).rows if r)
+            assert mask == sum(1 << (i - 1) for i in rt_descents(t))
+
+
+def test_shape_walks_split_the_degree_walk():
+    # for every composition a with |a| <= 8, the walk held to a yields the
+    # degree walk's tableaux of shape a, each once, in the same order and
+    # with the same masks; every composition is the shape of some tableau
+    for n in range(9):
+        by_shape = {}
+        for rows, mask in _standard_walk(n):
+            by_shape.setdefault(tuple(map(len, rows)), []).append((tuple(map(tuple, rows)), mask))
+        assert sorted(by_shape) == sorted(enumerate_compositions(n))
+        for a in enumerate_compositions(n):
+            walked = [(tuple(map(tuple, rows)), mask) for rows, mask in _standard_walk(n, a)]
+            assert walked == by_shape[a], a
+            assert len(set(walked)) == len(walked), a
 
 
 def test_standard_comts_are_the_standard_composition_tableaux():
@@ -209,7 +230,7 @@ def test_standard_walks_of_the_empty_shape():
     # matrices of degrees 0 and 1 are the 1 x 1 identity
     assert list(enumerate_standard_comts(())) == [CompositionTableau([])]
     assert list(enumerate_standard_reverse_tableaux(())) == [ReverseTableau([])]
-    assert list(_standard_walk(Partition(()))) == [([], 0)]
+    assert list(_standard_walk(0)) == list(_standard_walk(0, ())) == [([], 0)]
     for b in "MF":
         transition_matrix.cache_clear()
         assert transition_matrix(b, 0) == transition_matrix(b, 1) == ((1,),)
