@@ -23,6 +23,15 @@ def _integers(values: Iterable[int]) -> tuple[int, ...]:
         raise ValueError(f"parts and entries are integers: {values}") from None
 
 
+def _count(n) -> int:
+    """A variable count ``n`` as an int under the rule of
+    :func:`_integers`: 2.0, 2.5 and "2" raise ValueError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"variable counts are integers: {n!r}") from None
+
+
 class WeakComposition(tuple):
     """A finite sequence of nonnegative integers.
 

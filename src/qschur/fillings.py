@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterator, NamedTuple
 
-from .compositions import WeakComposition, _integers, content
+from .compositions import WeakComposition, _count, _integers, content
 from .polynomial import QtPoly
 
 Cell = tuple[int, int]  # (row, column), 1-based; column 0 is the basement
@@ -74,7 +74,7 @@ class AugmentedFilling:
         if rule not in BASEMENT_RULES:
             raise ValueError(f"unknown basement rule: {rule!r}")
         self.rule = rule
-        self.nvars = len(self.shape) if nvars is None else int(nvars)
+        self.nvars = len(self.shape) if nvars is None else _count(nvars)
         entries = [v for r in self.rows for v in r]
         if entries and not (min(entries) >= 1 and max(entries) <= self.nvars):
             raise ValueError(f"an entry of {self.rows} is outside [1, {self.nvars}]")
@@ -395,7 +395,7 @@ def _start(shape, rule: str, nvars: int | None) -> tuple[WeakComposition, int, _
     vector of a walk."""
     shape = WeakComposition(shape)
     n = len(shape)
-    nv = n if nvars is None else int(nvars)
+    nv = n if nvars is None else _count(nvars)
     if rule not in BASEMENT_RULES:
         raise ValueError(f"unknown basement rule: {rule!r}")
     d = _diagram(shape)

@@ -31,6 +31,7 @@ from .compositions import (
     Composition,
     Partition,
     WeakComposition,
+    _count,
     compositions_of_partition,
     enumerate_partitions,
     expand_to_weak,
@@ -82,7 +83,7 @@ def macdonald_integral_form(shape, basement: str = "id", nvars: int | None = Non
     """
     shape = WeakComposition(shape)
     n = len(shape)
-    nv = n if nvars is None else int(nvars)
+    nv = n if nvars is None else _count(nvars)
     if basement in ("id", "rev") and nv != n:
         raise ValueError("identity/reversed basements need one variable per row")
     if basement != "const":
@@ -100,7 +101,7 @@ def ns_hall_littlewood(shape, nvars: int | None = None) -> XPoly:
     Demazure atom.
     """
     shape = WeakComposition(shape)
-    if nvars is not None and int(nvars) != len(shape):
+    if nvars is not None and _count(nvars) != len(shape):
         raise ValueError("identity basement needs one variable per row")
     return _descentless_sum([shape], len(shape))
 
@@ -117,6 +118,7 @@ def _descentless_sum(shapes, n: int) -> XPoly:
 def hall_littlewood_qsym(a, n: int) -> XPoly:
     """Sum of the descentless forms over all shapes collapsing to ``a``."""
     a = Composition(a)
+    n = _count(n)
     if n < len(a):
         raise ValueError("need at least one variable per part")
     return _descentless_sum(expand_to_weak(a, n), n)
@@ -130,8 +132,7 @@ def hall_littlewood_qsym_m(a, n: int | None = None) -> QSymExpr:
     nontrivial structural property of these sums.
     """
     a = Composition(a)
-    if n is None:
-        n = a.size
+    n = a.size if n is None else _count(n)
     if n < a.size:
         raise ValueError("need at least |a| variables for faithful extraction")
     return xpoly_to_monomial(hall_littlewood_qsym(a, n))
@@ -140,6 +141,7 @@ def hall_littlewood_qsym_m(a, n: int | None = None) -> QSymExpr:
 def hall_littlewood_p(l, n: int) -> XPoly:
     """Hall-Littlewood polynomial as a sum of quasisymmetric pieces."""
     l = Partition(l)
+    n = _count(n)
     if n < len(l):
         return XPoly.zero(n)
     return _descentless_sum(
@@ -163,6 +165,7 @@ def hall_littlewood_p_oracle(l, n: int) -> XPoly:
     path.
     """
     l = Partition(l)
+    n = _count(n)
     if n < len(l):
         return XPoly.zero(n)
     f = {tuple(l) + (0,) * (n - len(l)) + (0, 0): 1}

@@ -25,6 +25,8 @@ from itertools import chain
 from operator import add
 from typing import Iterable, Mapping
 
+from .compositions import _count
+
 
 def _accumulate(pairs) -> dict:
     """Sum the coefficients of equal keys and drop the zero sums."""
@@ -323,7 +325,7 @@ class XPoly:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], QtPoly] | Iterable | None = None):
-        self.n = int(n)
+        self.n = _count(n)
         if self.n < 0:
             raise ValueError(f"negative variable count {self.n}")
         self._terms = _accumulate_qt(

@@ -11,12 +11,13 @@ one body: storage, equality, rendering, JSON and the descent set.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .compositions import (
     Composition,
     Partition,
     WeakComposition,
+    _count,
     collapse,
     compositions_of_partition,
     content,
@@ -113,12 +114,13 @@ class ReverseTableau(_Tableau):
 
 def is_reversetableau(t: ReverseTableau) -> bool:
     """Check the two defining conditions (rows weak, columns strict) on a
-    partition diagram, which has no empty row, of positive entries."""
+    partition diagram, which has no empty row; the constructor has made
+    every entry a positive integer."""
     lengths = [len(r) for r in t.rows]
     if 0 in lengths or any(a < b for a, b in zip(lengths, lengths[1:])):
         return False
     for r in t.rows:
-        if any(v < 1 for v in r) or any(a < b for a, b in zip(r, r[1:])):
+        if any(a < b for a, b in zip(r, r[1:])):
             return False
     return all(a > b for above, below in zip(t.rows, t.rows[1:]) for a, b in zip(above, below))
 
@@ -173,13 +175,12 @@ class CompositionTableau(_Tableau):
 
 
 def is_comt(t: CompositionTableau) -> bool:
-    """Weakly decreasing rows, strict first column, triple condition."""
+    """Weakly decreasing rows, strict first column, triple condition; the
+    constructor has made every entry a positive integer."""
     rows = t.rows
     if not rows:
         return True
     for r in rows:
-        if any(v < 1 for v in r):
-            return False
         if any(a < b for a, b in zip(r, r[1:])):
             return False
     first = [r[0] for r in rows]
@@ -211,8 +212,7 @@ def comt_to_ssaf(t: CompositionTableau, n: int | None = None) -> AugmentedFillin
         tallest = max(r[0] for r in t.rows)
     else:
         tallest = 0
-    if n is None:
-        n = tallest
+    n = tallest if n is None else _count(n)
     if n < tallest:
         raise ValueError(f"basement of {n} rows cannot hold first column {tallest}")
     rows: list[tuple[int, ...]] = [()] * n
@@ -240,8 +240,7 @@ def rt_to_ssaf(t: ReverseTableau, n: int | None = None) -> AugmentedFilling:
     the placement keeps the row weakly decreasing.  Column multisets
     are preserved.
     """
-    if n is None:
-        n = max(t.entries(), default=0)
+    n = max(t.entries(), default=0) if n is None else _count(n)
     rows = _refill(columns(t.rows), n)
     shape = WeakComposition(len(r) for r in rows)
     return AugmentedFilling(shape, rows, rule="id", nvars=n)
@@ -351,10 +350,10 @@ def enumerate_comts(
 def enumerate_standard_comts(a: Iterable[int]) -> Iterator[CompositionTableau]:
     """All composition tableaux of shape ``a`` using 1..n exactly once, in
     walk order: the walk of the S expansions (:func:`_standard_walk`) held
-    to shape ``a``, so no tableau of another shape is built."""
-    shape = Composition(a)
-    for rows, _ in _standard_walk(shape.size, shape):
-        yield CompositionTableau(rows)
+    to shape ``a``, so no tableau of another shape is built, each
+    tableau's rows replayed from its columns (:func:`_replay`)."""
+    for cols in _placements(Composition(a)):
+        yield CompositionTableau(_replay(cols))
 
 
 def enumerate_ssafs(g: Iterable[int]) -> Iterator[AugmentedFilling]:
@@ -396,21 +395,37 @@ def enumerate_reverse_tableaux(
 def enumerate_standard_reverse_tableaux(shape: Iterable[int]) -> Iterator[ReverseTableau]:
     """All reverse tableaux of a partition shape using 1..n exactly once:
     the walks held to each rearrangement of the shape in turn, largest
-    first in the triangle order, each in walk order, every tableau read
-    back from its refill as :func:`ssaf_to_rt` does."""
+    first in the triangle order, each in walk order.  Column k of a
+    tableau holds, largest first, the entries the walk placed in column
+    k, as :func:`ssaf_to_rt` reads it back from the refill."""
     shape = Partition(shape)
+    width = max(shape, default=0)
     for a in compositions_of_partition(shape):
-        for rows, _ in _standard_walk(shape.size, a):
-            yield top_justify([sorted(c, reverse=True) for c in columns(rows)])
+        for cols in _placements(a):
+            by_column: list[list[int]] = [[] for _ in range(width)]
+            for v in range(shape.size, 0, -1):
+                by_column[cols[v]].append(v)
+            yield top_justify(by_column)
 
 
-def _standard_walk(n: int, shape: Iterable[int] | None = None) -> Iterator[tuple[list[list[int]], int]]:
+def _placements(shape: Composition) -> list[list[int]]:
+    """The columns ``cols`` of every standard composition tableau of
+    ``shape``, in walk order (:func:`_standard_walk`)."""
+    walked: list[list[int]] = []
+    _standard_walk(shape.size, shape, lambda lengths, mask, cols: walked.append(cols[:]))
+    return walked
+
+
+def _standard_walk(n: int, shape: Iterable[int] | None,
+                   leaf: Callable[[list[int], int, list[int]], object]) -> None:
     """Place n, n-1, ..., 1 in turn where the column refill of
-    :func:`rt_to_ssaf` puts them and yield each standard composition
-    tableau of size n, or only those of composition ``shape`` (of size
-    n): its rows, live lists top to bottom that the walk changes after
-    the yield, and its descent mask, with bit i - 1 set when
-    col(i+1) >= col(i).
+    :func:`rt_to_ssaf` puts them, keeping only the row lengths, and call
+    ``leaf(lengths, mask, cols)`` once per standard composition tableau
+    of size n, or only per one of composition ``shape`` (of size n; None
+    for all): its row lengths top to bottom, its descent mask, with bit
+    i - 1 set when col(i+1) >= col(i), and ``cols[v]``, the column where
+    v was placed (:func:`_replay` rebuilds the rows from it).  Both lists
+    are live: the walk changes them after the call.
 
     Every entry placed before v is larger, so v ends the highest row of
     length c, where c = 0 opens a new top row.  Column c admits v when
@@ -423,36 +438,53 @@ def _standard_walk(n: int, shape: Iterable[int] | None = None) -> Iterator[tuple
     # with no shape, n rows of length n bind nothing
     final = (n,) * n if shape is None else tuple(shape)
     tall = len(final)
-    rows: list[list[int]] = []
+    lengths: list[int] = []
+    cols = [0] * (n + 1)
     height = [0] * (n + 1)  # height[c]: the rows longer than c
 
-    def place(v: int, above: int, mask: int, width: int) -> Iterator[tuple[list[list[int]], int]]:
+    def place(v: int, above: int, mask: int, width: int) -> None:
         # above is the column of v + 1; width is the longest row's length
-        offset = tall - len(rows)  # row r ends as row r + offset
+        offset = tall - len(lengths)  # row r ends as row r + offset
         for c in range(width, -1, -1):
             if c:
                 if height[c - 1] == height[c]:  # no row of length c
                     continue
-                for r, row in enumerate(rows):
-                    if len(row) == c:
-                        break
+                r = lengths.index(c)
                 if final[r + offset] <= c:
                     continue
-            elif len(rows) < tall:
-                row = []
-                rows.insert(0, row)
+                lengths[r] = c + 1
+            elif len(lengths) < tall:
+                lengths.insert(0, 1)
             else:
                 continue
-            row.append(v)
+            cols[v] = c
             m = mask | (1 << (v - 1)) if above >= c else mask
             if v == 1:  # every row is full
-                yield rows, m
+                leaf(lengths, m, cols)
             else:
                 height[c] += 1
-                yield from place(v - 1, c, m, width if c < width else c + 1)
+                place(v - 1, c, m, width if c < width else c + 1)
                 height[c] -= 1
-            row.pop()
-            if not c:
-                del rows[0]
+            if c:
+                lengths[r] = c
+            else:
+                del lengths[0]
 
-    return place(n, -1, 0, 0) if n else iter([(rows, 0)])  # one empty tableau
+    if n:
+        place(n, -1, 0, 0)
+    else:
+        leaf(lengths, 0, cols)  # one empty tableau
+
+
+def _replay(cols: list[int]) -> list[list[int]]:
+    """The rows, top to bottom, of the tableau whose entry v the walk
+    placed in column ``cols[v]``: v ends the highest row of length
+    ``cols[v]``, or opens a new top row when that is 0."""
+    rows: list[list[int]] = []
+    for v in range(len(cols) - 1, 0, -1):
+        c = cols[v]
+        if c:
+            next(row for row in rows if len(row) == c).append(v)
+        else:
+            rows.insert(0, [v])
+    return rows

@@ -2,8 +2,9 @@
 function bodies, no oracle calls in the library outside ``verify``, no
 diagram geometry derived and no packed filling weight read outside
 ``fillings``, every exported name is used somewhere, every private
-module-level helper is read by the library, and every property
-suite is run by some test, each (suite, bounds) pair by exactly one."""
+module-level helper is read by the library, only the listed functions
+are cached, and every property suite is run by some test, each (suite,
+bounds) pair by exactly one."""
 import ast
 import inspect
 from collections import defaultdict
@@ -162,6 +163,36 @@ def test_every_private_helper_is_used():
         if not any(m != module or not first <= line <= last for m, line in read[name])
     )
     assert not dead, dead
+
+
+# every cached function of the library, with the reason it is cached; the
+# benchmark clears only transition_matrix before each cold op, so a new
+# cache would turn cold ops warm unseen
+CACHED = {
+    "compositions._degree": "each degree's composition table is sorted once per process",
+    "compositions._partitions": "enumerate_partitions copies one tuple per degree",
+    "fillings._diagram": "a shape's cell geometry is derived once and read by every filling walk",
+    "qsym.transition_matrix": "the matrices are read by every peel and product of their degree",
+    "pieri._shuffle_positions": "one pair of monomials' M-basis product serves many products",
+}
+
+
+def _is_cache(decorator) -> bool:
+    """``lru_cache``/``cache``, bare, called or read off ``functools``."""
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return name in ("lru_cache", "cache")
+
+
+def test_only_the_listed_functions_are_cached():
+    cached = {
+        f"{path.stem}.{node.name}"
+        for path in sorted(LIBRARY.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(map(_is_cache, node.decorator_list))
+    }
+    assert cached == set(CACHED), sorted(cached ^ set(CACHED))
 
 
 def _suite_runs(path: Path):

@@ -268,6 +268,30 @@ def test_variable_count_errors():
     assert hall_littlewood_qsym_m(()) == qsym_unit("M")
 
 
+def test_variable_counts_are_integers():
+    # a variable count went through int(), so 2.0, 2.5 and "2" computed
+    # with 2 variables in the filling sums and raised TypeError in the
+    # Hall-Littlewood sums; every count now follows the integer rule of
+    # compositions._integers
+    calls = (
+        lambda n: macdonald_integral_form((1, 2), "id", n),
+        lambda n: macdonald_integral_form((1, 2), "const", n),
+        lambda n: ns_hall_littlewood((1, 2), n),
+        lambda n: hall_littlewood_p((2, 1), n),
+        lambda n: hall_littlewood_p_oracle((2, 1), n),
+        lambda n: hall_littlewood_qsym((1, 2), n),
+        lambda n: hall_littlewood_qsym_m((1, 1), n),
+        lambda n: AugmentedFilling((1,), [[1]], "id", n),
+        lambda n: list(enumerate_fillings((1, 1), "const", n)),
+    )
+    for call in calls:
+        call(2)
+        for bad in (2.0, 2.5, "2"):
+            with pytest.raises(ValueError, match="variable counts are integers"):
+                call(bad)
+    assert AugmentedFilling((1,), [[1]], "id", True).nvars == 1
+
+
 def test_hall_littlewood_sums_read_no_polynomial_back(forbid):
     # the descentless terms of every weak shape go straight into the one
     # result; no per-shape polynomial is built and read back

@@ -128,6 +128,15 @@ def test_foreign_operands_defer():
             op()
 
 
+def test_variable_counts_are_integers():
+    # XPoly(2.5).n was 2; a count now follows the integer rule of
+    # compositions._integers, and None is refused with the same message
+    assert XPoly(True).n == 1
+    for bad in (2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="variable counts are integers"):
+            XPoly(bad)
+
+
 def test_xpoly_variable_count_mismatch():
     with pytest.raises(ValueError):
         XPoly.variable(2, 1) + XPoly.variable(3, 1)

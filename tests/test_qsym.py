@@ -201,6 +201,24 @@ def test_evaluators_share_one_negative_count_message():
             call()
 
 
+def test_variable_counts_are_integers():
+    # 2.0, 2.5 and "2" raised TypeError from range() or from a
+    # comparison; every count now follows the integer rule of
+    # compositions._integers
+    calls = (
+        lambda n: qschur_polynomial((2, 1), n),
+        lambda n: demazure_atom((1, 2), n),
+        lambda n: monomial_qsym_poly((1, 2), n),
+        lambda n: fundamental_qsym_poly((1, 2), n),
+        lambda n: qsym_to_poly(QSymExpr("M"), n),
+    )
+    for call in calls:
+        assert call(2).n == 2
+        for bad in (2.0, 2.5, "2"):
+            with pytest.raises(ValueError, match="variable counts are integers"):
+                call(bad)
+
+
 def test_schur_in_qschur():
     assert schur_in_qschur((2, 1)) == QSymExpr("S", {(2, 1): 1, (1, 2): 1})
     assert schur_in_qschur((5,)) == qsym_unit("S", (5,))
@@ -337,10 +355,12 @@ def test_fundamental_expansion_walks_its_own_shape_alone(monkeypatch):
     walk = qsym._standard_walk
     seen = []
 
-    def spy(n, shape=None):
-        for rows, mask in walk(n, shape):
-            seen.append(tuple(map(len, rows)))
-            yield rows, mask
+    def spy(n, shape, leaf):
+        def seeing(lengths, mask, cols):
+            seen.append(tuple(lengths))
+            leaf(lengths, mask, cols)
+
+        walk(n, shape, seeing)
 
     monkeypatch.setattr(qsym, "_standard_walk", spy)
     for n in range(8):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from qschur.compositions import (
@@ -15,6 +17,7 @@ from qschur.tableaux import (
     CompositionTableau,
     ReverseTableau,
     comt_descents,
+    columns,
     comt_to_ssaf,
     enumerate_comts,
     enumerate_reverse_tableaux,
@@ -29,7 +32,7 @@ from qschur.tableaux import (
     ssaf_to_rt,
     standardize,
 )
-from qschur.tableaux import _standard_walk
+from qschur.tableaux import _refill, _replay, _standard_walk
 
 
 def test_is_reversetableau():
@@ -176,15 +179,25 @@ def test_enumerate_standard_comts():
     assert len(list(enumerate_standard_comts((2, 1)))) == 1
 
 
+def _walk(n, shape=None):
+    """The leaves of the walk, each as (row lengths, descent mask, the
+    column of each entry), copied out of the live lists."""
+    leaves = []
+    _standard_walk(n, shape, lambda lengths, mask, cols: leaves.append(
+        (tuple(lengths), mask, tuple(cols))))
+    return leaves
+
+
 def test_standard_walk_is_the_filtered_reverse_tableaux():
     # every standard reverse tableau of size <= 7 once, read back from the
-    # rows the degree walk places, which are its column refill, each with
-    # the bitmask of its descent set; the public enumerator yields them
-    # shape by shape, largest shape first in the triangle order, each in
-    # walk order
+    # rows replayed from the columns the degree walk places, which are its
+    # column refill, each with the bitmask of its descent set; the row
+    # lengths the walk keeps are those rows' lengths; the public enumerator
+    # yields the tableaux shape by shape, largest shape first in the
+    # triangle order, each in walk order
     for n in range(8):
-        walked = [(tuple(map(tuple, rows)), mask) for rows, mask in _standard_walk(n)]
-        tableaux = [ssaf_to_rt(comt_to_ssaf(CompositionTableau(rows))) for rows, _ in walked]
+        walked = [(tuple(map(tuple, _replay(cols))), lengths, mask) for lengths, mask, cols in _walk(n)]
+        tableaux = [ssaf_to_rt(comt_to_ssaf(CompositionTableau(rows))) for rows, _, _ in walked]
         standard = [t for lam in enumerate_partitions(n)
                     for t in enumerate_reverse_tableaux(lam, n) if t.is_standard()]
         assert len(set(tableaux)) == len(tableaux) == len(standard)
@@ -192,26 +205,94 @@ def test_standard_walk_is_the_filtered_reverse_tableaux():
         for lam in enumerate_partitions(n):
             assert list(enumerate_standard_reverse_tableaux(lam)) == [
                 t for a in compositions_of_partition(lam)
-                for t, (rows, _) in zip(tableaux, walked) if tuple(map(len, rows)) == a
+                for t, (_, lengths, _) in zip(tableaux, walked) if lengths == a
             ]
-        for t, (rows, mask) in zip(tableaux, walked):
+        for t, (rows, lengths, mask) in zip(tableaux, walked):
             assert rows == tuple(r for r in rt_to_ssaf(t).rows if r)
+            assert lengths == tuple(map(len, rows))
             assert mask == sum(1 << (i - 1) for i in rt_descents(t))
 
 
 def test_shape_walks_split_the_degree_walk():
-    # for every composition a with |a| <= 8, the walk held to a yields the
+    # for every composition a with |a| <= 8, the walk held to a reaches the
     # degree walk's tableaux of shape a, each once, in the same order and
     # with the same masks; every composition is the shape of some tableau
     for n in range(9):
         by_shape = {}
-        for rows, mask in _standard_walk(n):
-            by_shape.setdefault(tuple(map(len, rows)), []).append((tuple(map(tuple, rows)), mask))
+        for leaf in _walk(n):
+            by_shape.setdefault(leaf[0], []).append(leaf)
         assert sorted(by_shape) == sorted(enumerate_compositions(n))
         for a in enumerate_compositions(n):
-            walked = [(tuple(map(tuple, rows)), mask) for rows, mask in _standard_walk(n, a)]
+            walked = _walk(n, a)
             assert walked == by_shape[a], a
             assert len(set(walked)) == len(walked), a
+
+
+def _standard_reverse_rows(lam):
+    """The rows of every standard reverse tableau of partition shape lam:
+    n, n - 1, ..., 1 each placed in a cell whose left and upper
+    neighbours are filled, with neither the walk nor a filter."""
+    rows = [[] for _ in lam]
+    out = []
+
+    def place(v):
+        if not v:
+            out.append([list(r) for r in rows])
+            return
+        for i, row in enumerate(rows):
+            if len(row) < lam[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+                row.append(v)
+                place(v - 1)
+                row.pop()
+
+    place(sum(lam))
+    return out
+
+
+def test_shape_counts_are_the_refill_counts_by_descent_set():
+    # for every composition a with |a| <= 8, the walk held to a counts its
+    # tableaux by descent mask as the degree walk counts those of shape a,
+    # and as the definition does: refill every standard reverse tableau of
+    # the sorted shape (_refill) and count the refills of shape a by the
+    # descent set of the reverse tableau
+    for n in range(9):
+        degree = {}
+        for lengths, mask, _ in _walk(n):
+            degree.setdefault(lengths, Counter())[mask] += 1
+        refilled = {}
+        for lam in enumerate_partitions(n):
+            for rows in _standard_reverse_rows(lam):
+                shape = tuple(len(r) for r in _refill(columns(rows), n) if r)
+                mask = sum(1 << (i - 1) for i in rt_descents(ReverseTableau(rows)))
+                refilled.setdefault(shape, Counter())[mask] += 1
+        for a in enumerate_compositions(n):
+            walked = Counter(mask for _, mask, _ in _walk(n, a))
+            assert walked == degree[a] == refilled[a], a
+
+
+def test_standard_comts_keep_their_walk_order():
+    # the order of enumerate_standard_comts and
+    # enumerate_standard_reverse_tableaux, recorded when the walk still
+    # kept each tableau's rows; replaying each tableau from its columns
+    # keeps it
+    assert [t.rows for t in enumerate_standard_comts((2, 1, 2))] == [((2, 1), (3,), (5, 4))]
+    assert [t.rows for t in enumerate_standard_comts((3, 1, 1, 2))] == [
+        ((3, 2, 1), (4,), (5,), (7, 6))]
+    assert [t.rows for t in enumerate_standard_comts((1, 3, 2))] == [
+        ((1,), (4, 3, 2), (6, 5)), ((2,), (4, 3, 1), (6, 5)), ((1,), (5, 4, 3), (6, 2)),
+        ((1,), (5, 4, 2), (6, 3)), ((2,), (5, 4, 1), (6, 3))]
+    assert [t.rows for t in enumerate_standard_comts((2, 2, 2))] == [
+        ((2, 1), (4, 3), (6, 5)), ((3, 2), (4, 1), (6, 5)), ((2, 1), (5, 4), (6, 3)),
+        ((3, 2), (5, 4), (6, 1)), ((4, 3), (5, 2), (6, 1))]
+    assert [t.rows for t in enumerate_standard_comts((1, 1, 4))] == [
+        ((1,), (2,), (6, 5, 4, 3)), ((1,), (3,), (6, 5, 4, 2)), ((2,), (3,), (6, 5, 4, 1)),
+        ((1,), (4,), (6, 5, 3, 2)), ((2,), (4,), (6, 5, 3, 1)), ((3,), (4,), (6, 5, 2, 1))]
+    assert [t.rows for t in enumerate_standard_reverse_tableaux((3, 2))] == [
+        ((5, 4, 1), (3, 2)), ((5, 3, 2), (4, 1)), ((5, 3, 1), (4, 2)),
+        ((5, 4, 3), (2, 1)), ((5, 4, 2), (3, 1))]
+    assert [t.rows for t in enumerate_standard_reverse_tableaux((2, 2, 1))] == [
+        ((5, 3), (4, 1), (2,)), ((5, 2), (4, 1), (3,)), ((5, 4), (3, 1), (2,)),
+        ((5, 4), (3, 2), (1,)), ((5, 3), (4, 2), (1,))]
 
 
 def test_standard_comts_are_the_standard_composition_tableaux():
@@ -230,11 +311,25 @@ def test_standard_walks_of_the_empty_shape():
     # matrices of degrees 0 and 1 are the 1 x 1 identity
     assert list(enumerate_standard_comts(())) == [CompositionTableau([])]
     assert list(enumerate_standard_reverse_tableaux(())) == [ReverseTableau([])]
-    assert list(_standard_walk(0)) == list(_standard_walk(0, ())) == [([], 0)]
+    assert _walk(0) == _walk(0, ()) == [((), 0, (0,))]
     for b in "MF":
         transition_matrix.cache_clear()
         assert transition_matrix(b, 0) == transition_matrix(b, 1) == ((1,),)
     transition_matrix.cache_clear()
+
+
+def test_basement_sizes_are_integers():
+    # a basement size of 2.0, 2.5 or "2" raised TypeError; it now follows
+    # the integer rule of compositions._integers
+    calls = (
+        lambda n: comt_to_ssaf(CompositionTableau([[1], [2, 2]]), n),
+        lambda n: rt_to_ssaf(ReverseTableau([[2, 1]]), n),
+    )
+    for call in calls:
+        assert call(2).nvars == 2
+        for bad in (2.0, 2.5, "2"):
+            with pytest.raises(ValueError, match="variable counts are integers"):
+                call(bad)
 
 
 def test_weights():
