@@ -20,6 +20,7 @@ from .compositions import (
     WeakComposition,
     _count,
     _degree,
+    _supersets,
     _triangle,
     collapse,
     compositions_of_partition,
@@ -328,19 +329,13 @@ def _row(basis: str, n: int, by_mask: dict[int, int]) -> list[int]:
     of a shape whose refills count ``by_mask``: each count is added at
     its mask's descent composition over F, and over M at every superset
     of the mask, which is every refinement of that composition."""
-    where = _degree(n).by_mask
-    row = [0] * len(where)
+    table = _degree(n)
+    row = [0] * len(table.order)
     # the cuts a refinement may add: all n - 1 of them over M, none over F
     cuts = len(row) - 1 if basis == "M" else 0
     for mask, k in by_mask.items():
-        # the loop of compositions._supersets, run in place: a generator
-        # per mask cost a third of the M rows' time
-        free = sub = cuts & ~mask
-        while True:
-            row[where[mask | sub]] += k
-            if not sub:
-                break
-            sub = (sub - 1) & free
+        for m in _supersets(mask, cuts):
+            row[table.by_mask[m]] += k
     return row
 
 

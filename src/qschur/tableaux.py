@@ -351,7 +351,10 @@ def enumerate_standard_comts(a: Iterable[int]) -> Iterator[CompositionTableau]:
     """All composition tableaux of shape ``a`` using 1..n exactly once, in
     walk order: the walk of the S expansions (:func:`_standard_walk`) held
     to shape ``a``, so no tableau of another shape is built, each
-    tableau's rows replayed from its columns (:func:`_replay`)."""
+    tableau's rows replayed from its columns (:func:`_replay`).
+
+    The walk runs in full before the first yield and holds the columns
+    of every tableau of shape ``a`` (n + 1 ints each) until the last."""
     for cols in _placements(Composition(a)):
         yield CompositionTableau(_replay(cols))
 
@@ -397,7 +400,11 @@ def enumerate_standard_reverse_tableaux(shape: Iterable[int]) -> Iterator[Revers
     the walks held to each rearrangement of the shape in turn, largest
     first in the triangle order, each in walk order.  Column k of a
     tableau holds, largest first, the entries the walk placed in column
-    k, as :func:`ssaf_to_rt` reads it back from the refill."""
+    k, as :func:`ssaf_to_rt` reads it back from the refill.
+
+    Each rearrangement's walk runs in full before its first tableau is
+    yielded and holds the columns of all its tableaux (n + 1 ints each)
+    until its last."""
     shape = Partition(shape)
     width = max(shape, default=0)
     for a in compositions_of_partition(shape):
@@ -481,10 +488,14 @@ def _replay(cols: list[int]) -> list[list[int]]:
     placed in column ``cols[v]``: v ends the highest row of length
     ``cols[v]``, or opens a new top row when that is 0."""
     rows: list[list[int]] = []
+    lengths: list[int] = []  # as the walk keeps them
     for v in range(len(cols) - 1, 0, -1):
         c = cols[v]
         if c:
-            next(row for row in rows if len(row) == c).append(v)
+            r = lengths.index(c)
+            rows[r].append(v)
+            lengths[r] = c + 1
         else:
             rows.insert(0, [v])
+            lengths.insert(0, 1)
     return rows
