@@ -11,25 +11,27 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 
-def _integers(values: Iterable[int]) -> tuple[int, ...]:
+def _integers(values: Iterable[int], what: str = "parts and entries") -> tuple[int, ...]:
     """``values`` as a tuple of ints, converted at C speed with
     ``operator.index``: 2.5 and "2" raise ValueError (an object that is
     not iterable still raises TypeError).  The one integer rule of
-    compositions and of the rows of an augmented filling."""
+    compositions, of the rows of an augmented filling and of polynomial
+    exponents; ``what`` names the values in the message."""
     values = tuple(values)
     try:
         return tuple(map(operator.index, values))
     except TypeError:
-        raise ValueError(f"parts and entries are integers: {values}") from None
+        raise ValueError(f"{what} are integers: {values}") from None
 
 
-def _count(n) -> int:
-    """A variable count ``n`` as an int under the rule of
-    :func:`_integers`: 2.0, 2.5 and "2" raise ValueError."""
+def _count(n, what: str = "variable counts") -> int:
+    """One integer ``n`` (a variable count, an entry bound or a
+    coefficient) under the rule of :func:`_integers`: 2.0, 2.5 and "2"
+    raise ValueError."""
     try:
         return operator.index(n)
     except TypeError:
-        raise ValueError(f"variable counts are integers: {n!r}") from None
+        raise ValueError(f"{what} are integers: {n!r}") from None
 
 
 class WeakComposition(tuple):

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Iterable
 
 from .compositions import Composition, _degree, _quasi_shuffles
-from .polynomial import QtPoly
 from .qsym import (
     QSymExpr,
     _peel,
@@ -84,7 +83,8 @@ def _pieri(a, n: int, horizontal: bool) -> QSymExpr:
     largest part + 1.  Removals at distinct columns take a horizontal
     strip off the sorted shape, and removals at weakly rising columns
     a vertical one; the columns of that strip fix the path, so each b
-    is reached once, with coefficient 1.
+    is reached once, with coefficient 1.  Each b is grown from a valid
+    composition, so it is wrapped unchecked.
     """
     a = Composition(a)
     if n < 1:
@@ -97,7 +97,7 @@ def _pieri(a, n: int, horizontal: bool) -> QSymExpr:
             columns = range(last + 1, top + 1) if horizontal else range(last, 0, -1)
             grown += [(b, c) for c in columns for b in _added(parts, c)]
         level = grown
-    return QSymExpr._trusted("S", ((Composition(b), QtPoly.one()) for b, _ in level))
+    return QSymExpr._from_ints("S", ((tuple.__new__(Composition, b), 1) for b, _ in level))
 
 
 def pieri_row(a, n: int) -> QSymExpr:
@@ -120,15 +120,14 @@ def product_qschur(a, b) -> QSymExpr:
     integer vector indexed by the triangle order of degree |a|+|b|, at
     the positions the cached table :func:`_shuffle_positions` gives for
     each pair of monomials, and the vector is peeled over M; a
-    ``Composition`` and a ``QtPoly`` are built only for each S term of
-    the result.  The matrices, triangle orders and monomial pairs are
+    ``Composition`` and a constant ``QtPoly`` are built only for each S
+    term of the result (``QSymExpr._from_ints``), and degree 0 takes the
+    same path.  The matrices, triangle orders and monomial pairs are
     cached, so a cold ``qschur product`` process builds the M matrices
     of |a|, |b| and |a|+|b| once.  Structure constants can be negative.
     """
     a, b = Composition(a), Composition(b)
     n = a.size + b.size
-    if n == 0:
-        return qsym_unit("S", ())
     in_m_b = _monomial_row(b)
     vector = [0] * len(_degree(n).order)
     for x, cx in _monomial_row(a):
@@ -136,9 +135,7 @@ def product_qschur(a, b) -> QSymExpr:
             c = cx * cy
             for j, k in _shuffle_positions(x, y):
                 vector[j] += c * k
-    return QSymExpr._trusted("S", (
-        (comp, QtPoly.const(c)) for comp, c in _peel("M", n, vector)
-    ))
+    return QSymExpr._from_ints("S", _peel("M", n, vector))
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,10 @@ raises otherwise.
 Terms are checked only by the public constructors ``QtPoly(terms)`` and
 ``XPoly(n, terms)``, which take a mapping or ``(key, coefficient)`` pairs
 and sum equal keys; arithmetic builds its results through the private
-``_trusted`` constructors, which sum without checking.
+``_trusted`` constructors, which sum without checking.  Exponents and
+coefficients follow the integer rule of compositions (``operator.index``):
+2.5 or "3" raises ValueError, in ``QtPoly.const`` too, which builds its
+one term directly.
 
 Integer coefficients are summed by ``_accumulate`` and ``QtPoly``
 coefficients by ``_accumulate_qt``, which keeps a key's first
@@ -25,7 +28,7 @@ from itertools import chain
 from operator import add
 from typing import Iterable, Mapping
 
-from .compositions import _count
+from .compositions import _count, _integers
 
 
 def _accumulate(pairs) -> dict:
@@ -58,7 +61,7 @@ def _accumulate_qt(pairs) -> dict:
             acc[k] = c
     for k, m in merged.items():
         acc[k] = QtPoly._trusted(m.items())
-    return {k: c for k, c in acc.items() if c}
+    return {k: c for k, c in acc.items() if c._terms}
 
 
 def _pairs(terms) -> Iterable:
@@ -118,7 +121,7 @@ def _divide(num: dict, den: dict) -> list:
 
 
 def _qt_exponents(qe, te) -> tuple[int, int]:
-    qe, te = int(qe), int(te)
+    qe, te = _integers((qe, te), "exponents")
     if qe < 0 or te < 0:
         raise ValueError(f"negative exponent in q^{qe}*t^{te}")
     return qe, te
@@ -131,7 +134,7 @@ class QtPoly:
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | Iterable | None = None):
         self._terms = _accumulate(
-            (_qt_exponents(qe, te), int(c)) for (qe, te), c in _pairs(terms)
+            (_qt_exponents(qe, te), _count(c, "coefficients")) for (qe, te), c in _pairs(terms)
         )
 
     @classmethod
@@ -161,7 +164,11 @@ class QtPoly:
 
     @classmethod
     def const(cls, c: int) -> "QtPoly":
-        return cls._trusted((((0, 0), int(c)),))
+        """The constant c: one term, or none for 0, built directly."""
+        self = object.__new__(cls)
+        c = _count(c, "coefficients")
+        self._terms = {(0, 0): c} if c else {}
+        return self
 
     @classmethod
     def q(cls, k: int = 1) -> "QtPoly":
@@ -250,7 +257,8 @@ class QtPoly:
     # -- specialization and division -----------------------------------
 
     def specialize(self, q: int | None = None, t: int | None = None) -> "QtPoly":
-        """Substitute integer values for q and/or t."""
+        """Substitute integer values for q and/or t; 2.5 raises ValueError."""
+        q, t = (None if v is None else _count(v, "specialized values") for v in (q, t))
 
         def specialized():
             for (qe, te), c in self._terms.items():
@@ -333,7 +341,7 @@ class XPoly:
         )
 
     def _exponents(self, exps) -> tuple[int, ...]:
-        exps = tuple(map(int, exps))
+        exps = _integers(exps, "exponents")
         if len(exps) != self.n:
             raise ValueError(f"exponent vector {exps} has wrong length")
         if any(e < 0 for e in exps):

@@ -31,7 +31,7 @@ from .compositions import (
     refinements,
     reversal,
 )
-from .polynomial import QtPoly, XPoly, _accumulate_qt, _pairs, _signed_join
+from .polynomial import QtPoly, XPoly, _accumulate, _accumulate_qt, _pairs, _signed_join
 from .tableaux import _standard_walk, enumerate_comts, enumerate_reverse_tableaux
 
 BASES = ("M", "F", "S")
@@ -70,6 +70,17 @@ class QSymExpr:
         self = object.__new__(cls)
         self.basis = basis
         self.terms = _accumulate_qt(pairs)
+        return self
+
+    @classmethod
+    def _from_ints(cls, basis: str, pairs) -> "QSymExpr":
+        """Sum already valid ``(Composition, int)`` pairs unchecked as
+        ints, drop the zero sums and wrap each other sum once as a
+        constant ``QtPoly``."""
+        self = object.__new__(cls)
+        self.basis = basis
+        const = QtPoly.const
+        self.terms = {comp: const(c) for comp, c in _accumulate(pairs).items()}
         return self
 
     # -- algebra -------------------------------------------------------
@@ -261,8 +272,8 @@ def _expansion(basis: str, a: Composition) -> QSymExpr:
 
     _standard_walk(a.size, a, leaf)
     row = _row(basis, a.size, by_mask)
-    return QSymExpr._trusted(basis, (
-        (c, QtPoly.const(k)) for c, k in zip(_degree(a.size).order, row) if k
+    return QSymExpr._from_ints(basis, (
+        (c, k) for c, k in zip(_degree(a.size).order, row) if k
     ))
 
 

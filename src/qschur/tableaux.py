@@ -301,6 +301,7 @@ def enumerate_comts(
     so invalid prefixes are pruned early.
     """
     shape = Composition(a)
+    max_entry = _count(max_entry, "entry bounds")
     if not shape:
         if max_entry >= 0:
             yield CompositionTableau()
@@ -374,6 +375,7 @@ def enumerate_reverse_tableaux(
 ) -> Iterator[ReverseTableau]:
     """All reverse tableaux of a partition shape with entries in [max_entry]."""
     shape = Partition(shape)
+    max_entry = _count(max_entry, "entry bounds")
     rows: list[list[int]] = [[0] * g for g in shape]
     cells = [(i, j) for i, g in enumerate(shape) for j in range(g)]
 

@@ -3,8 +3,9 @@ function bodies, no oracle calls in the library outside ``verify``, no
 diagram geometry derived and no packed filling weight read outside
 ``fillings``, every exported name is used somewhere, every private
 module-level helper is read by the library, only the listed functions
-are cached, and every property suite is run by some test, each (suite,
-bounds) pair by exactly one."""
+are cached, only the two string parsers call ``int``, and every
+property suite is run by some test, each (suite, bounds) pair by exactly
+one."""
 import ast
 import inspect
 from collections import defaultdict
@@ -193,6 +194,42 @@ def test_only_the_listed_functions_are_cached():
         and any(map(_is_cache, node.decorator_list))
     }
     assert cached == set(CACHED), sorted(cached ^ set(CACHED))
+
+
+# the builtin int() truncates 2.5 and parses "7"; every other integer of
+# the library goes through operator.index (compositions._integers and
+# _count), so 2.5 and "7" raise ValueError
+INT_CALLERS = {
+    "cli._as_int": "parses a command-line or environment integer",
+    "compositions._parse_parts": "parses the parts of a composition string",
+}
+
+
+def _int_calls(path: Path) -> set[str]:
+    """module.function of every call of the builtin int in the file, bare
+    (``int(x)``) or mapped (``map(int, xs)``), named by the innermost
+    enclosing function."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{path.stem}.{child.name}"
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                args = child.args[:1] if child.func.id == "map" else []
+                if child.func.id == "int" or any(
+                        isinstance(a, ast.Name) and a.id == "int" for a in args):
+                    found.add(inner)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
+    return found
+
+
+def test_only_the_string_parsers_call_int():
+    callers = set().union(*map(_int_calls, sorted(LIBRARY.glob("*.py"))))
+    assert callers == set(INT_CALLERS), sorted(callers ^ set(INT_CALLERS))
 
 
 def _suite_runs(path: Path):

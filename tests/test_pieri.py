@@ -4,7 +4,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur import pieri, qsym, tableaux
+from qschur import pieri, polynomial, qsym, tableaux
 from qschur.compositions import (
     Composition,
     _degree,
@@ -142,16 +142,27 @@ def test_product_builds_no_polynomial(forbid):
 def test_product_does_no_qtpoly_arithmetic(forbid):
     """Every pair with |a| + |b| <= 5, (1,3) x (1,) among them: its factor
     S(1,3) = F(1,3) + F(2,2) shares refinements, which f_to_m would add as
-    QtPolys.  Then the signed square S(2,1) x S(2,1)."""
+    QtPolys.  Then the signed square S(2,1) x S(2,1), and a few Pieri
+    rules.  Their coefficients are summed as ints and wrapped once, so
+    no QtPoly is added or multiplied, and none is summed by
+    ``_accumulate_qt`` or by the ``_trusted`` constructors."""
     pairs = _pairs_up_to(5) + [((2, 1), (2, 1))]
+    rules = [(a, k) for a in [(), (2,), (1, 3), (2, 1, 2), (3, 1, 1)] for k in (1, 2, 3)]
     expected = [product_qschur(a, b) for a, b in pairs]
+    expected_rules = [(pieri_row(a, k), pieri_col(a, k)) for a, k in rules]
     _clear_product_caches()
 
-    forbid(QtPoly, ["__mul__", "__rmul__", "__add__", "__radd__"],
-           "the product kernel did QtPoly arithmetic")
+    reason = "the product kernel did QtPoly arithmetic"
+    forbid(QtPoly, ["__mul__", "__rmul__", "__add__", "__radd__", "_trusted"], reason)
+    forbid(QSymExpr, ["_trusted"], reason)
+    forbid(qsym, ["_accumulate_qt"], reason)
+    forbid(polynomial, ["_accumulate_qt"], reason)
     assert ((1, 3), (1,)) in pairs
+    assert any(c.constant() < 0 for c in expected[-1].terms.values())
     for (a, b), product in zip(pairs, expected):
         assert product_qschur(a, b) == product, (a, b)
+    for (a, k), (row, col) in zip(rules, expected_rules):
+        assert (pieri_row(a, k), pieri_col(a, k)) == (row, col), (a, k)
 
 
 def test_shuffle_table_reads_back_as_the_quasi_shuffles():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qschur import polynomial
 from qschur.polynomial import QtPoly, XPoly
 
 
@@ -135,6 +136,38 @@ def test_variable_counts_are_integers():
     for bad in (2.0, 2.5, "2", None):
         with pytest.raises(ValueError, match="variable counts are integers"):
             XPoly(bad)
+
+
+def test_terms_are_integers():
+    # exponents and coefficients went through int(): 2.5 was 2 and "3"
+    # was 3; they now follow the integer rule of compositions._integers
+    for bad in (lambda: QtPoly({(2.5, 0): 1}), lambda: QtPoly({(0, "1"): 1}),
+                lambda: QtPoly.q(1.5), lambda: QtPoly.t(1.0),
+                lambda: XPoly(1, {(2.5,): 1}), lambda: XPoly(2, [((1, "0"), 1)])):
+        with pytest.raises(ValueError, match="exponents are integers"):
+            bad()
+    for bad in (lambda: QtPoly({(1, 0): 2.5}), lambda: QtPoly.const(2.5),
+                lambda: QtPoly.const("3"), lambda: QtPoly.const(None)):
+        with pytest.raises(ValueError, match="coefficients are integers"):
+            bad()
+    assert QtPoly({(True, 0): 2}) == 2 * QtPoly.q()
+    # a specialized value of 2.5 was stored as the float coefficient 2.5
+    for bad in (lambda: QtPoly.q().specialize(q=2.5), lambda: QtPoly.t().specialize(t="1"),
+                lambda: XPoly.variable(1, 1).specialize(q=1.0)):
+        with pytest.raises(ValueError, match="specialized values are integers"):
+            bad()
+    assert XPoly(1, {(True,): 1}) == XPoly.variable(1, 1)
+
+
+def test_constants_are_built_directly(forbid):
+    zero = QtPoly.zero()
+    forbid(QtPoly, ["_trusted"], "a constant went through the accumulate routine")
+    forbid(polynomial, ["_accumulate"], "a constant went through the accumulate routine")
+    assert QtPoly.const(0) == zero
+    assert not QtPoly.const(0)
+    assert hash(QtPoly.const(3)) == hash(3)
+    assert dict(QtPoly.const(-2).items()) == {(0, 0): -2}
+    assert QtPoly.one() == 1
 
 
 def test_xpoly_variable_count_mismatch():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur import compositions, qsym, tableaux
+from qschur import compositions, polynomial, qsym, tableaux
 from qschur.compositions import (
     Composition,
     composition_of,
@@ -346,6 +346,32 @@ def test_s_expansions_run_no_column_refill(forbid):
             assert qschur_in_monomial(a) == f_to_m(in_f[a]), a
     finally:
         qsym.transition_matrix.cache_clear()
+
+
+def test_s_expansions_sum_no_qtpoly(forbid):
+    # every composition of size <= 6: each row entry is wrapped once as a
+    # constant QtPoly, with no QtPoly sum and no QSymExpr._trusted
+    comps = [a for n in range(7) for a in enumerate_compositions(n)]
+    expected = [(qschur_in_monomial(a), qschur_in_fundamental(a)) for a in comps]
+
+    reason = "an S expansion summed QtPoly coefficients"
+    forbid(QSymExpr, ["_trusted"], reason)
+    forbid(QtPoly, ["_trusted"], reason)
+    forbid(qsym, ["_accumulate_qt"], reason)
+    forbid(polynomial, ["_accumulate_qt"], reason)
+    for a, pair in zip(comps, expected):
+        assert (qschur_in_monomial(a), qschur_in_fundamental(a)) == pair, a
+
+
+def test_integer_constructor_sums_equal_keys_and_drops_zero_sums():
+    c = Composition
+    e = QSymExpr._from_ints("M", [(c((1, 2)), 2), (c((2, 1)), 1), (c((1, 2)), -2),
+                                  (c((3,)), 4), (c((3,)), -1), (c((1, 1, 1)), 0)])
+    assert e == QSymExpr("M", {(2, 1): 1, (3,): 3})
+    assert list(e.terms) == [(2, 1), (3,)]
+    assert all(type(v) is QtPoly for v in e.terms.values())
+    assert e.to_json() == QSymExpr("M", {(2, 1): 1, (3,): 3}).to_json()
+    assert QSymExpr._from_ints("S", []) == QSymExpr("S")
 
 
 def test_fundamental_expansion_walks_its_own_shape_alone(monkeypatch):

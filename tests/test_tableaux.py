@@ -332,6 +332,20 @@ def test_basement_sizes_are_integers():
                 call(bad)
 
 
+def test_entry_bounds_are_integers():
+    # an entry bound of 2.5 or 2.0 reached range() and raised TypeError;
+    # it now follows the integer rule of compositions._integers
+    calls = (
+        lambda m: list(enumerate_comts((1,), m)),
+        lambda m: list(enumerate_reverse_tableaux((1,), m)),
+    )
+    for call in calls:
+        assert len(call(2)) == 2
+        for bad in (2.0, 2.5, "2", None):
+            with pytest.raises(ValueError, match="entry bounds are integers"):
+                call(bad)
+
+
 def test_weights():
     assert tuple(AugmentedFilling((1, 0, 2), [[1], [], [3, 3]]).weight()) == (1, 0, 2)
     assert tuple(CompositionTableau([[1], [2, 2]]).weight()) == (1, 2)
