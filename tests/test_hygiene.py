@@ -196,9 +196,9 @@ def test_only_the_listed_functions_are_cached():
     assert cached == set(CACHED), sorted(cached ^ set(CACHED))
 
 
-# the builtin int() truncates 2.5 and parses "7"; every other integer of
-# the library goes through operator.index (compositions._integers and
-# _count), so 2.5 and "7" raise ValueError
+# the builtin int() truncates 2.5 and parses "7"; every other integer
+# input of the library goes through operator.index
+# (compositions._integers and _count), so 2.5 and "7" raise ValueError
 INT_CALLERS = {
     "cli._as_int": "parses a command-line or environment integer",
     "compositions._parse_parts": "parses the parts of a composition string",

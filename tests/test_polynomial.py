@@ -151,12 +151,12 @@ def test_terms_are_integers():
         with pytest.raises(ValueError, match="coefficients are integers"):
             bad()
     assert QtPoly({(True, 0): 2}) == 2 * QtPoly.q()
+    assert XPoly(1, {(True,): 1}) == XPoly.variable(1, 1)
     # a specialized value of 2.5 was stored as the float coefficient 2.5
     for bad in (lambda: QtPoly.q().specialize(q=2.5), lambda: QtPoly.t().specialize(t="1"),
                 lambda: XPoly.variable(1, 1).specialize(q=1.0)):
         with pytest.raises(ValueError, match="specialized values are integers"):
             bad()
-    assert XPoly(1, {(True,): 1}) == XPoly.variable(1, 1)
 
 
 def test_constants_are_built_directly(forbid):
