@@ -112,7 +112,7 @@ def reversal(a: Iterable[int]) -> Composition:
 
 def subset_of(b: Iterable[int], n: int) -> frozenset[int]:
     """The partial-sum subset of [n-1] encoding a composition of n."""
-    b = Composition(b)
+    b, n = Composition(b), _count(n, "sizes")
     if b.size != n:
         raise ValueError(f"composition {tuple(b)} does not have size {n}")
     sums = itertools.accumulate(b[:-1])
@@ -141,13 +141,10 @@ def coarsens(a: Iterable[int], b: Iterable[int]) -> bool:
 
 
 def refinements(a: Iterable[int]) -> list[Composition]:
-    """All compositions obtained by splitting parts of ``a``: those whose
-    cut sets contain that of ``a``, read off its degree's table."""
-    a = Composition(a)
-    n = a.size
-    table = _degree(n)
-    mask = sum(1 << (s - 1) for s in subset_of(a, n))
-    return [table.order[table.by_mask[m]] for m in _supersets(mask, len(table.order) - 1)]
+    """All compositions obtained by splitting parts of ``a``: one
+    composition of each part, concatenated."""
+    return [tuple.__new__(Composition, itertools.chain.from_iterable(pieces))
+            for pieces in itertools.product(*(_degree(p).order for p in Composition(a)))]
 
 
 def _supersets(mask: int, cuts: int) -> Iterator[int]:
@@ -192,21 +189,18 @@ def enumerate_compositions(n: int) -> list[Composition]:
 
     Each degree is built and sorted once per process (:func:`_degree`);
     every call returns a fresh list."""
-    return list(_degree(n).order)
+    return list(_degree(_count(n, "sizes")).order)
 
 
 class _Degree(NamedTuple):
     """The compositions of one n: ``order`` lists them largest first in
     the triangle order, ``position`` maps each to its place there, and
     ``by_mask[m]`` is the place of the one whose cut set is the bits of
-    m (bit i - 1 for the partial sum i).  ``runs`` maps each partition
-    to its rearrangements, one contiguous run of ``order``, since the
-    triangle order compares sorted partitions first."""
+    m (bit i - 1 for the partial sum i)."""
 
     order: tuple[Composition, ...]
     position: dict[Composition, int]
     by_mask: tuple[int, ...]
-    runs: dict[Partition, list[Composition]]
 
 
 @lru_cache(maxsize=None)
@@ -219,17 +213,14 @@ def _degree(n: int) -> _Degree:
     for k in range(1, n):
         level = [pair for parts, m in level
                  for pair in ((parts + (1,), m | 1 << (k - 1)), (parts[:-1] + (parts[-1] + 1,), m))]
-    # sorted once by the triangle key; each composition and partition is
-    # then wrapped once, unchecked, as every one is valid by construction
+    # sorted once by the triangle key; each composition is then wrapped
+    # once, unchecked, as every one is valid by construction
     rows = sorted(((_triangle(parts), m) for parts, m in level), reverse=True)
-    order, by_mask, runs = [], [0] * len(rows), {}
-    for j, ((lam, parts), m) in enumerate(rows):
-        c = tuple.__new__(Composition, parts)
-        order.append(c)
+    order = tuple(tuple.__new__(Composition, parts) for (_, parts), _ in rows)
+    by_mask = [0] * len(rows)
+    for j, (_, m) in enumerate(rows):
         by_mask[m] = j
-        runs.setdefault(lam, []).append(c)
-    runs = {tuple.__new__(Partition, lam): run for lam, run in runs.items()}
-    return _Degree(tuple(order), {c: j for j, c in enumerate(order)}, tuple(by_mask), runs)
+    return _Degree(order, {c: j for j, c in enumerate(order)}, tuple(by_mask))
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -237,7 +228,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
     Each n is enumerated once per process; every call returns a fresh
     list."""
-    return list(_partitions(n))
+    return list(_partitions(_count(n, "sizes")))
 
 
 @lru_cache(maxsize=None)
@@ -262,6 +253,7 @@ def enumerate_weak_compositions(total: int, parts: int) -> list[WeakComposition]
     lexicographically increasing: the placements (:func:`expand_to_weak`)
     of the compositions of ``total`` with at most ``parts`` parts, read
     off their cut sets (:func:`composition_of`) with no degree table."""
+    total, parts = _count(total, "sizes"), _count(parts, "part counts")
     cut_counts = range(parts if total else 1) if total >= 0 else ()
     return sorted(w for k in cut_counts for s in itertools.combinations(range(1, total), k)
                   for w in expand_to_weak(composition_of(s, total), parts))
@@ -269,14 +261,18 @@ def enumerate_weak_compositions(total: int, parts: int) -> list[WeakComposition]
 
 def compositions_of_partition(l: Iterable[int]) -> list[Composition]:
     """All distinct rearrangements of the parts of ``l``, largest first in
-    the triangle order: their partition's run in its degree's table."""
-    l = to_partition(l)
-    return list(_degree(l.size).runs[l])
+    the triangle order, which among rearrangements of one partition is
+    the lexicographic order: each part is inserted at every place of the
+    rearrangements of the parts before it."""
+    words = {()}
+    for p in to_partition(l):
+        words = {w[:i] + (p,) + w[i:] for w in words for i in range(len(w) + 1)}
+    return [tuple.__new__(Composition, w) for w in sorted(words, reverse=True)]
 
 
 def expand_to_weak(a: Iterable[int], n: int) -> list[WeakComposition]:
     """All weak compositions with n parts that collapse to ``a``."""
-    a = Composition(a)
+    a, n = Composition(a), _count(n, "part counts")
     if n < len(a):
         raise ValueError(f"cannot place {len(a)} parts into {n} slots")
     out = []

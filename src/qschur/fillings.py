@@ -104,7 +104,7 @@ class AugmentedFilling:
         return len(self.shape)
 
     def entry(self, i: int, j: int) -> int:
-        p = _diagram(self.shape).pos.get((i, j))
+        p = _diagram(self.shape).pos.get(_integers((i, j), "cell coordinates"))
         if p is None:
             raise ValueError(f"cell {(i, j)} outside the augmented diagram of {tuple(self.shape)}")
         return self._values()[p]
@@ -154,8 +154,8 @@ class AugmentedFilling:
 
 def leg(shape, cell: Cell) -> int:
     """Number of cells in the same row strictly right of the cell."""
-    shape = tuple(shape)
-    i, j = cell
+    shape = _integers(shape)
+    i, j = _integers(cell, "cell coordinates")
     if not (1 <= i <= len(shape) and 1 <= j <= shape[i - 1]):
         raise ValueError(f"cell {cell} outside shape {shape}")
     return shape[i - 1] - j
@@ -168,8 +168,8 @@ def arm(shape, cell: Cell) -> int:
     cells of the augmented diagram (basement included) in the column
     immediately left, above, in a strictly shorter row.
     """
-    shape = tuple(shape)
-    i, j = cell
+    shape = _integers(shape)
+    i, j = _integers(cell, "cell coordinates")
     if not (1 <= i <= len(shape) and 1 <= j <= shape[i - 1]):
         raise ValueError(f"cell {cell} outside shape {shape}")
     below = sum(
@@ -248,10 +248,19 @@ class _Diagram(NamedTuple):
     cell_pos: tuple[int, ...]
     leg1: tuple[int, ...]  # leg+1 of each cell
     arm1: tuple[int, ...]  # arm+1 of each cell
-    triples: tuple[tuple[int, int, int], ...]
     rank: tuple[int, ...]  # tie-break rank of each position
     mates: tuple[tuple[int, ...], ...]  # per cell, the earlier positions it attacks
     closing: tuple[tuple[tuple[int, int, int], ...], ...]  # per cell, the triples it ends
+    # How the walk packs a filling's tallies into one integer, lowest
+    # first: q^maj t^coinv as ``maj * span + coinv``, the repeat mask (cell
+    # k is bit k) in units of ``mask_w``, and the content, one digit to the
+    # base ``base`` per entry value.  ``span`` exceeds every t exponent of
+    # a weighed term, coinv plus the cell factors' (:func:`_weigh`), so the
+    # low field is already the key of the term's q,t monomial.  Each unit
+    # exceeds the largest sum of the tallies below it.
+    span: int
+    mask_w: int
+    base: int
 
 
 @lru_cache(maxsize=1024)
@@ -267,6 +276,9 @@ def _diagram(shape: tuple[int, ...]) -> _Diagram:
     cell_pos = tuple(pos[c] for c in cells)
     attacks = tuple((pos[a], pos[b]) for a, b in attack_pairs(shape))
     triple_pos = tuple((pos[a], pos[b], pos[c]) for a, b, c in triples(shape))
+    leg1 = tuple(leg(shape, c) + 1 for c in cells)
+    arm1 = tuple(arm(shape, c) + 1 for c in cells)
+    span = len(triple_pos) + len(cells) + sum(arm1) + 1
     # a basement cell is never the later one of an attacking pair nor the
     # last position of a triple, so each pair and triple is listed at a cell
     return _Diagram(
@@ -274,14 +286,16 @@ def _diagram(shape: tuple[int, ...]) -> _Diagram:
         basements=tuple(pos[(i, 0)] for i in range(1, len(shape) + 1)),
         cells=cells,
         cell_pos=cell_pos,
-        leg1=tuple(leg(shape, c) + 1 for c in cells),
-        arm1=tuple(arm(shape, c) + 1 for c in cells),
-        triples=triple_pos,
+        leg1=leg1,
+        arm1=arm1,
         # reading order top to bottom, right to left breaks ties: the
         # entry read first counts as the smaller one
         rank=tuple(pos[(i, 0)] + shape[i - 1] - j for i, j in every),
         mates=tuple(tuple(min(a, b) for a, b in attacks if max(a, b) == p) for p in cell_pos),
         closing=tuple(tuple(t for t in triple_pos if max(t) == p) for p in cell_pos),
+        span=span,
+        mask_w=span * (sum(leg1) + 1),
+        base=len(cells) + 1,
     )
 
 
@@ -318,22 +332,11 @@ def coinv(f: AugmentedFilling) -> int:
     d = _diagram(f.shape)
     # entry first, then tie-break rank, as one integer
     k = [v * len(d.rank) + r for v, r in zip(f._values(), d.rank)]
-    return sum((k[a] < k[c]) + (k[c] < k[b]) + (k[b] < k[a]) < 2 for a, b, c in d.triples)
+    return sum((k[a] < k[c]) + (k[c] < k[b]) + (k[b] < k[a]) < 2
+               for ends in d.closing for a, b, c in ends)
 
 
 # -- the placement walk ------------------------------------------------
-
-
-def _radices(d: _Diagram) -> tuple[int, int, int]:
-    """How the walk packs a filling's tallies into one integer, lowest
-    first: q^maj t^coinv as ``maj * span + coinv``, the repeat mask (cell
-    k is bit k) in units of ``mask_w``, and the content, one digit to the
-    base ``base`` per entry value.  ``span`` exceeds every t exponent of
-    a weighed term, coinv plus the cell factors' (:func:`_weigh`),
-    so the low field is already the key of the term's q,t monomial.  Each
-    unit exceeds the largest sum of the tallies below it."""
-    span = len(d.triples) + len(d.cells) + sum(d.arm1) + 1
-    return span, span * (sum(d.leg1) + 1), len(d.cells) + 1
 
 
 def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool,
@@ -344,7 +347,7 @@ def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool,
 
     A filling's maj, coinv, repeat set and content are sums over its
     cells, so each placement adds its share to one packed integer
-    (:func:`_radices`), and the filling's yield is that integer: leg+1
+    (laid out as the ``_Diagram`` fields say), and the filling's yield is that integer: leg+1
     when the entry exceeds its left neighbour, the cell's bit when it
     equals it, the entry's content digit, and one for each triple the
     cell ends that is not an inversion triple, scored with the
@@ -358,10 +361,11 @@ def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool,
     """
     free, rank, leg1, mates, closing = d.cell_pos, d.rank, d.leg1, d.mates, d.closing
     last = len(free) - 1
-    span, mask_w, base = _radices(d)
+    span, mask_w = d.span, d.mask_w
     width = len(rank)
     keys = [v * width + r for v, r in zip(values, rank)]
-    digit = [(mask_w << len(free)) * base ** (v - 1) for v in range(nv + 1)]
+    # the content digit of each entry value; entries start at 1
+    digit = [0, *((mask_w << len(free)) * d.base ** i for i in range(nv))]
     if budget is None:
         budget = [len(free)] * (nv + 1)
 
@@ -421,10 +425,9 @@ def enumerate_fillings(
         yield AugmentedFilling._trusted(shape, tuple(vec[a:b] for a, b in spans), rule, nv, vec)
 
 
-def _counts(shape, rule: str, nvars: int | None = None, descentless: bool = False,
-            contents=None) -> Counter:
-    """The walk's fillings counted by their packed tallies
-    (:func:`_radices`), with no filling built.
+def _counts(d: _Diagram, values: list[int], nv: int, descentless: bool, contents) -> Counter:
+    """The fillings of a started walk (:func:`_start`) counted by their
+    packed tallies (the ``_Diagram`` layout), with no filling built.
 
     With ``contents`` the walk runs once per content, with that content
     as its budget (:func:`_walk`): the value v fills at most
@@ -432,7 +435,6 @@ def _counts(shape, rule: str, nvars: int | None = None, descentless: bool = Fals
     cells keeps exactly the fillings of that content.  The packed
     content field keeps the walks apart, so one ``Counter`` counts them
     all."""
-    _, nv, d, values = _start(shape, rule, nvars)
     budgets = [None] if contents is None else ([0, *c, *[0] * (nv - len(c))] for c in contents)
     return Counter(chain.from_iterable(_walk(d, values, nv, descentless, b) for b in budgets))
 
@@ -450,9 +452,8 @@ def _cell_factors(d: _Diagram, mask: int) -> dict:
     """Product over the cells of (1 - q^(leg+1) t^(arm+1)) for cell k
     when bit k of ``mask`` is set (it repeats its left neighbour) and
     (1 - t) otherwise, as an integer dict keyed by ``q_exp * span +
-    t_exp``, the packed key of the walk's low field (``span`` from
-    :func:`_radices`)."""
-    span = _radices(d)[0]
+    t_exp``, the packed key of the walk's low field."""
+    span = d.span
     w = _one_minus_t_power(len(d.cells) - mask.bit_count())
     for k, (l1, a1) in enumerate(zip(d.leg1, d.arm1)):
         if mask >> k & 1:
@@ -481,7 +482,7 @@ def _weigh(d: _Diagram, counts, nv: int, descentless: bool = False) -> list:
     is read as an exponent vector and wrapped as a ``QtPoly`` once at
     the end, its keys split and its zero coefficients dropped.
     """
-    span, mask_w, base = _radices(d)
+    span, mask_w, base = d.span, d.mask_w, d.base
     cells = len(d.cells)
     factors: dict = {}
     sums: dict = {}
@@ -509,8 +510,8 @@ def _terms(shape, rule: str, nvars: int | None = None, descentless: bool = False
     """The weighed ``(exponents, coefficient)`` terms of the filling sum
     in ``nvars`` variables: the walk's counts (:func:`_counts`, with
     ``contents`` as its budgets) weighed as one sum (:func:`_weigh`)."""
-    shape, nv, d, _ = _start(shape, rule, nvars)
-    return _weigh(d, _counts(shape, rule, nv, descentless, contents), nv, descentless)
+    _, nv, d, values = _start(shape, rule, nvars)
+    return _weigh(d, _counts(d, values, nv, descentless, contents), nv, descentless)
 
 
 def is_ssaf_filling(f: AugmentedFilling) -> bool:

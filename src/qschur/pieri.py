@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .compositions import Composition, _degree, _quasi_shuffles
+from .compositions import Composition, _count, _degree, _integers, _quasi_shuffles
 from .qsym import (
     QSymExpr,
     _peel,
@@ -27,17 +27,17 @@ from .qsym import (
 
 def rem(a, s: int) -> Composition | None:
     """Subtract 1 from the rightmost part equal to s, or return None."""
-    return _removed(a, (s,))
+    return _removed(a, (_count(s, "part sizes"),))
 
 
 def row_op(a, s: Iterable[int]) -> Composition | None:
     """Apply rem for each element of the set, largest first."""
-    return _removed(a, sorted(set(s), reverse=True))
+    return _removed(a, sorted(set(_integers(s, "part sizes")), reverse=True))
 
 
 def col_op(a, ms: Iterable[int]) -> Composition | None:
     """Apply rem for each element of the multiset, smallest first."""
-    return _removed(a, sorted(ms))
+    return _removed(a, sorted(_integers(ms, "part sizes")))
 
 
 def _removed(a, sizes: Iterable[int]) -> Composition | None:
@@ -86,7 +86,7 @@ def _pieri(a, n: int, horizontal: bool) -> QSymExpr:
     is reached once, with coefficient 1.  Each b is grown from a valid
     composition, so it is wrapped unchecked.
     """
-    a = Composition(a)
+    a, n = Composition(a), _count(n, "factor sizes")
     if n < 1:
         raise ValueError("n must be positive")
     level = [(a, 0 if horizontal else max(a, default=0) + 1)]

@@ -81,6 +81,7 @@ def _signed_join(parts: list[str]) -> str:
 
 
 def _pow(base, e: int, one):
+    e = _count(e, "exponents")
     if e < 0:
         raise ValueError("negative power")
     out = one
@@ -308,9 +309,12 @@ def _power(name: str, e: int) -> str:
     return f"{name}^{e}"
 
 
-def _check_index(n: int, i: int):
+def _check_index(n: int, i) -> int:
+    """The variable index ``i`` as an int in 1..n."""
+    i = _count(i, "variable indices")
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} is outside 1..{n}")
+    return i
 
 
 def _flat(terms: dict) -> dict:
@@ -369,7 +373,8 @@ class XPoly:
     @classmethod
     def variable(cls, n: int, i: int) -> "XPoly":
         """The variable x_i (1-based)."""
-        _check_index(n, i)
+        n = _count(n)
+        i = _check_index(n, i)
         exps = [0] * n
         exps[i - 1] = 1
         return cls(n, {tuple(exps): QtPoly.one()})
@@ -461,8 +466,7 @@ class XPoly:
 
     def swap_variables(self, i: int, j: int) -> "XPoly":
         """Exchange x_i and x_j (1-based)."""
-        _check_index(self.n, i)
-        _check_index(self.n, j)
+        i, j = _check_index(self.n, i), _check_index(self.n, j)
 
         def swapped():
             for exps, c in self._terms.items():

@@ -350,7 +350,7 @@ def _row(basis: str, n: int, by_mask: dict[int, int]) -> list[int]:
     return row
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of S expansions over M or F, indexed by the triangle order.
 
@@ -361,6 +361,7 @@ def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
     made once."""
     if basis_to not in ("M", "F"):
         raise ValueError("basis_to must be 'M' or 'F'")
+    n = _count(n, "degrees")
     counts: dict[tuple[tuple[int, ...], int], int] = {}
 
     def leaf(lengths, mask, cols):

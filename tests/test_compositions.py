@@ -4,6 +4,10 @@ import math
 import pytest
 
 from qschur import compositions
+from qschur.fillings import AugmentedFilling, leg
+from qschur.pieri import col_op, pieri_col, pieri_row, rem, row_op
+from qschur.polynomial import QtPoly, XPoly
+from qschur.qsym import transition_matrix
 from qschur.compositions import (
     Composition,
     Partition,
@@ -185,6 +189,43 @@ def test_expand_to_weak():
         expand_to_weak((1, 1), 1)
 
 
+def test_remaining_integer_inputs_follow_the_rule():
+    # each input below was used as given: a float or a string raised
+    # TypeError from range(), indexing or a comparison, or was taken as
+    # the int it equals (subset_of, leg, entry, a warm transition_matrix),
+    # or made rem and its chains return None; each now raises ValueError
+    transition_matrix("F", 3)  # a cached ("F", 3) must not answer ("F", 3.0)
+    filling = AugmentedFilling((2,), [(1, 1)])
+    table = [
+        ("pieri_row", lambda: pieri_row((1,), 2.0)),
+        ("pieri_row string", lambda: pieri_row((1,), "2")),
+        ("pieri_col", lambda: pieri_col((1,), 2.0)),
+        ("rem", lambda: rem((2,), 2.5)),
+        ("row_op", lambda: row_op((2, 1), [2.5])),
+        ("col_op", lambda: col_op((2,), [2.5])),
+        ("XPoly.variable", lambda: XPoly.variable(2, 1.0)),
+        ("swap_variables", lambda: XPoly.variable(2, 1).swap_variables(1, 2.0)),
+        ("QtPoly power", lambda: QtPoly.q() ** 2.0),
+        ("XPoly power", lambda: XPoly.variable(1, 1) ** 2.0),
+        ("enumerate_compositions", lambda: enumerate_compositions(3.0)),
+        ("enumerate_partitions", lambda: enumerate_partitions(2.5)),
+        ("enumerate_weak_compositions", lambda: enumerate_weak_compositions(2.0, 2)),
+        ("expand_to_weak", lambda: expand_to_weak((1,), 2.0)),
+        ("subset_of", lambda: subset_of((1, 2), 3.0)),
+        ("leg", lambda: leg((2,), (1, 1.0))),
+        ("entry", lambda: filling.entry(1, 1.0)),
+        ("transition_matrix", lambda: transition_matrix("F", 3.0)),
+    ]
+    for name, call in table:
+        with pytest.raises(ValueError, match="are integers"):
+            call()
+            pytest.fail(f"{name} accepted a non-integer")
+    assert transition_matrix.cache_info().currsize >= 1
+    # a bool is an int under operator.index
+    assert pieri_row((1,), True) == pieri_row((1,), 1)
+    assert QtPoly.q() ** True == QtPoly.q()
+
+
 def test_refinements():
     assert set(map(tuple, refinements((2, 1)))) == {(2, 1), (1, 1, 1)}
     assert refinements(()) == [()]
@@ -195,6 +236,29 @@ def test_refinements_are_the_coarsening_order():
         comps = enumerate_compositions(n)
         for a in comps:
             assert set(refinements(a)) == {b for b in comps if coarsens(a, b)}
+
+
+def test_refinements_and_rearrangements_read_only_their_parts_tables(monkeypatch):
+    # a refinement concatenates one composition of each part, so only the
+    # tables of the part sizes are read; rearrangements read none, so
+    # (10, 10) builds no table of the 2^19 compositions of 20
+    read = []
+    degree = compositions._degree
+
+    def spy(n):
+        read.append(n)
+        return degree(n)
+
+    monkeypatch.setattr(compositions, "_degree", spy)
+    assert compositions_of_partition((10, 10)) == [(10, 10)]
+    assert len(compositions_of_partition((1,) * 20)) == 1
+    assert len(compositions_of_partition((3, 2, 2, 1, 1))) == 30
+    assert read == []
+    for a in ((1,) * 18, (3, 1, 2), (2, 5, 2), (9, 9), ()):
+        read.clear()
+        refined = refinements(a)
+        assert sorted(read) == sorted(a), a
+        assert len(refined) == 2 ** (sum(a) - len(a)), a
 
 
 def test_validation():

@@ -5,9 +5,10 @@ diagram geometry derived and no packed filling weight read outside
 module-level helper is read by the library, only the listed functions
 are cached, only the two string parsers call ``int``, and every
 property suite is run by some test, each (suite, bounds) pair by exactly
-one."""
+one, and every name README.md quotes is found in the code."""
 import ast
 import inspect
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -111,11 +112,65 @@ def test_only_fillings_derives_the_diagram_geometry():
 def test_only_fillings_reads_the_packed_filling_weight():
     # the walk's packed layout is encoded and decoded in fillings.py
     # alone; every other module takes weighed terms from fillings._terms
-    layout = {"_radices", "_walk", "_counts", "_weigh", "_cell_factors", "_one_minus_t_power"}
+    layout = {"_walk", "_counts", "_weigh", "_cell_factors", "_one_minus_t_power"}
     modules = sorted(p for p in LIBRARY.glob("*.py") if p.name != "fillings.py")
     assert modules
     calls = [f"{place} {name}" for path in modules for place, name in _calls(path) if name in layout]
     assert not calls, calls
+
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _names_in(path: Path) -> set[str]:
+    """Every name the file defines or reads: variables, attributes,
+    definitions, arguments, keywords, imports, and the string constants
+    that are whole identifiers (suite names, verbs, variables of the
+    environment)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."), [node.asname] if node.asname else [])
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+        elif isinstance(node, ast.Constant) and (
+                node.value is None or isinstance(node.value, bool)
+                or isinstance(node.value, str) and _IDENTIFIER.fullmatch(node.value)):
+            names.add(str(node.value))
+    return names
+
+
+def test_readme_names_exist():
+    # every backticked identifier or dotted name in README.md is defined
+    # or read somewhere in the code, or names one of its files, so a
+    # helper that goes takes its mentions with it; a name qualified by a
+    # library module or class must be found in that module
+    files = [*LIBRARY.glob("*.py"), *TESTS.glob("*.py"), *PERFBENCH.rglob("*.py")]
+    names = {path: _names_in(path) for path in files}
+    known = set().union(*names.values()) | {path.name for path in files}
+    owners = {}
+    for path in LIBRARY.glob("*.py"):
+        owners[path.stem] = names[path]
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                owners[node.name] = names[path]
+    mentioned = {m for m in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+                 if _IDENTIFIER.fullmatch(m)}
+    assert mentioned
+    stale = []
+    for m in sorted(mentioned):
+        head, *rest = m.split(".")
+        if m not in known and not (head in known and set(rest) <= owners.get(head, known)):
+            stale.append(m)
+    assert not stale, stale
 
 
 def _names_used_in(path: Path) -> set[str]:

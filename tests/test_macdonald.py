@@ -136,6 +136,48 @@ def test_non_attacking_reads_every_attacking_pair():
                         assert is_non_attacking(f) == expected, (g, rule, f.rows)
 
 
+def test_enumerated_fillings_are_the_definition():
+    # the walk yields each filling once, and its fillings are every
+    # filling of the diagram that is non-attacking and, when descentless,
+    # has maj 0: every weak shape with <= 3 rows and size <= 4
+    for n in range(4):
+        for total in range(5):
+            for g in enumerate_weak_compositions(total, n):
+                for rule in ("id", "rev", "const"):
+                    for nv in (n, n + 1):
+                        every = []
+                        for entries in product(range(1, nv + 1), repeat=total):
+                            it = iter(entries)
+                            every.append(AugmentedFilling(g, [[next(it) for _ in range(k)] for k in g],
+                                                          rule, nv))
+                        for descentless in (False, True):
+                            walked = [f.rows for f in enumerate_fillings(g, rule, nv, descentless)]
+                            defined = {f.rows for f in every
+                                       if is_non_attacking(f) and not (descentless and maj(f))}
+                            case = (g, rule, nv, descentless)
+                            assert len(walked) == len(set(walked)), case
+                            assert set(walked) == defined, case
+
+
+def test_filling_sums_start_their_walk_once(monkeypatch):
+    # _terms starts the walk (shape, alphabet, diagram, basement entries)
+    # and hands it to _counts, which does not start it again
+    started = []
+    start = fillings._start
+
+    def spy(*args, **kwargs):
+        started.append(args)
+        return start(*args, **kwargs)
+
+    monkeypatch.setattr(fillings, "_start", spy)
+    for call in (lambda: fillings._terms((2, 1, 1), "id"),
+                 lambda: fillings._terms((0, 2, 1), "id", 3, True),
+                 lambda: macdonald_integral_form((2, 2, 1), "const", 5)):
+        started.clear()
+        call()
+        assert len(started) == 1, started
+
+
 def test_diagram_geometry_derived_once_per_shape(monkeypatch):
     # every filling of a shape reads one table of its geometry, so the
     # triples and attack pairs are derived once, not once per filling
@@ -151,12 +193,19 @@ def test_diagram_geometry_derived_once_per_shape(monkeypatch):
     assert calls["triples"] <= 1 and calls["attack_pairs"] <= 1
 
 
+def _counts(g, rule, nv, descentless, contents=None):
+    """The packed counts of the walk of one filling sum, started as
+    ``fillings._terms`` starts it."""
+    _, nv, d, values = fillings._start(g, rule, nv)
+    return fillings._counts(d, values, nv, descentless, contents)
+
+
 def _decoded(g, nv, counts):
     """The walk's packed counts read back field by field, with the
-    layout of ``fillings._radices``, as counts of (repeat cells,
-    exponents, maj, coinv)."""
+    layout of the diagram table (``span``, ``mask_w``, ``base``), as
+    counts of (repeat cells, exponents, maj, coinv)."""
     d = fillings._diagram(tuple(g))
-    span, mask_w, base = fillings._radices(d)
+    span, mask_w, base = d.span, d.mask_w, d.base
     out = Counter()
     for packed, count in counts.items():
         high, low = divmod(packed, mask_w)
@@ -188,7 +237,7 @@ def _assert_walk_matches_the_definitions(g):
     n = len(g)
     for rule, nv in (("id", n), ("rev", n), ("const", n), ("const", n + 1)):
         for descentless in (False, True):
-            walked = _decoded(g, nv, fillings._counts(g, rule, nv, descentless))
+            walked = _decoded(g, nv, _counts(g, rule, nv, descentless))
             defined = Counter(
                 (_repeat_cells(f), f.exponents(), maj(f), coinv(f))
                 for f in enumerate_fillings(g, rule, nv, descentless)
@@ -537,20 +586,19 @@ def test_budgeted_walk_keeps_the_fillings_of_its_content():
         for total in range(6):
             for g in enumerate_weak_compositions(total, n):
                 d = fillings._diagram(tuple(g))
-                _, mask_w, base = fillings._radices(d)
-                unit = mask_w << len(d.cells)
+                base, unit = d.base, d.mask_w << len(d.cells)
                 for rule, nv in (("id", n), ("const", n), ("const", n + 1)):
                     for descentless in (False, True):
-                        full = fillings._counts(g, rule, nv, descentless)
+                        full = _counts(g, rule, nv, descentless)
                         lams = [lam for lam in enumerate_partitions(total) if len(lam) <= nv]
                         every = Counter()
                         for lam in lams:
                             field = sum(p * base ** i for i, p in enumerate(lam))
                             kept = Counter({k: c for k, c in full.items() if k // unit == field})
-                            walked = fillings._counts(g, rule, nv, descentless, [lam])
+                            walked = _counts(g, rule, nv, descentless, [lam])
                             assert walked == kept, (g, rule, nv, descentless, lam)
                             every += kept
-                        together = fillings._counts(g, rule, nv, descentless, lams)
+                        together = _counts(g, rule, nv, descentless, lams)
                         assert together == every, (g, rule, nv, descentless)
 
 
