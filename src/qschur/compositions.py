@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 def _integers(values: Iterable[int], what: str = "parts and entries") -> tuple[int, ...]:
@@ -145,16 +145,6 @@ def refinements(a: Iterable[int]) -> list[Composition]:
     composition of each part, concatenated."""
     return [tuple.__new__(Composition, itertools.chain.from_iterable(pieces))
             for pieces in itertools.product(*(_degree(p).order for p in Composition(a)))]
-
-
-def _supersets(mask: int, cuts: int) -> Iterator[int]:
-    """Every m with mask <= m <= mask | cuts as bit sets."""
-    free = sub = cuts & ~mask
-    while True:  # over every subset sub of free
-        yield mask | sub
-        if not sub:
-            return
-        sub = (sub - 1) & free
 
 
 def triangle_key(a: Iterable[int]) -> tuple:

@@ -11,6 +11,7 @@ result of removing the last cell.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable
 
 from .compositions import Composition, _count, _degree, _integers, _quasi_shuffles
@@ -152,7 +153,7 @@ def _monomial_row(a: Composition) -> list[tuple[Composition, int]]:
     """The nonzero entries of row ``a`` of the M transition matrix."""
     table = _degree(a.size)
     row = transition_matrix("M", a.size)[table.position[a]]
-    return [(c, k) for c, k in zip(table.order, row) if k]
+    return list(zip(compress(table.order, row), filter(None, row)))
 
 
 def product_qschur_oracle(a, b) -> QSymExpr:

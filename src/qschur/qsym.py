@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Mapping
 
 from .compositions import (
@@ -20,7 +20,6 @@ from .compositions import (
     WeakComposition,
     _count,
     _degree,
-    _supersets,
     _triangle,
     collapse,
     compositions_of_partition,
@@ -248,7 +247,7 @@ def m_to_f(expr: QSymExpr) -> QSymExpr:
 def qschur_in_monomial(a) -> QSymExpr:
     """Monomial expansion: a refill of shape a counts at every refinement
     of its descent composition, every superset of its descent mask
-    (:func:`_row`)."""
+    (:func:`_rows`)."""
     return _expansion("M", Composition(a))
 
 
@@ -263,18 +262,12 @@ def qschur_in_fundamental(a) -> QSymExpr:
 
 
 def _expansion(basis: str, a: Composition) -> QSymExpr:
-    """Row a of ``transition_matrix(basis, |a|)`` as an expression, from
-    the descent masks of the walk of shape a alone."""
-    by_mask: dict[int, int] = {}
-
-    def leaf(lengths, mask, cols):
-        by_mask[mask] = by_mask.get(mask, 0) + 1
-
-    _standard_walk(a.size, a, leaf)
-    row = _row(basis, a.size, by_mask)
-    return QSymExpr._from_ints(basis, (
-        (c, k) for c, k in zip(_degree(a.size).order, row) if k
-    ))
+    """Row a of ``transition_matrix(basis, |a|)`` as an expression: the
+    row the walk of shape a alone counts (:func:`_rows`), of which only
+    the nonzero entries are read."""
+    row = _rows(basis, a.size, a)[a]
+    order = _degree(a.size).order
+    return QSymExpr._from_ints(basis, zip(compress(order, row), filter(None, row)))
 
 
 def demazure_atom(g, n: int | None = None) -> XPoly:
@@ -335,48 +328,49 @@ def schur_in_monomial_oracle(l) -> QSymExpr:
 # -- transition matrices ----------------------------------------------------
 
 
-def _row(basis: str, n: int, by_mask: dict[int, int]) -> list[int]:
-    """The S row over M or F, indexed by the triangle order of degree n,
-    of a shape whose refills count ``by_mask``: each count is added at
-    its mask's descent composition over F, and over M at every superset
-    of the mask, which is every refinement of that composition."""
-    table = _degree(n)
-    row = [0] * len(table.order)
+def _rows(basis: str, n: int,
+          shape: Composition | None = None) -> dict[tuple[int, ...], list[int]]:
+    """The S rows over M or F of every composition of n, or of ``shape``
+    alone, keyed by the shape and indexed by the triangle order of
+    degree n, from one walk (:func:`tableaux._standard_walk`).
+
+    Each standard composition tableau adds 1 to the row of its shape:
+    over F at its descent composition, and over M at every superset of
+    its descent mask, which is every refinement of that composition."""
+    by_mask = _degree(n).by_mask
+    size = len(by_mask)
     # the cuts a refinement may add: all n - 1 of them over M, none over F
-    cuts = len(row) - 1 if basis == "M" else 0
-    for mask, k in by_mask.items():
-        for m in _supersets(mask, cuts):
-            row[table.by_mask[m]] += k
-    return row
+    cuts = size - 1 if basis == "M" else 0
+    rows: dict[tuple[int, ...], list[int]] = {}
+
+    def leaf(lengths, mask, cols):
+        key = tuple(lengths)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = [0] * size
+        free = sub = cuts & ~mask
+        while True:  # over every subset sub of free
+            row[by_mask[mask | sub]] += 1
+            if not sub:
+                return
+            sub = (sub - 1) & free
+
+    _standard_walk(n, shape, leaf)
+    return rows
 
 
 @lru_cache(maxsize=None, typed=True)
 def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of S expansions over M or F, indexed by the triangle order.
 
-    One walk over every standard composition tableau of size n
-    (:func:`tableaux._standard_walk`) counts them by (row lengths,
-    descent mask), and each shape's counts make its row (:func:`_row`);
-    every composition of n is the shape of some tableau, so every row is
-    made once."""
+    One walk over every standard composition tableau of size n counts
+    each into the row of its shape (:func:`_rows`); every composition of
+    n is the shape of some tableau, so every row is made."""
     if basis_to not in ("M", "F"):
         raise ValueError("basis_to must be 'M' or 'F'")
     n = _count(n, "degrees")
-    counts: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def leaf(lengths, mask, cols):
-        key = (tuple(lengths), mask)
-        counts[key] = counts.get(key, 0) + 1
-
-    _standard_walk(n, None, leaf)
-    by_shape: dict[tuple[int, ...], dict[int, int]] = {}
-    for (shape, mask), k in counts.items():
-        by_shape.setdefault(shape, {})[mask] = k
-    position = _degree(n).position
-    rows = [()] * len(position)
-    for shape, by_mask in by_shape.items():
-        rows[position[shape]] = tuple(_row(basis_to, n, by_mask))
-    return tuple(rows)
+    rows = _rows(basis_to, n)
+    return tuple(tuple(rows[c]) for c in _degree(n).order)
 
 
 def _peel(basis: str, n: int, vector: list[int]) -> list[tuple[Composition, int]]:

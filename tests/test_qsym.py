@@ -9,6 +9,7 @@ from qschur.compositions import (
     enumerate_partitions,
     enumerate_weak_compositions,
     expand_to_weak,
+    subset_of,
 )
 from qschur.fillings import AugmentedFilling
 from qschur.polynomial import QtPoly, XPoly
@@ -375,25 +376,74 @@ def test_integer_constructor_sums_equal_keys_and_drops_zero_sums():
 
 
 def test_fundamental_expansion_walks_its_own_shape_alone(monkeypatch):
-    """The expansion of S_a walks the standard composition tableaux of
-    shape a and meets no tableau of another shape: the spy sees each
-    tableau of shape a once, as many as the coefficients add up to."""
+    """Both expansions of S_a walk the standard composition tableaux of
+    shape a and meet no tableau of another shape: the spy sees each
+    tableau of shape a once, as many as the F coefficients add up to,
+    and over M a tableau with d descents counts at the 2^(n-1-d)
+    supersets of its descent mask."""
     walk = qsym._standard_walk
     seen = []
 
     def spy(n, shape, leaf):
         def seeing(lengths, mask, cols):
-            seen.append(tuple(lengths))
+            seen.append((tuple(lengths), mask))
             leaf(lengths, mask, cols)
 
         walk(n, shape, seeing)
 
     monkeypatch.setattr(qsym, "_standard_walk", spy)
     for n in range(8):
+        free = max(n - 1, 0)
         for a in enumerate_compositions(n):
-            seen.clear()
-            total = sum(c.constant() for c in qschur_in_fundamental(a).terms.values())
-            assert set(seen) == {a} and len(seen) == total, a
+            for expand in (qschur_in_fundamental, qschur_in_monomial):
+                seen.clear()
+                total = sum(c.constant() for c in expand(a).terms.values())
+                assert {shape for shape, _ in seen} == {a}, (expand, a)
+                if expand is qschur_in_fundamental:
+                    assert len(seen) == total, a
+                else:
+                    assert sum(1 << (free - bin(m).count("1")) for _, m in seen) == total, a
+
+
+def test_a_cold_matrix_is_one_walk_of_its_degree(monkeypatch):
+    """A cold ``transition_matrix(b, n)`` walks degree n once, with no
+    shape, and a cached one walks nothing."""
+    walk = qsym._standard_walk
+    calls = []
+
+    def spy(n, shape, leaf):
+        calls.append((n, shape))
+        walk(n, shape, leaf)
+
+    monkeypatch.setattr(qsym, "_standard_walk", spy)
+    qsym.transition_matrix.cache_clear()
+    try:
+        for b in "FM":
+            for n in range(7):
+                calls.clear()
+                cold = transition_matrix(b, n)
+                assert calls == [(n, None)], (b, n)
+                calls.clear()
+                assert transition_matrix(b, n) is cold and calls == [], (b, n)
+    finally:
+        qsym.transition_matrix.cache_clear()
+
+
+def test_monomial_matrix_is_the_refinement_sum_of_the_fundamental_one():
+    """Entry (a, b) over M sums the F entries (a, c) over every c that b
+    refines, that is, whose cut set lies in that of b: read off
+    ``subset_of``, with no mask table."""
+    for n in range(9):
+        comps = enumerate_compositions(n)
+        cuts = [subset_of(c, n) for c in comps]
+        for a, f_row, m_row in zip(comps, transition_matrix("F", n), transition_matrix("M", n)):
+            expected = [0] * len(comps)
+            for k, count in enumerate(f_row):
+                if count:
+                    for j, cut in enumerate(cuts):
+                        if cuts[k] <= cut:
+                            expected[j] += count
+            assert list(m_row) == expected, (n, a)
 
 
 def test_monomial_expansion_is_the_refinement_sum_of_the_fundamental_one():
