@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compositions import Composition
+from .compositions import Composition, _count
 from .tableaux import (
     CompositionTableau,
     ReverseTableau,
@@ -145,7 +145,10 @@ def skyline_uninsert(t: CompositionTableau, length: int) -> tuple[CompositionTab
     bumping chain is rewound; returns the smaller tableau and the value
     whose insertion reproduces the input (ValueError if it does not,
     raised when the insertion kernel is re-run on the smaller rows).
+    The length follows the integer rule: ``1.0`` or ``"1"`` raises
+    ValueError.
     """
+    length = _count(length, "row lengths")
     rows = [list(r) for r in t.rows]
     i0 = None
     for i, row in enumerate(rows):

@@ -365,12 +365,13 @@ def transition_matrix(basis_to: str, n: int) -> tuple[tuple[int, ...], ...]:
 
     One walk over every standard composition tableau of size n counts
     each into the row of its shape (:func:`_rows`); every composition of
-    n is the shape of some tableau, so every row is made."""
+    n is the shape of some tableau, so every row is made.  Each row is
+    popped as it is frozen, so the rows are never all held twice."""
     if basis_to not in ("M", "F"):
         raise ValueError("basis_to must be 'M' or 'F'")
     n = _count(n, "degrees")
     rows = _rows(basis_to, n)
-    return tuple(tuple(rows[c]) for c in _degree(n).order)
+    return tuple(tuple(rows.pop(c)) for c in _degree(n).order)
 
 
 def _peel(basis: str, n: int, vector: list[int]) -> list[tuple[Composition, int]]:

@@ -350,14 +350,15 @@ def enumerate_comts(
 
 def enumerate_standard_comts(a: Iterable[int]) -> Iterator[CompositionTableau]:
     """All composition tableaux of shape ``a`` using 1..n exactly once, in
-    walk order: the walk of the S expansions (:func:`_standard_walk`) held
-    to shape ``a``, so no tableau of another shape is built, each
-    tableau's rows replayed from its columns (:func:`_replay`).
+    walk order: the column refill (:func:`_refill`) of the columns the
+    walk of the S expansions places (:func:`_walked_columns`), held to
+    shape ``a``, so no tableau of another shape is built.
 
     The walk runs in full before the first yield and holds the columns
     of every tableau of shape ``a`` (n + 1 ints each) until the last."""
-    for cols in _placements(Composition(a)):
-        yield CompositionTableau(_replay(cols))
+    a = Composition(a)
+    for cols in _walked_columns(a):
+        yield CompositionTableau([r for r in _refill(cols, a.size) if r])
 
 
 def enumerate_ssafs(g: Iterable[int]) -> Iterator[AugmentedFilling]:
@@ -400,29 +401,30 @@ def enumerate_reverse_tableaux(
 def enumerate_standard_reverse_tableaux(shape: Iterable[int]) -> Iterator[ReverseTableau]:
     """All reverse tableaux of a partition shape using 1..n exactly once:
     the walks held to each rearrangement of the shape in turn, largest
-    first in the triangle order, each in walk order.  Column k of a
-    tableau holds, largest first, the entries the walk placed in column
-    k, as :func:`ssaf_to_rt` reads it back from the refill.
+    first in the triangle order, each in walk order, with the columns
+    the walk places (:func:`_walked_columns`) pushed to the top, as
+    :func:`ssaf_to_rt` reads them back from the refill.
 
     Each rearrangement's walk runs in full before its first tableau is
     yielded and holds the columns of all its tableaux (n + 1 ints each)
     until its last."""
-    shape = Partition(shape)
-    width = max(shape, default=0)
-    for a in compositions_of_partition(shape):
-        for cols in _placements(a):
-            by_column: list[list[int]] = [[] for _ in range(width)]
-            for v in range(shape.size, 0, -1):
-                by_column[cols[v]].append(v)
-            yield top_justify(by_column)
+    for a in compositions_of_partition(Partition(shape)):
+        for cols in _walked_columns(a):
+            yield top_justify(cols)
 
 
-def _placements(shape: Composition) -> list[list[int]]:
-    """The columns ``cols`` of every standard composition tableau of
-    ``shape``, in walk order (:func:`_standard_walk`)."""
+def _walked_columns(shape: Composition) -> Iterator[list[list[int]]]:
+    """The columns of every standard composition tableau of ``shape``, in
+    walk order (:func:`_standard_walk`): column k lists, largest first,
+    the entries the walk placed in column k."""
     walked: list[list[int]] = []
     _standard_walk(shape.size, shape, lambda lengths, mask, cols: walked.append(cols[:]))
-    return walked
+    width = max(shape, default=0)
+    for placed in walked:
+        cols: list[list[int]] = [[] for _ in range(width)]
+        for v in range(shape.size, 0, -1):
+            cols[placed[v]].append(v)
+        yield cols
 
 
 def _standard_walk(n: int, shape: Iterable[int] | None,
@@ -433,12 +435,12 @@ def _standard_walk(n: int, shape: Iterable[int] | None,
     of size n, or only per one of composition ``shape`` (of size n; None
     for all): its row lengths top to bottom, its descent mask, with bit
     i - 1 set when col(i+1) >= col(i), and ``cols[v]``, the column where
-    v was placed (:func:`_replay` rebuilds the rows from it).  Both lists
-    are live: the walk changes them after the call.
+    v was placed.  Both lists are live: the walk changes them after the
+    call.
 
     Every entry placed before v is larger, so v ends the highest row of
     length c, where c = 0 opens a new top row.  Column c admits v when
-    c = 0 or column c - 1 is taller than column c; c runs from the
+    c = 0 or some row has length c (``c in lengths``); c runs from the
     longest row down to 0, the row order of the standard reverse
     tableaux.  Rows are only ever inserted on top, so with a ``shape``
     the row at index r of k rows ends as row r + len(shape) - k: it
@@ -449,14 +451,13 @@ def _standard_walk(n: int, shape: Iterable[int] | None,
     tall = len(final)
     lengths: list[int] = []
     cols = [0] * (n + 1)
-    height = [0] * (n + 1)  # height[c]: the rows longer than c
 
     def place(v: int, above: int, mask: int, width: int) -> None:
         # above is the column of v + 1; width is the longest row's length
         offset = tall - len(lengths)  # row r ends as row r + offset
         for c in range(width, -1, -1):
             if c:
-                if height[c - 1] == height[c]:  # no row of length c
+                if c not in lengths:
                     continue
                 r = lengths.index(c)
                 if final[r + offset] <= c:
@@ -471,9 +472,7 @@ def _standard_walk(n: int, shape: Iterable[int] | None,
             if v == 1:  # every row is full
                 leaf(lengths, m, cols)
             else:
-                height[c] += 1
                 place(v - 1, c, m, width if c < width else c + 1)
-                height[c] -= 1
             if c:
                 lengths[r] = c
             else:
@@ -484,20 +483,3 @@ def _standard_walk(n: int, shape: Iterable[int] | None,
     else:
         leaf(lengths, 0, cols)  # one empty tableau
 
-
-def _replay(cols: list[int]) -> list[list[int]]:
-    """The rows, top to bottom, of the tableau whose entry v the walk
-    placed in column ``cols[v]``: v ends the highest row of length
-    ``cols[v]``, or opens a new top row when that is 0."""
-    rows: list[list[int]] = []
-    lengths: list[int] = []  # as the walk keeps them
-    for v in range(len(cols) - 1, 0, -1):
-        c = cols[v]
-        if c:
-            r = lengths.index(c)
-            rows[r].append(v)
-            lengths[r] = c + 1
-        else:
-            rows.insert(0, [v])
-            lengths.insert(0, 1)
-    return rows

@@ -5,9 +5,11 @@ import pytest
 
 from qschur import compositions
 from qschur.fillings import AugmentedFilling, leg
+from qschur.insertion import skyline_uninsert
 from qschur.pieri import col_op, pieri_col, pieri_row, rem, row_op
 from qschur.polynomial import QtPoly, XPoly
 from qschur.qsym import transition_matrix
+from qschur.tableaux import CompositionTableau
 from qschur.compositions import (
     Composition,
     Partition,
@@ -196,6 +198,8 @@ def test_remaining_integer_inputs_follow_the_rule():
     # or made rem and its chains return None; each now raises ValueError
     transition_matrix("F", 3)  # a cached ("F", 3) must not answer ("F", 3.0)
     filling = AugmentedFilling((2,), [(1, 1)])
+    tableau = CompositionTableau(((1,), (2,)))
+    assert skyline_uninsert(tableau, 1) == (CompositionTableau([[1]]), 2)
     table = [
         ("pieri_row", lambda: pieri_row((1,), 2.0)),
         ("pieri_row string", lambda: pieri_row((1,), "2")),
@@ -215,6 +219,10 @@ def test_remaining_integer_inputs_follow_the_rule():
         ("leg", lambda: leg((2,), (1, 1.0))),
         ("entry", lambda: filling.entry(1, 1.0)),
         ("transition_matrix", lambda: transition_matrix("F", 3.0)),
+        # 1.0 uninserted, 2.0 raised TypeError from range, and 1.5 and "1"
+        # raised "no row of length"
+        *((f"skyline_uninsert {bad!r}", lambda bad=bad: skyline_uninsert(tableau, bad))
+          for bad in (1.0, 2.0, 1.5, "1")),
     ]
     for name, call in table:
         with pytest.raises(ValueError, match="are integers"):

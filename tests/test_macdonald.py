@@ -104,6 +104,8 @@ def test_filling_entries_and_cells_are_checked():
     assert str(f) == "1| 1\n2| 2 1"
     assert str(AugmentedFilling((0, 1), [[], [3]], "const", 3)) == "4|\n4| 3"
     assert repr(f) == "AugmentedFilling((1, 2), ((1,), (2, 1)), rule='id')"
+    # equality with a foreign operand defers, so Python falls back to identity
+    assert f.__eq__(f.rows) is NotImplemented and f != f.rows
 
 
 def test_enumerated_fillings_match_the_public_constructor():

@@ -78,6 +78,18 @@ def test_qtpoly_str():
     assert str(QtPoly.zero()) == "0"
     assert str(1 - QtPoly.t()) == "1 - t"
     assert str(QtPoly.q(2) * QtPoly.t() * 3) == "3*q^2*t"
+    assert repr(1 - QtPoly.t()) == "QtPoly(1 - t)"
+
+
+def test_xpoly_str():
+    # a constant term is bracketed only when its coefficient has more than
+    # one term
+    x1, q, t = XPoly.variable(2, 1), QtPoly.q(), QtPoly.t()
+    assert str(x1 + 1) == "x1 + 1"
+    assert str(x1 - t) == "x1 - t"
+    assert str(q * x1 + q + t) == "(q)*x1 + (t + q)"
+    assert str(x1 + (1 - t)) == "x1 + (1 - t)"
+    assert repr(x1 + 1) == "XPoly[2](x1 + 1)"
 
 
 def test_xpoly_ring_ops():
@@ -122,6 +134,8 @@ def test_foreign_operands_defer():
                    lambda: other - x, lambda: x * other, lambda: other * x):
             with pytest.raises(TypeError):
                 op()
+        # equality defers too, so Python falls back to identity
+        assert x.__eq__(other) is NotImplemented and x != other
     with pytest.raises(TypeError, match="cannot divide"):
         x.div_exact("a")
     for op in (lambda: x + XPoly.variable(3, 1), lambda: x * XPoly.one(1)):

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from qschur import compositions, polynomial, qsym, tableaux
 from qschur.compositions import (
     Composition,
     composition_of,
+    compositions_of_partition,
     enumerate_compositions,
     enumerate_partitions,
     enumerate_weak_compositions,
@@ -12,6 +15,7 @@ from qschur.compositions import (
     subset_of,
 )
 from qschur.fillings import AugmentedFilling
+from qschur.pieri import pieri_row
 from qschur.polynomial import QtPoly, XPoly
 from qschur.qsym import (
     NotQuasisymmetricError,
@@ -312,9 +316,11 @@ def test_s_expansions_build_no_tableau_objects(forbid):
 
 def test_s_expansions_run_no_column_refill(forbid):
     """The walk places each entry in its refill row, so with the refill
-    forbidden the matrices, the expansions and the standard composition
-    tableaux equal what the refill of every standard reverse tableau
-    gives (the reference is built with the refill allowed)."""
+    forbidden the matrices and the expansions equal what the refill of
+    every standard reverse tableau gives (the reference is built with the
+    refill allowed); the standard composition tableaux, whose rows are
+    the refill of the walk's columns, are checked before it is
+    forbidden."""
     sizes = range(7)
     refills = {}  # shape -> refills of that shape, in walk order
     by_descents = {}  # shape -> {descent composition: count}
@@ -328,6 +334,9 @@ def test_s_expansions_run_no_column_refill(forbid):
                 counts[beta] = counts.get(beta, 0) + 1
     in_f = {a: QSymExpr("F", counts) for a, counts in by_descents.items()}
     qsym.transition_matrix.cache_clear()
+    for n in sizes:
+        for a in enumerate_compositions(n):
+            assert list(enumerate_standard_comts(a)) == refills[a], a
 
     assert not hasattr(qsym, "_refill")
     forbid(tableaux, ["_refill"], "an S expansion ran the column refill")
@@ -340,8 +349,6 @@ def test_s_expansions_run_no_column_refill(forbid):
                 for a, row in zip(comps, rows):
                     expected = in_f[a] if b == "F" else f_to_m(in_f[a])
                     assert QSymExpr(b, zip(comps, row)) == expected, (b, a)
-            for a in comps:
-                assert list(enumerate_standard_comts(a)) == refills[a], a
         for a in ((1, 3), (2, 2), (3, 1, 2), (1, 2, 1, 2), (2, 4), (1, 1, 4)):
             assert qschur_in_fundamental(a) == in_f[a], a
             assert qschur_in_monomial(a) == f_to_m(in_f[a]), a
@@ -427,6 +434,100 @@ def test_a_cold_matrix_is_one_walk_of_its_degree(monkeypatch):
                 assert transition_matrix(b, n) is cold and calls == [], (b, n)
     finally:
         qsym.transition_matrix.cache_clear()
+
+
+def test_a_cold_matrix_frees_each_row_as_it_freezes_it(monkeypatch):
+    """A cold ``transition_matrix(b, n)`` pops every row of the dict its
+    walk filled as it freezes that row, so the dict ends empty and the
+    rows are not held twice at the peak."""
+    rows = qsym._rows
+    built = []
+
+    def spy(basis, n, shape=None):
+        built.append(rows(basis, n, shape))
+        return built[-1]
+
+    monkeypatch.setattr(qsym, "_rows", spy)
+    qsym.transition_matrix.cache_clear()
+    try:
+        for b in "FM":
+            for n in range(7):
+                built.clear()
+                matrix = transition_matrix(b, n)
+                assert len(matrix) == len(enumerate_compositions(n)), (b, n)
+                assert built == [{}], (b, n)
+    finally:
+        qsym.transition_matrix.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def _syt_descent_counts(shape):
+    """{(descent mask, row of n): count} over the standard Young tableaux
+    of the partition ``shape`` (of size n), built by removing the corner
+    that holds n: i is a descent, bit i - 1, when i + 1 lies in a
+    strictly lower row."""
+    n = sum(shape)
+    counts = {} if n else {(0, None): 1}
+    for r, part in enumerate(shape):
+        if r + 1 < len(shape) and shape[r + 1] == part:
+            continue  # no corner in row r
+        smaller = shape[:r] + ((part - 1,) if part > 1 else ()) + shape[r + 1:]
+        for (mask, below), count in _syt_descent_counts(smaller).items():
+            if below is not None and r > below:
+                mask |= 1 << (n - 2)
+            counts[mask, r] = counts.get((mask, r), 0) + count
+    return counts
+
+
+def test_rearrangement_rows_sum_to_the_schur_fundamental_expansion():
+    """s_λ is the sum of S_α over the rearrangements α of λ, and Gessel's
+    expansion reads s_λ over F off the descent sets of the standard
+    Young tableaux of shape λ.  So the F rows of the rearrangements sum
+    to those counts, up to degree 11, with no composition tableau built."""
+    for n in range(12):
+        comps = enumerate_compositions(n)
+        index = {c: k for k, c in enumerate(comps)}
+        matrix = transition_matrix("F", n)
+        for lam in enumerate_partitions(n):
+            expected = [0] * len(comps)
+            for (mask, _), count in _syt_descent_counts(tuple(lam)).items():
+                descents = {i for i in range(1, n) if mask >> (i - 1) & 1}
+                expected[index[composition_of(descents, n)]] += count
+            summed = [0] * len(comps)
+            for a in compositions_of_partition(lam):
+                for k, v in enumerate(matrix[index[a]]):
+                    summed[k] += v
+            assert summed == expected, lam
+
+
+def test_monomial_rows_follow_the_row_pieri_rule():
+    """S_a * S_(1) = sum of S_b over pieri_row(a, 1), and S_(1) = M_(1),
+    whose product with M_z is the sum of M over the quasi-shuffles of z
+    and (1): 1 inserted at each place, or added to each part.  So the M
+    row of a, quasi-shuffled with (1), is the sum of the M rows of the
+    b, for every a up to degree 9."""
+    def m_rows(n):
+        return {a: {c: v for c, v in zip(enumerate_compositions(n), row) if v}
+                for a, row in zip(enumerate_compositions(n), transition_matrix("M", n))}
+
+    above = m_rows(0)
+    for n in range(10):
+        rows, above = above, m_rows(n + 1)
+        for a, row in rows.items():
+            shuffled = {}
+            for z, v in row.items():
+                z = tuple(z)
+                for i in range(len(z) + 1):
+                    key = z[:i] + (1,) + z[i:]
+                    shuffled[key] = shuffled.get(key, 0) + v
+                for i in range(len(z)):
+                    key = z[:i] + (z[i] + 1,) + z[i + 1:]
+                    shuffled[key] = shuffled.get(key, 0) + v
+            summed = {}
+            for b, coeff in pieri_row(a, 1).terms.items():
+                for c, v in above[b].items():
+                    summed[tuple(c)] = summed.get(tuple(c), 0) + coeff.constant() * v
+            assert shuffled == summed, a
 
 
 def test_monomial_matrix_is_the_refinement_sum_of_the_fundamental_one():
@@ -559,6 +660,8 @@ def test_qsym_expr_algebra_and_errors():
             a - other
         with pytest.raises(TypeError):
             other + a
+        assert a.__eq__(other) is NotImplemented and a != other
+    assert repr(b) == "QSymExpr[M](2M(1))"
     s = qsym_unit("S", (1, 2))
     assert express_in_qschur(s) is s
     bad = {"basis": "M", "terms": [{"composition": [1, "2"], "coeff": [[0, 0, 1]]}]}
