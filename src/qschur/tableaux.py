@@ -482,4 +482,3 @@ def _standard_walk(n: int, shape: Iterable[int] | None,
         place(n, -1, 0, 0)
     else:
         leaf(lengths, 0, cols)  # one empty tableau
-
