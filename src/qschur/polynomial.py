@@ -25,7 +25,7 @@ as ``QtPoly.div_exact``.
 from __future__ import annotations
 
 from itertools import chain
-from operator import add
+from operator import add, lt, sub
 from typing import Iterable, Mapping
 
 from .compositions import _count, _integers
@@ -97,23 +97,26 @@ def _divide(num: dict, den: dict) -> list:
     """Quotient pairs of ``num`` by ``den`` (exponent tuple -> int maps) by
     leading-term elimination in lex order.
 
-    The remainder is a dict updated in place.  Raises ValueError if the
-    division is not exact.
+    The remainder is a dict updated in place: each step pops its leading
+    term, which the quotient term times the divisor's leading term
+    cancels, and subtracts the quotient term times the divisor's other
+    terms.  Raises ValueError if the division is not exact.
     """
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
     dk = max(den)
     dc = den[dk]
+    rest = [(ek, ec) for ek, ec in den.items() if ek != dk]
     rem = dict(num)
     quot = []
     while rem:
         rk = max(rem)
-        c, r = divmod(rem[rk], dc)
-        if r or any(a < b for a, b in zip(rk, dk)):
+        c, r = divmod(rem.pop(rk), dc)
+        if r or any(map(lt, rk, dk)):
             raise ValueError("polynomial division is not exact")
-        k = tuple(a - b for a, b in zip(rk, dk))
+        k = tuple(map(sub, rk, dk))
         quot.append((k, c))
-        for ek, ec in den.items():
+        for ek, ec in rest:
             key = tuple(map(add, k, ek))
             v = rem.pop(key, 0) - c * ec
             if v:

@@ -231,14 +231,24 @@ def f_to_m(expr: QSymExpr) -> QSymExpr:
 
 
 def m_to_f(expr: QSymExpr) -> QSymExpr:
-    """Rewrite an M-expression over the fundamental basis (signed sum)."""
+    """Rewrite an M-expression over the fundamental basis (signed sum).
+
+    M_a is the sum of (-1)^(len(b) - len(a)) F_b over the refinements b
+    of a.  Each coefficient's integer terms are added, with that sign,
+    straight into one integer dict per b, and each dict is wrapped once
+    as a ``QtPoly``, its zero terms dropped; a b whose terms all cancel
+    is left out.
+    """
     if expr.basis != "M":
         raise ValueError("expected an M-expression")
-    return QSymExpr._trusted("F", (
-        (b, c if (len(b) - len(comp)) % 2 == 0 else -c)
-        for comp, c in expr.terms.items()
-        for b in refinements(comp)
-    ))
+    sums: dict = {}
+    for comp, c in expr.terms.items():
+        for b in refinements(comp):
+            acc = sums.setdefault(b, {})
+            sign = -1 if (len(b) - len(comp)) % 2 else 1
+            for qt, v in c._terms.items():
+                acc[qt] = acc.get(qt, 0) + sign * v
+    return QSymExpr._trusted("F", ((b, QtPoly._trusted(acc.items())) for b, acc in sums.items()))
 
 
 # -- quasisymmetric Schur expansions ---------------------------------------

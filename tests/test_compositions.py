@@ -191,6 +191,24 @@ def test_expand_to_weak():
         expand_to_weak((1, 1), 1)
 
 
+def test_unchecked_placements_stay_typed():
+    # expand_to_weak checks its input once and builds each placement
+    # unchecked; the placements still are weak compositions, in the
+    # order of their nonzero positions
+    for m in range(7):
+        for a in enumerate_compositions(m):
+            for n in range(len(a), len(a) + 3):
+                expected = []
+                for positions in itertools.combinations(range(n), len(a)):
+                    parts = [0] * n
+                    for pos, val in zip(positions, a):
+                        parts[pos] = val
+                    expected.append(WeakComposition(parts))
+                placed = expand_to_weak(a, n)
+                assert all(type(w) is WeakComposition and w == WeakComposition(w) for w in placed)
+                assert placed == expected, (a, n)
+
+
 def test_remaining_integer_inputs_follow_the_rule():
     # each input below was used as given: a float or a string raised
     # TypeError from range(), indexing or a comparison, or was taken as

@@ -161,6 +161,24 @@ def test_enumerated_fillings_are_the_definition():
                             assert set(walked) == defined, case
 
 
+def test_enumerated_fillings_come_in_increasing_entry_order():
+    # the walk places the cells in position order and tries each cell's
+    # values in increasing order, so the entry vectors (basement cells
+    # included) come strictly increasing: every weak shape with <= 3
+    # rows and size <= 4
+    seen = 0
+    for n in range(4):
+        for total in range(5):
+            for g in enumerate_weak_compositions(total, n):
+                for rule in ("id", "rev", "const"):
+                    for nv in (n, n + 1):
+                        for descentless in (False, True):
+                            vecs = [f._values() for f in enumerate_fillings(g, rule, nv, descentless)]
+                            assert all(a < b for a, b in zip(vecs, vecs[1:])), (g, rule, nv, descentless)
+                            seen += len(vecs)
+    assert seen == 11456
+
+
 def test_filling_sums_start_their_walk_once(monkeypatch):
     # _terms starts the walk (shape, alphabet, diagram, basement entries)
     # and hands it to _counts, which does not start it again
@@ -757,15 +775,37 @@ def _flat_polynomials(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(_flat_polynomials(), st.data())
 def test_divided_difference_laws(poly, data):
+    # the oracle's d_i reads keys packed in digits, lowest first; each
+    # drawn polynomial is packed as n + 2 digits of width 5 (its entries
+    # are at most 4, and d_i raises none) and unpacked for the XPoly sides
     n, f = poly
     i = data.draw(st.integers(1, n - 1))
-    d = macdonald._divided_difference
+    unit = [5 ** k for k in range(n + 2)]
+
+    def d(g, i):
+        return macdonald._divided_difference(g, unit[i - 1], unit[i], 5)
+
+    def unpacked(g):
+        return _unflat(n, {tuple(k // u % 5 for u in unit): c for k, c in g.items()})
+
+    g = {sum(e * u for e, u in zip(k, unit)): c for k, c in f.items()}
     x = XPoly.variable(n, i) - XPoly.variable(n, i + 1)
     p = _unflat(n, f)
-    assert x * _unflat(n, d(f, i)) == p - p.swap_variables(i, i + 1)
-    assert d(d(f, i), i) == {}
+    assert x * unpacked(d(g, i)) == p - p.swap_variables(i, i + 1)
+    assert d(d(g, i), i) == {}
     if i + 1 < n:
-        assert d(d(d(f, i), i + 1), i) == d(d(d(f, i + 1), i), i + 1)
+        assert d(d(d(g, i), i + 1), i) == d(d(d(g, i + 1), i), i + 1)
+
+
+def test_partition_sums_rewrite_over_f_with_no_qtpoly_sum(forbid):
+    # m_to_f adds the signed integer terms of each refinement straight
+    # into one dict per composition: no QtPoly is negated, added or
+    # multiplied on the way
+    sums = [macdonald._partition_sums(lam, 5) for lam in enumerate_partitions(5)]
+    expected = [m_to_f(e) for e in sums]
+    forbid(QtPoly, ["__add__", "__radd__", "__neg__", "__mul__", "__rmul__"],
+           "m_to_f summed QtPoly values")
+    assert [m_to_f(e) for e in sums] == expected
 
 
 def test_reading_word_example():

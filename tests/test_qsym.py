@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qschur import compositions, polynomial, qsym, tableaux
 from qschur.compositions import (
     Composition,
+    coarsens,
     composition_of,
     compositions_of_partition,
     enumerate_compositions,
@@ -72,6 +73,25 @@ def test_m_to_f_inverse():
         for a in enumerate_compositions(n):
             e = qsym_unit("F", a)
             assert m_to_f(f_to_m(e)) == e
+
+
+def test_m_to_f_is_the_signed_coarsening_sum():
+    # M_a is the sum of (-1)^(len(b) - len(a)) F_b over the b that a
+    # coarsens; the reference reads every composition of the degree
+    c = QtPoly({(0, 0): 1, (1, 1): -2, (0, 2): 1})
+    for m in range(7):
+        comps = enumerate_compositions(m)
+        for a in comps:
+            expected = QSymExpr("F", [(b, c * (-1) ** (len(b) - len(a)))
+                                      for b in comps if coarsens(a, b)])
+            assert m_to_f(QSymExpr("M", {a: c})) == expected, a
+
+
+def test_m_to_f_drops_what_cancels():
+    # M_(2) = F_(2) - F_(1,1) and M_(1,1) = F_(1,1)
+    out = m_to_f(QSymExpr("M", {(2,): 1, (1, 1): 1}))
+    assert out == qsym_unit("F", (2,))
+    assert (1, 1) not in out.terms
 
 
 def test_qschur_in_monomial():
